@@ -80,6 +80,11 @@ std::string TopComponentsString(const ChaosReport& report, size_t n) {
   return out;
 }
 
+// Span-collector counters live in the run's registry snapshot as obs.span.*.
+uint64_t SpanCounter(const ChaosReport& report, const std::string& name) {
+  return report.metrics.Value("obs.span." + name);
+}
+
 ChaosReport RunCell(const std::string& name, const std::vector<FaultSpec>& faults) {
   WorldOptions options;
   options.mount.hard = true;
@@ -88,16 +93,14 @@ ChaosReport RunCell(const std::string& name, const std::vector<FaultSpec>& fault
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kOpMix;
   chaos.opmix.operations = g_quick ? 120 : 400;
-  chaos.crash = false;
-  chaos.flap = false;
   chaos.schedule = faults;
   ChaosReport report = RunChaos(world, chaos);
 
-  if (!report.integrity_ok || report.span_conservation_failures > 0) {
+  if (!report.integrity_ok || SpanCounter(report, "conservation_failures") > 0) {
     DumpObservability(world, std::cerr);
   }
   std::fprintf(stderr, "cell %-10s ops=%llu top: %s\n", name.c_str(),
-               static_cast<unsigned long long>(report.span_ops_completed),
+               static_cast<unsigned long long>(SpanCounter(report, "ops_completed")),
                TopComponentsString(report, 4).c_str());
   return report;
 }
@@ -115,7 +118,7 @@ void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     out << "    {\"name\": \"" << cell.name << "\", \"ops\": "
-        << cell.report.span_ops_completed << ", \"expected_share\": ";
+        << SpanCounter(cell.report, "ops_completed") << ", \"expected_share\": ";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", cell.expected_share);
     out << buf << ", \"top_components\": [";
@@ -190,11 +193,11 @@ int main(int argc, char** argv) {
   TextTable table("Latency attribution by fault regime");
   table.SetHeader({"cell", "ops", "conserved", "spills", "expected share", "top components"});
   for (const CellResult& cell : cells) {
-    table.AddRow({cell.name, std::to_string(cell.report.span_ops_completed),
-                  std::to_string(cell.report.span_ops_completed -
-                                 cell.report.span_conservation_failures) +
-                      "/" + std::to_string(cell.report.span_ops_completed),
-                  std::to_string(cell.report.span_pool_spills),
+    const uint64_t ops = SpanCounter(cell.report, "ops_completed");
+    table.AddRow({cell.name, std::to_string(ops),
+                  std::to_string(ops - SpanCounter(cell.report, "conservation_failures")) +
+                      "/" + std::to_string(ops),
+                  std::to_string(SpanCounter(cell.report, "pool_exhausted_drops")),
                   TextTable::Num(cell.expected_share * 100.0, 1) + "%",
                   TopComponentsString(cell.report, 3)});
   }
@@ -203,10 +206,11 @@ int main(int argc, char** argv) {
   for (const CellResult& cell : cells) {
     Check(cell.report.workload_status.ok(), cell.name + ": workload failed");
     Check(cell.report.integrity_ok, cell.name + ": integrity audit failed");
-    Check(cell.report.span_ops_completed > 0, cell.name + ": no ops attributed");
-    Check(cell.report.span_conservation_failures == 0,
+    Check(SpanCounter(cell.report, "ops_completed") > 0, cell.name + ": no ops attributed");
+    Check(SpanCounter(cell.report, "conservation_failures") == 0,
           cell.name + ": conservation invariant violated");
-    Check(cell.report.span_pool_spills == 0, cell.name + ": span pool spilled");
+    Check(SpanCounter(cell.report, "pool_exhausted_drops") == 0,
+          cell.name + ": span pool spilled");
     // The injected regime must own the majority of attributed time, and the
     // single dominant component must belong to it.
     Check(cell.expected_share > 0.5,

@@ -184,11 +184,11 @@ void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
     out << "      \"files_compared\": " << cell.report.files_compared << ",\n";
     out << "      \"ops\": " << cell.report.op_log.size() << ",\n";
     out << "      \"fault_events\": " << cell.report.fault_trace.size() << ",\n";
-    out << "      \"crashes\": " << cell.report.crash_count << ",\n";
+    out << "      \"crashes\": " << cell.report.metrics.Value("server.nfs.crashes") << ",\n";
     out << "      \"recovery_episodes\": "
         << cell.report.recovery.not_responding_events << ",\n";
-    out << "      \"stale_lease_writes\": " << cell.report.stale_lease_writes
-        << ",\n";
+    out << "      \"stale_lease_writes\": "
+        << cell.report.metrics.Value("client.lease.stale_lease_writes") << ",\n";
     out << "      \"max_p99_us\": " << MaxP99(cell.report) << ",\n";
     out << "      \"snapshot_hash\": \"" << HashHex(cell.report.snapshot_hash)
         << "\",\n";
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     table.AddRow({result.scenario.name, std::to_string(result.scenario.seed),
                   std::to_string(result.report.op_log.size()),
                   std::to_string(result.report.files_compared),
-                  std::to_string(result.report.crash_count),
+                  std::to_string(result.report.metrics.Value("server.nfs.crashes")),
                   std::to_string(result.report.recovery.not_responding_events),
                   TextTable::Num(MaxP99(result.report) / 1000.0, 1),
                   result.violations.empty()

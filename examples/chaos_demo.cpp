@@ -29,6 +29,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/scenario/runner.h"
 #include "src/workload/chaos.h"
@@ -184,34 +185,21 @@ int main(int argc, char** argv) {
   chaos.andrew.source_files = 12;
   chaos.andrew.mean_file_bytes = 1500;
   chaos.iterations = 30;
-  chaos.crash_at = Seconds(2);
-  chaos.crash_downtime = Seconds(12);
-  chaos.flap_at = Seconds(20);
-  chaos.flaps = 1;
-  chaos.flap_down = Seconds(1);
-  chaos.flap_up = Seconds(1);
+  std::vector<const char*> faults = {"crash at=2s dur=12s",
+                                     "link_flap at=20s count=1 dur=1s period=1s"};
   if (mode == "corrupt") {
-    chaos.crash = false;
-    chaos.flap = false;
-    chaos.corrupt = true;
-    chaos.corrupt_at = Seconds(1);
-    chaos.corrupt_duration = Seconds(30);
-    chaos.corruption.bit_flip = 0.1;
-    chaos.corruption.truncate = 0.03;
-    chaos.corruption.duplicate = 0.05;
-    chaos.corruption.reorder = 0.05;
-    chaos.corruption.reorder_delay = Milliseconds(30);
-    chaos.garbage_datagrams = 25;
-    chaos.disk_full = true;
-    chaos.disk_full_at = Seconds(8);
-    chaos.disk_free_blocks = 64;
-    chaos.disk_restore = true;
-    chaos.disk_restore_at = Seconds(20);
+    faults = {
+        "corruption_storm at=1s dur=30s flip=0.1 trunc=0.03 dup=0.05 reorder=0.05 rdelay=30ms",
+        "garbage_datagrams at=1s dur=30s count=25", "disk_full at=8s blocks=64",
+        "disk_restore at=20s"};
+  }
+  for (const char* line : faults) {
+    chaos.schedule.push_back(FaultSpecFromString(line).value());
   }
 
   if (options.mount.intr) {
     // Pull the plug on the stuck calls three seconds into the outage.
-    world.scheduler().Schedule(chaos.crash_at + Seconds(3), [&world]() {
+    world.scheduler().Schedule(chaos.schedule.front().at + Seconds(3), [&world]() {
       const size_t n = world.client().Interrupt();
       std::printf("interrupted %zu in-flight call(s)\n", n);
     });
@@ -235,7 +223,8 @@ int main(int argc, char** argv) {
               ToSeconds(report.recovery.longest_outage));
   std::printf("absorbed retry errors: %llu   dup-cache replays: %llu   reconnects: %llu\n",
               static_cast<unsigned long long>(report.retry_errors_absorbed),
-              static_cast<unsigned long long>(report.dup_cache_replays),
+              static_cast<unsigned long long>(
+                  report.metrics.Value("server.rpc.duplicate_cache_replays")),
               static_cast<unsigned long long>(report.recovery.reconnects));
   if (mode == "lease") {
     const NfsClientStats& s = world.client().stats();

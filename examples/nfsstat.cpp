@@ -124,10 +124,9 @@ int main(int argc, char** argv) {
   chaos.andrew.directories = 3;
   chaos.andrew.source_files = std::max<size_t>(4, static_cast<size_t>(12 * seconds / 20.0));
   chaos.andrew.mean_file_bytes = 2000;
-  chaos.crash = chaos_mode;
-  chaos.crash_at = Seconds(3);
-  chaos.crash_downtime = Seconds(8);
-  chaos.flap = false;
+  if (chaos_mode) {
+    chaos.schedule.push_back(FaultSpecFromString("crash at=3s dur=8s").value());
+  }
   ChaosReport report = RunChaos(world, chaos);
 
   const SimTime now = world.scheduler().now();

@@ -135,6 +135,13 @@ python3 scripts/validate_trace.py "${TRACE_TMP}"
 python3 scripts/validate_trace.py --timeline "${TIMELINE_TMP}"
 rm -f "${TRACE_TMP}" "${TIMELINE_TMP}"
 
+# Chaos demo smoke: every fixed fault mode on its defaults (slow link,
+# create-delete). chaos_demo exits non-zero when the integrity audit fails
+# (or, in lease mode, on a stale-lease write), which fails the build here.
+for mode in hard soft intr tcp lease corrupt; do
+  ./build/examples/chaos_demo "${mode}" >/dev/null
+done
+
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}" -R 'FaultTest|ChaosTest|FuzzTest'

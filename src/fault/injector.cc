@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
+#include <sstream>
 #include <utility>
 
+#include "src/nfs/wire.h"
+#include "src/rpc/message.h"
+#include "src/util/config.h"
 #include "src/util/logging.h"
+#include "src/xdr/xdr.h"
 
 namespace renonfs {
 namespace {
@@ -37,7 +44,70 @@ constexpr FaultKindEntry kFaultKindNames[] = {
     {FaultKind::kDiskErrorBurst, "disk_error_burst"},
     {FaultKind::kDiskSlow, "disk_slow"},
     {FaultKind::kSabotage, "sabotage"},
+    {FaultKind::kGarbageDatagrams, "garbage_datagrams"},
 };
+
+// Fault lines are the scenario DSL's `fault = ...` values, so their parse
+// errors carry the DSL's prefix.
+Status BadField(const std::string& what) {
+  return Status(ErrorCode::kInvalidArgument, "scenario: " + what);
+}
+
+// Shortest decimal rendering that survives a strtod round trip, so a
+// serialized fault replays with bit-identical parameters.
+std::string FormatDouble(double value) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  if (std::strtod(buf, nullptr) != value) {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  }
+  return buf;
+}
+
+bool FsOpFromName(const std::string& name, FsOp* out) {
+  for (FsOp op : {FsOp::kRead, FsOp::kWrite, FsOp::kCreate, FsOp::kRemove,
+                  FsOp::kSetattr}) {
+    if (name == FsOpName(op)) {
+      *out = op;
+      return true;
+    }
+  }
+  return false;
+}
+
+// DiskErrorBurst takes exactly these two codes (a dying disk fails with EIO
+// or ENOSPC); the DSL names them directly.
+bool DiskCodeFromName(const std::string& name, ErrorCode* out) {
+  if (name == "io") {
+    *out = ErrorCode::kIo;
+    return true;
+  }
+  if (name == "nospace") {
+    *out = ErrorCode::kNoSpace;
+    return true;
+  }
+  return false;
+}
+
+const char* DiskCodeToken(ErrorCode code) {
+  return code == ErrorCode::kNoSpace ? "nospace" : "io";
+}
+
+// A call the server must answer with GARBAGE_ARGS: the RPC header is valid
+// (right program, version, a known procedure) but the arguments end long
+// before the 32-byte file handle LOOKUP expects.
+MbufChain GarbageCall(uint32_t xid) {
+  MbufChain message;
+  XdrEncoder enc(&message);
+  RpcCallHeader header;
+  header.xid = xid;
+  header.prog = kNfsProgram;
+  header.vers = kNfsVersion;
+  header.proc = kNfsLookup;
+  EncodeCallHeader(enc, header);
+  enc.PutUint32(0xdeadbeef);  // 4 bytes where a 32-byte fh should start
+  return message;
+}
 
 }  // namespace
 
@@ -71,6 +141,7 @@ SimTime FaultSpec::Horizon() const {
     case FaultKind::kPartition:
     case FaultKind::kCorruptionStorm:
     case FaultKind::kDiskSlow:
+    case FaultKind::kGarbageDatagrams:
       return at + duration;
     case FaultKind::kLinkDown:
     case FaultKind::kLinkUp:
@@ -81,6 +152,162 @@ SimTime FaultSpec::Horizon() const {
       return at;
   }
   return at;
+}
+
+StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
+  std::istringstream in(line);
+  std::string kind_token;
+  in >> kind_token;
+  FaultSpec spec;
+  if (!FaultKindFromName(kind_token, &spec.kind)) {
+    return BadField("unknown fault kind '" + kind_token + "' in '" + line + "'");
+  }
+  std::string token;
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      return BadField("fault '" + line + "': expected key=value, got '" + token + "'");
+    }
+    const std::string key = token.substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    auto duration_field = [&](SimTime* out) -> Status {
+      auto t_or = ParseDuration(value);
+      if (!t_or.ok()) {
+        return BadField("fault '" + line + "': bad duration '" + value + "'");
+      }
+      *out = t_or.value();
+      return Status::Ok();
+    };
+    auto double_field = [&](double* out) -> Status {
+      char* end = nullptr;
+      *out = std::strtod(value.c_str(), &end);
+      if (end == value.c_str() || *end != '\0') {
+        return BadField("fault '" + line + "': bad number '" + value + "'");
+      }
+      return Status::Ok();
+    };
+    auto uint_field = [&](uint64_t* out, uint64_t max = UINT64_MAX) -> Status {
+      char* end = nullptr;
+      *out = std::strtoull(value.c_str(), &end, 0);
+      if (end == value.c_str() || *end != '\0' || *out > max) {
+        return BadField("fault '" + line + "': bad integer '" + value + "'");
+      }
+      return Status::Ok();
+    };
+    Status status = Status::Ok();
+    if (key == "at") {
+      status = duration_field(&spec.at);
+    } else if (key == "dur") {
+      status = duration_field(&spec.duration);
+    } else if (key == "period") {
+      status = duration_field(&spec.period);
+    } else if (key == "extra") {
+      status = duration_field(&spec.extra);
+    } else if (key == "rdelay") {
+      status = duration_field(&spec.corruption.reorder_delay);
+    } else if (key == "count") {
+      // strtoull wraps "-1" to UINT64_MAX, so the int bound also rejects
+      // negative counts.
+      uint64_t v = 0;
+      status = uint_field(&v, INT_MAX);
+      spec.count = static_cast<int>(v);
+    } else if (key == "blocks") {
+      status = uint_field(&spec.blocks);
+    } else if (key == "offset") {
+      status = uint_field(&spec.offset);
+    } else if (key == "mag") {
+      status = double_field(&spec.magnitude);
+    } else if (key == "flip") {
+      status = double_field(&spec.corruption.bit_flip);
+    } else if (key == "trunc") {
+      status = double_field(&spec.corruption.truncate);
+    } else if (key == "dup") {
+      status = double_field(&spec.corruption.duplicate);
+    } else if (key == "reorder") {
+      status = double_field(&spec.corruption.reorder);
+    } else if (key == "inbound") {
+      if (value == "true" || value == "1") {
+        spec.inbound = true;
+      } else if (value == "false" || value == "0") {
+        spec.inbound = false;
+      } else {
+        status = BadField("fault '" + line + "': bad bool '" + value + "'");
+      }
+    } else if (key == "op") {
+      if (!FsOpFromName(value, &spec.op)) {
+        status = BadField("fault '" + line + "': unknown fs op '" + value + "'");
+      }
+    } else if (key == "code") {
+      if (!DiskCodeFromName(value, &spec.code)) {
+        status = BadField("fault '" + line + "': unknown code '" + value + "'");
+      }
+    } else if (key == "file") {
+      spec.file = value;
+    } else {
+      status = BadField("fault '" + line + "': unknown key '" + key + "'");
+    }
+    if (!status.ok()) {
+      return status;
+    }
+  }
+  return spec;
+}
+
+std::string FaultSpecToString(const FaultSpec& spec) {
+  std::string out(FaultKindName(spec.kind));
+  out += " at=" + FormatDuration(spec.at);
+  switch (spec.kind) {
+    case FaultKind::kCrash:
+      out += " dur=" + FormatDuration(spec.duration);
+      break;
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+    case FaultKind::kDiskRestore:
+      break;
+    case FaultKind::kLinkFlap:
+      out += " count=" + std::to_string(spec.count);
+      out += " dur=" + FormatDuration(spec.duration);
+      out += " period=" + FormatDuration(spec.period);
+      break;
+    case FaultKind::kLossStorm:
+    case FaultKind::kDiskSlow:
+      out += " dur=" + FormatDuration(spec.duration);
+      out += " mag=" + FormatDouble(spec.magnitude);
+      break;
+    case FaultKind::kLatencyStorm:
+      out += " dur=" + FormatDuration(spec.duration);
+      out += " extra=" + FormatDuration(spec.extra);
+      break;
+    case FaultKind::kPartition:
+      out += " dur=" + FormatDuration(spec.duration);
+      out += std::string(" inbound=") + (spec.inbound ? "true" : "false");
+      break;
+    case FaultKind::kCorruptionStorm:
+      out += " dur=" + FormatDuration(spec.duration);
+      out += " flip=" + FormatDouble(spec.corruption.bit_flip);
+      out += " trunc=" + FormatDouble(spec.corruption.truncate);
+      out += " dup=" + FormatDouble(spec.corruption.duplicate);
+      out += " reorder=" + FormatDouble(spec.corruption.reorder);
+      out += " rdelay=" + FormatDuration(spec.corruption.reorder_delay);
+      break;
+    case FaultKind::kDiskFull:
+      out += " blocks=" + std::to_string(spec.blocks);
+      break;
+    case FaultKind::kDiskErrorBurst:
+      out += std::string(" op=") + FsOpName(spec.op);
+      out += std::string(" code=") + DiskCodeToken(spec.code);
+      out += " count=" + std::to_string(spec.count);
+      break;
+    case FaultKind::kSabotage:
+      out += " file=" + spec.file;
+      out += " offset=" + std::to_string(spec.offset);
+      break;
+    case FaultKind::kGarbageDatagrams:
+      out += " dur=" + FormatDuration(spec.duration);
+      out += " count=" + std::to_string(spec.count);
+      break;
+  }
+  return out;
 }
 
 void FaultInjector::Fire(SimTime at, std::string what) {
@@ -221,6 +448,19 @@ void FaultInjector::SabotageAt(LocalFs* fs, SimTime at, std::string file,
   });
 }
 
+void FaultInjector::GarbageDatagramsAt(UdpStack* udp, HostId server_host, SimTime at,
+                                       SimTime duration, int count) {
+  const SockAddr server_addr{server_host, kNfsPort};
+  for (int i = 0; i < count; ++i) {
+    const SimTime send_at =
+        at + duration * static_cast<SimTime>(i) / static_cast<SimTime>(count);
+    const uint32_t xid = 0xfade0000u + static_cast<uint32_t>(i);
+    scheduler_.Schedule(send_at, [udp, server_addr, xid]() {
+      udp->SendTo(777, server_addr, GarbageCall(xid));
+    });
+  }
+}
+
 void FaultInjector::ScheduleSpec(const FaultSpec& spec, const FaultTargets& targets) {
   switch (spec.kind) {
     case FaultKind::kCrash:
@@ -275,6 +515,11 @@ void FaultInjector::ScheduleSpec(const FaultSpec& spec, const FaultTargets& targ
     case FaultKind::kSabotage:
       CHECK(targets.fs != nullptr) << "sabotage spec needs a filesystem target";
       SabotageAt(targets.fs, spec.at, spec.file, spec.offset);
+      return;
+    case FaultKind::kGarbageDatagrams:
+      CHECK(targets.client_udp != nullptr) << "garbage spec needs a client UDP stack";
+      GarbageDatagramsAt(targets.client_udp, targets.server_host, spec.at, spec.duration,
+                         spec.count);
       return;
   }
   CHECK(false) << "unhandled fault kind";

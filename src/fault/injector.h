@@ -11,6 +11,10 @@
 // an ordered trace *at fire time*. Two runs with the same seed and the same
 // schedule must therefore produce byte-identical traces — the chaos tests
 // assert exactly that.
+//
+// This module owns the whole fault vocabulary: the kinds (FaultKind), the
+// declarative entry (FaultSpec) with its one-line text form, its horizon,
+// and its scheduling against a set of targets (ScheduleSpec).
 #ifndef RENONFS_SRC_FAULT_INJECTOR_H_
 #define RENONFS_SRC_FAULT_INJECTOR_H_
 
@@ -25,6 +29,7 @@
 #include "src/nfs/server.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
+#include "src/util/statusor.h"
 
 namespace renonfs {
 
@@ -47,6 +52,7 @@ enum class FaultKind : uint8_t {
   kDiskErrorBurst,   // at, op, code, count
   kDiskSlow,         // at, duration, magnitude = latency factor
   kSabotage,         // at, file, offset — flip one byte of stable storage
+  kGarbageDatagrams, // at, duration = spread window, count = datagrams
 };
 
 std::string_view FaultKindName(FaultKind kind);
@@ -73,10 +79,19 @@ struct FaultSpec {
   SimTime Horizon() const;
 };
 
+// One fault line <-> FaultSpec: "<kind> key=value ...", keys at/dur/count/
+// period/mag/extra/blocks/op/code/inbound/file/offset plus the corruption
+// knobs flip/trunc/dup/reorder/rdelay, e.g. "crash at=40s dur=20s" or
+// "garbage_datagrams at=1s dur=30s count=25". ToString writes only the keys
+// its kind reads, and FromString(ToString(spec)) renders back identically.
+StatusOr<FaultSpec> FaultSpecFromString(const std::string& line);
+std::string FaultSpecToString(const FaultSpec& spec);
+
 // The objects a schedule of FaultSpecs acts on. The chaos harness fills this
 // from its World: `medium` is the last medium on the client→server path,
 // `client_node`/`server_host` anchor partitions (the classic lost-reply
-// direction is inbound=true: the client drops frames from the server).
+// direction is inbound=true: the client drops frames from the server), and
+// `client_udp` is the stack garbage datagrams leave from.
 struct FaultTargets {
   NfsServer* server = nullptr;
   Medium* medium = nullptr;
@@ -84,6 +99,7 @@ struct FaultTargets {
   DiskModel* disk = nullptr;
   Node* client_node = nullptr;
   HostId server_host = 0;
+  UdpStack* client_udp = nullptr;
 };
 
 class FaultInjector {
@@ -149,6 +165,16 @@ class FaultInjector {
   // byte-level integrity audit deterministically — the fixture for testing
   // the failure-artifact/replay path itself.
   void SabotageAt(LocalFs* fs, SimTime at, std::string file, uint64_t offset);
+
+  // Hostile traffic rather than a state change: `count` RPC calls with valid
+  // headers and undecodable arguments, sent from `udp` (source port 777) to
+  // the NFS port of `server_host` at `at` + `duration`·i/`count`, xid
+  // 0xfade0000+i. The server must answer GARBAGE_ARGS and count them, never
+  // crash; wire corruption alone cannot reach this path, because a damaged
+  // frame dies at the transport checksum before the XDR layer. Traffic adds
+  // no trace line.
+  void GarbageDatagramsAt(UdpStack* udp, HostId server_host, SimTime at, SimTime duration,
+                          int count);
 
   // Schedules one declarative spec against `targets` (see FaultSpec for the
   // field/kind mapping). Specs whose target pointer is missing are a caller

@@ -88,58 +88,25 @@ namespace {
 
 // Named fault schedules — the matrix's fourth axis.
 std::vector<FaultSpec> FaultAxis(const std::string& fault) {
-  std::vector<FaultSpec> faults;
-  if (fault == "none") {
-    return faults;
-  }
+  std::vector<const char*> lines;
   if (fault == "crash") {
-    FaultSpec crash;
-    crash.kind = FaultKind::kCrash;
-    crash.at = Seconds(10);
-    crash.duration = Seconds(8);
-    faults.push_back(crash);
-    return faults;
+    lines = {"crash at=10s dur=8s"};
+  } else if (fault == "disk") {
+    // The burst overlaps the slow window on purpose. Its count of 0 makes
+    // LocalFs::InjectOpError clear the write-error schedule, so as written
+    // this cell fails no writes.
+    lines = {"disk_slow at=4s dur=20s mag=6", "disk_error_burst at=8s op=write code=io count=0"};
+  } else if (fault == "wire") {
+    lines = {"loss_storm at=6s dur=6s mag=0.3", "link_flap at=16s count=3 dur=400ms period=2s"};
+  } else if (fault == "corrupt") {
+    lines = {"corruption_storm at=4s dur=10s flip=0.05"};
+  } else {
+    CHECK(fault == "none");
   }
-  if (fault == "disk") {
-    FaultSpec slow;
-    slow.kind = FaultKind::kDiskSlow;
-    slow.at = Seconds(4);
-    slow.duration = Seconds(20);
-    slow.magnitude = 6.0;
-    faults.push_back(slow);
-    FaultSpec burst;  // overlaps the slow window on purpose
-    burst.kind = FaultKind::kDiskErrorBurst;
-    burst.at = Seconds(8);
-    burst.duration = Seconds(4);
-    burst.op = FsOp::kWrite;
-    burst.code = ErrorCode::kIo;
-    faults.push_back(burst);
-    return faults;
+  std::vector<FaultSpec> faults;
+  for (const char* line : lines) {
+    faults.push_back(FaultSpecFromString(line).value());
   }
-  if (fault == "wire") {
-    FaultSpec loss;
-    loss.kind = FaultKind::kLossStorm;
-    loss.at = Seconds(6);
-    loss.duration = Seconds(6);
-    loss.magnitude = 0.3;
-    faults.push_back(loss);
-    FaultSpec flap;
-    flap.kind = FaultKind::kLinkFlap;
-    flap.at = Seconds(16);
-    flap.count = 3;
-    flap.duration = Milliseconds(400);
-    flap.period = Seconds(2);
-    faults.push_back(flap);
-    return faults;
-  }
-  CHECK(fault == "corrupt");
-  FaultSpec storm;
-  storm.kind = FaultKind::kCorruptionStorm;
-  storm.at = Seconds(4);
-  storm.duration = Seconds(10);
-  storm.corruption.bit_flip = 0.05;
-  storm.inbound = true;
-  faults.push_back(storm);
   return faults;
 }
 

@@ -1,9 +1,6 @@
 #include "src/scenario/scenario.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <set>
-#include <sstream>
 #include <utility>
 
 namespace renonfs {
@@ -11,46 +8,6 @@ namespace {
 
 Status BadField(const std::string& what) {
   return Status(ErrorCode::kInvalidArgument, "scenario: " + what);
-}
-
-// Shortest decimal rendering that survives a strtod round trip, so a
-// serialized scenario replays with bit-identical parameters.
-std::string FormatDouble(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  if (std::strtod(buf, nullptr) != value) {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  return buf;
-}
-
-bool FsOpFromName(const std::string& name, FsOp* out) {
-  for (FsOp op : {FsOp::kRead, FsOp::kWrite, FsOp::kCreate, FsOp::kRemove,
-                  FsOp::kSetattr}) {
-    if (name == FsOpName(op)) {
-      *out = op;
-      return true;
-    }
-  }
-  return false;
-}
-
-// DiskErrorBurst takes exactly these two codes (a dying disk fails with EIO
-// or ENOSPC); the DSL names them directly.
-bool DiskCodeFromName(const std::string& name, ErrorCode* out) {
-  if (name == "io") {
-    *out = ErrorCode::kIo;
-    return true;
-  }
-  if (name == "nospace") {
-    *out = ErrorCode::kNoSpace;
-    return true;
-  }
-  return false;
-}
-
-const char* DiskCodeToken(ErrorCode code) {
-  return code == ErrorCode::kNoSpace ? "nospace" : "io";
 }
 
 }  // namespace
@@ -139,156 +96,6 @@ const char* WorkloadToken(ChaosWorkload workload) {
     case ChaosWorkload::kOpMix: return "opmix";
   }
   return "opmix";
-}
-
-StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
-  std::istringstream in(line);
-  std::string kind_token;
-  in >> kind_token;
-  FaultSpec spec;
-  if (!FaultKindFromName(kind_token, &spec.kind)) {
-    return BadField("unknown fault kind '" + kind_token + "' in '" + line + "'");
-  }
-  std::string token;
-  while (in >> token) {
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return BadField("fault '" + line + "': expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    auto duration_field = [&](SimTime* out) -> Status {
-      auto t_or = ParseDuration(value);
-      if (!t_or.ok()) {
-        return BadField("fault '" + line + "': bad duration '" + value + "'");
-      }
-      *out = t_or.value();
-      return Status::Ok();
-    };
-    auto double_field = [&](double* out) -> Status {
-      char* end = nullptr;
-      *out = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        return BadField("fault '" + line + "': bad number '" + value + "'");
-      }
-      return Status::Ok();
-    };
-    auto uint_field = [&](uint64_t* out) -> Status {
-      char* end = nullptr;
-      *out = std::strtoull(value.c_str(), &end, 0);
-      if (end == value.c_str() || *end != '\0') {
-        return BadField("fault '" + line + "': bad integer '" + value + "'");
-      }
-      return Status::Ok();
-    };
-    Status status = Status::Ok();
-    if (key == "at") {
-      status = duration_field(&spec.at);
-    } else if (key == "dur") {
-      status = duration_field(&spec.duration);
-    } else if (key == "period") {
-      status = duration_field(&spec.period);
-    } else if (key == "extra") {
-      status = duration_field(&spec.extra);
-    } else if (key == "rdelay") {
-      status = duration_field(&spec.corruption.reorder_delay);
-    } else if (key == "count") {
-      uint64_t v = 0;
-      status = uint_field(&v);
-      spec.count = static_cast<int>(v);
-    } else if (key == "blocks") {
-      status = uint_field(&spec.blocks);
-    } else if (key == "offset") {
-      status = uint_field(&spec.offset);
-    } else if (key == "mag") {
-      status = double_field(&spec.magnitude);
-    } else if (key == "flip") {
-      status = double_field(&spec.corruption.bit_flip);
-    } else if (key == "trunc") {
-      status = double_field(&spec.corruption.truncate);
-    } else if (key == "dup") {
-      status = double_field(&spec.corruption.duplicate);
-    } else if (key == "reorder") {
-      status = double_field(&spec.corruption.reorder);
-    } else if (key == "inbound") {
-      if (value == "true" || value == "1") {
-        spec.inbound = true;
-      } else if (value == "false" || value == "0") {
-        spec.inbound = false;
-      } else {
-        status = BadField("fault '" + line + "': bad bool '" + value + "'");
-      }
-    } else if (key == "op") {
-      if (!FsOpFromName(value, &spec.op)) {
-        status = BadField("fault '" + line + "': unknown fs op '" + value + "'");
-      }
-    } else if (key == "code") {
-      if (!DiskCodeFromName(value, &spec.code)) {
-        status = BadField("fault '" + line + "': unknown code '" + value + "'");
-      }
-    } else if (key == "file") {
-      spec.file = value;
-    } else {
-      status = BadField("fault '" + line + "': unknown key '" + key + "'");
-    }
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  return spec;
-}
-
-std::string FaultSpecToString(const FaultSpec& spec) {
-  std::string out(FaultKindName(spec.kind));
-  out += " at=" + FormatDuration(spec.at);
-  switch (spec.kind) {
-    case FaultKind::kCrash:
-      out += " dur=" + FormatDuration(spec.duration);
-      break;
-    case FaultKind::kLinkDown:
-    case FaultKind::kLinkUp:
-    case FaultKind::kDiskRestore:
-      break;
-    case FaultKind::kLinkFlap:
-      out += " count=" + std::to_string(spec.count);
-      out += " dur=" + FormatDuration(spec.duration);
-      out += " period=" + FormatDuration(spec.period);
-      break;
-    case FaultKind::kLossStorm:
-    case FaultKind::kDiskSlow:
-      out += " dur=" + FormatDuration(spec.duration);
-      out += " mag=" + FormatDouble(spec.magnitude);
-      break;
-    case FaultKind::kLatencyStorm:
-      out += " dur=" + FormatDuration(spec.duration);
-      out += " extra=" + FormatDuration(spec.extra);
-      break;
-    case FaultKind::kPartition:
-      out += " dur=" + FormatDuration(spec.duration);
-      out += std::string(" inbound=") + (spec.inbound ? "true" : "false");
-      break;
-    case FaultKind::kCorruptionStorm:
-      out += " dur=" + FormatDuration(spec.duration);
-      out += " flip=" + FormatDouble(spec.corruption.bit_flip);
-      out += " trunc=" + FormatDouble(spec.corruption.truncate);
-      out += " dup=" + FormatDouble(spec.corruption.duplicate);
-      out += " reorder=" + FormatDouble(spec.corruption.reorder);
-      out += " rdelay=" + FormatDuration(spec.corruption.reorder_delay);
-      break;
-    case FaultKind::kDiskFull:
-      out += " blocks=" + std::to_string(spec.blocks);
-      break;
-    case FaultKind::kDiskErrorBurst:
-      out += std::string(" op=") + FsOpName(spec.op);
-      out += std::string(" code=") + DiskCodeToken(spec.code);
-      out += " count=" + std::to_string(spec.count);
-      break;
-    case FaultKind::kSabotage:
-      out += " file=" + spec.file;
-      out += " offset=" + std::to_string(spec.offset);
-      break;
-  }
-  return out;
 }
 
 StatusOr<Scenario> Scenario::Parse(std::string_view text, bool ignore_unknown) {
@@ -468,10 +275,6 @@ StatusOr<WorldOptions> Scenario::ToWorldOptions(bool seed_from_env) const {
 ChaosOptions Scenario::ToChaosOptions() const {
   ChaosOptions options;
   options.workload = workload;
-  // Scenarios express every fault declaratively; the fixed-slot defaults
-  // (crash at 40s, flap at 90s) stay off.
-  options.crash = false;
-  options.flap = false;
   options.schedule = faults;
   options.iterations = iterations;
   options.file_bytes = file_bytes;
@@ -486,9 +289,9 @@ std::vector<std::string> Scenario::GateViolations(const ChaosReport& report) con
                                               ? std::string("audit failed")
                                               : report.integrity_error));
   }
-  if (report.stale_lease_writes != 0) {
-    violations.push_back("stale_lease_writes: " +
-                         std::to_string(report.stale_lease_writes) + " (must be 0)");
+  if (const uint64_t stale = report.metrics.Value("client.lease.stale_lease_writes");
+      stale != 0) {
+    violations.push_back("stale_lease_writes: " + std::to_string(stale) + " (must be 0)");
   }
   if (!gates.allow_workload_errors && !report.workload_status.ok()) {
     violations.push_back("workload: " + report.workload_status.ToString());

@@ -24,10 +24,9 @@
 //   fault = disk_slow at=5s dur=60s mag=6
 //   gate_max_p99_us = 500000
 //
-// `fault` lines repeat; each is "<kind> key=value ..." over the FaultSpec
-// fields (at/dur/count/period/mag/extra/blocks/op/code/inbound/file/offset
-// and corruption knobs flip/trunc/dup/reorder/rdelay). Serialize() and
-// Parse() round-trip, which is what makes a trace artifact re-runnable.
+// `fault` lines repeat; each is one FaultSpec in the text form of
+// src/fault/injector.h (FaultSpecFromString). Serialize() and Parse()
+// round-trip, which is what makes a trace artifact re-runnable.
 #ifndef RENONFS_SRC_SCENARIO_SCENARIO_H_
 #define RENONFS_SRC_SCENARIO_SCENARIO_H_
 
@@ -97,10 +96,6 @@ bool TransportFromName(const std::string& name, NfsTransportKind* out);
 const char* TransportToken(NfsTransportKind kind);
 bool WorkloadFromName(const std::string& name, ChaosWorkload* out);
 const char* WorkloadToken(ChaosWorkload workload);
-
-// One fault line ("crash at=40s dur=20s") <-> FaultSpec.
-StatusOr<FaultSpec> FaultSpecFromString(const std::string& line);
-std::string FaultSpecToString(const FaultSpec& spec);
 
 }  // namespace renonfs
 

@@ -8,9 +8,6 @@
 
 #include "src/fs/local_fs.h"
 #include "src/nfs/wire.h"
-#include "src/rpc/message.h"
-#include "src/util/logging.h"
-#include "src/xdr/xdr.h"
 
 namespace renonfs {
 namespace {
@@ -220,22 +217,6 @@ CoTask<Status> FlushAndVerify(World& world, NfsClient& client, size_t* files_com
   co_return co_await VerifyTree(world, client, world.fs().root(), files_compared);
 }
 
-// A call the server must answer with GARBAGE_ARGS: the RPC header is valid
-// (right program, version, a known procedure) but the arguments end long
-// before the 32-byte file handle LOOKUP expects.
-MbufChain GarbageCall(uint32_t xid) {
-  MbufChain message;
-  XdrEncoder enc(&message);
-  RpcCallHeader header;
-  header.xid = xid;
-  header.prog = kNfsProgram;
-  header.vers = kNfsVersion;
-  header.proc = kNfsLookup;
-  EncodeCallHeader(enc, header);
-  enc.PutUint32(0xdeadbeef);  // 4 bytes where a 32-byte fh should start
-  return message;
-}
-
 }  // namespace
 
 std::string ChaosReport::SummaryLine() const {
@@ -245,25 +226,26 @@ std::string ChaosReport::SummaryLine() const {
   line += " integrity=";
   line += integrity_ok ? "ok" : "FAILED";
   line += " files=" + std::to_string(files_compared);
-  line += " crashes=" + std::to_string(crash_count);
+  auto counter = [this](const char* name) { return std::to_string(metrics.Value(name)); };
+  line += " crashes=" + counter("server.nfs.crashes");
   line += " trace=" + std::to_string(fault_trace.size());
-  line += " replays=" + std::to_string(dup_cache_replays);
+  line += " replays=" + counter("server.rpc.duplicate_cache_replays");
   line += " absorbed=" + std::to_string(retry_errors_absorbed);
   line += " frames_corrupted=" + std::to_string(frames_corrupted);
   line += " checksum_drops=" + std::to_string(checksum_drops);
-  line += " garbage=" + std::to_string(garbage_requests);
+  line += " garbage=" + counter("server.rpc.garbage_requests");
   line += " corrupt_records=" + std::to_string(corrupted_records);
-  line += " enospc=" + std::to_string(fs_enospc);
-  line += " disk_errors=" + std::to_string(fs_injected_errors);
+  line += " enospc=" + counter("fs.enospc_errors");
+  line += " disk_errors=" + counter("fs.injected_errors");
   line += " latched=" + std::to_string(write_errors_latched);
-  line += " slot_waits=" + std::to_string(nfsd_slot_waits);
-  if (leases_granted > 0 || lease_recalls_sent > 0) {
+  line += " slot_waits=" + counter("server.rpc.nfsd_slot_waits");
+  if (leases_granted > 0 || metrics.Value("server.lease.recalls_sent") > 0) {
     line += " leases=" + std::to_string(leases_granted);
-    line += " recalls=" + std::to_string(lease_recalls_sent);
-    line += " vacated=" + std::to_string(leases_vacated);
-    line += " lease_evictions=" + std::to_string(lease_evictions);
-    line += " stale_discards=" + std::to_string(lease_stale_discards);
-    line += " stale_lease_writes=" + std::to_string(stale_lease_writes);
+    line += " recalls=" + counter("server.lease.recalls_sent");
+    line += " vacated=" + counter("server.lease.vacated");
+    line += " lease_evictions=" + counter("server.lease.evictions");
+    line += " stale_discards=" + counter("client.lease.stale_discards");
+    line += " stale_lease_writes=" + counter("client.lease.stale_lease_writes");
   }
   for (const ProcLatency& lat : latencies) {
     line += " lat_us[" + lat.proc + "]=" + std::to_string(lat.p50_us) + "/" +
@@ -301,65 +283,18 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   world.flight().Start();
 
   FaultInjector injector(sched);
+  FaultTargets targets;
+  targets.server = &world.server();
+  targets.medium = world.topology().path_media.back();
+  targets.fs = &world.fs();
+  targets.disk = &world.server_node()->disk();
+  targets.client_node = world.topology().client;
+  targets.server_host = world.server_node()->id();
+  targets.client_udp = world.client_udp(0);
   SimTime horizon = 0;
-  if (options.crash) {
-    injector.ServerCrashRestartAt(&world.server(), options.crash_at, options.crash_downtime);
-    horizon = std::max(horizon, options.crash_at + options.crash_downtime);
-  }
-  if (options.flap) {
-    Medium* medium = world.topology().path_media.back();
-    injector.LinkFlapAt(medium, options.flap_at, options.flaps, options.flap_down,
-                        options.flap_up);
-    horizon = std::max(
-        horizon, options.flap_at + options.flaps * (options.flap_down + options.flap_up));
-  }
-  if (options.corrupt) {
-    Medium* medium = world.topology().path_media.back();
-    injector.CorruptionStormAt(medium, options.corrupt_at, options.corrupt_duration,
-                               options.corruption);
-    horizon = std::max(horizon, options.corrupt_at + options.corrupt_duration);
-  }
-  if (options.garbage_datagrams > 0) {
-    // Spread the hostile datagrams across the corruption window (or, when no
-    // storm is configured, across the first 10 seconds of the run).
-    const SimTime start = options.corrupt ? options.corrupt_at : Seconds(1);
-    const SimTime span = options.corrupt ? options.corrupt_duration : Seconds(10);
-    const SockAddr server_addr{world.server_node()->id(), kNfsPort};
-    for (size_t i = 0; i < options.garbage_datagrams; ++i) {
-      const SimTime at = start + span * static_cast<SimTime>(i) /
-                                     static_cast<SimTime>(options.garbage_datagrams);
-      const uint32_t xid = 0xfade0000u + static_cast<uint32_t>(i);
-      sched.Schedule(at, [&world, server_addr, xid]() {
-        world.client_udp(0)->SendTo(777, server_addr, GarbageCall(xid));
-      });
-    }
-    horizon = std::max(horizon, start + span);
-  }
-  if (options.disk_full) {
-    injector.DiskFullAt(&world.fs(), options.disk_full_at, options.disk_free_blocks);
-    horizon = std::max(horizon, options.disk_full_at);
-  }
-  if (options.disk_restore) {
-    injector.DiskRestoreAt(&world.fs(), options.disk_restore_at);
-    horizon = std::max(horizon, options.disk_restore_at);
-  }
-  if (options.disk_slow) {
-    injector.DiskSlowAt(&world.server_node()->disk(), options.disk_slow_at,
-                        options.disk_slow_duration, options.disk_slow_factor);
-    horizon = std::max(horizon, options.disk_slow_at + options.disk_slow_duration);
-  }
-  if (!options.schedule.empty()) {
-    FaultTargets targets;
-    targets.server = &world.server();
-    targets.medium = world.topology().path_media.back();
-    targets.fs = &world.fs();
-    targets.disk = &world.server_node()->disk();
-    targets.client_node = world.topology().client;
-    targets.server_host = world.server_node()->id();
-    for (const FaultSpec& spec : options.schedule) {
-      injector.ScheduleSpec(spec, targets);
-      horizon = std::max(horizon, spec.Horizon());
-    }
+  for (const FaultSpec& spec : options.schedule) {
+    injector.ScheduleSpec(spec, targets);
+    horizon = std::max(horizon, spec.Horizon());
   }
 
   bool stop_readers = false;
@@ -434,8 +369,6 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   report.fault_trace = injector.trace();
   report.recovery = world.client().recovery_stats();
   report.retry_errors_absorbed = world.client().stats().retry_errors_absorbed;
-  report.dup_cache_replays = world.server().rpc_stats().duplicate_cache_replays;
-  report.crash_count = world.server().crash_count();
 
   for (Medium* medium : world.topology().path_media) {
     report.frames_corrupted += medium->stats().FramesCorrupted();
@@ -444,23 +377,12 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
                           world.client_udp(0)->stats().checksum_failures +
                           world.server_tcp()->stack_stats().checksum_drops +
                           world.client_tcp(0)->stack_stats().checksum_drops;
-  report.nfsd_slot_waits = world.server().rpc_stats().nfsd_slot_waits;
-  report.garbage_requests = world.server().rpc_stats().garbage_requests;
   report.corrupted_records = world.server().rpc_stats().corrupted_records +
                              world.client().transport_stats().corrupted_records;
-  report.fs_enospc = world.fs().fault_stats().enospc_errors;
-  report.fs_injected_errors = world.fs().fault_stats().injected_errors;
   report.write_errors_latched = world.client().stats().write_errors_latched;
 
   const LeaseStats& lease = world.server().lease_stats();
   report.leases_granted = lease.granted + lease.reclaimed;
-  report.lease_recalls_sent = lease.recalls_sent;
-  report.leases_vacated = lease.vacated;
-  report.lease_evictions = lease.evictions;
-  for (size_t i = 0; i < world.client_count(); ++i) {
-    report.lease_stale_discards += world.client(i).stats().lease_stale_discards;
-    report.stale_lease_writes += world.client(i).stats().stale_lease_writes;
-  }
 
   for (uint32_t proc = 0; proc < kNfsProcCount; ++proc) {
     const Log2Histogram* hist =
@@ -493,9 +415,6 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
               [](const auto& a, const auto& b) { return a.second > b.second; });
   }
   report.breakdown_table = spans.BreakdownTable();
-  report.span_ops_completed = spans.stats().ops_completed;
-  report.span_conservation_failures = spans.stats().conservation_failures;
-  report.span_pool_spills = spans.stats().pool_exhausted_drops;
 
   world.flight().Stop();
   report.timeline_jsonl = world.flight().ToJsonl();

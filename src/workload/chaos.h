@@ -35,55 +35,6 @@ enum class ChaosWorkload { kAndrew, kCreateDelete, kOpMix };
 struct ChaosOptions {
   ChaosWorkload workload = ChaosWorkload::kAndrew;
 
-  // Server crash/reboot. Volatile state (buffer cache, dup cache, TCP
-  // connections) is lost; LocalFs survives.
-  bool crash = true;
-  SimTime crash_at = Seconds(40);
-  SimTime crash_downtime = Seconds(20);
-
-  // Serial flap of the last medium on the client→server path (the 56K line
-  // on the slow-link topology; the LAN itself on the same-LAN topology).
-  bool flap = true;
-  SimTime flap_at = Seconds(90);
-  int flaps = 2;
-  SimTime flap_down = Seconds(2);
-  SimTime flap_up = Seconds(4);
-
-  // Corruption storm on the last medium of the client→server path (the same
-  // link the flap targets): per-frame bit flips, truncation, duplication and
-  // reordering per `corruption` for the window. Damage is detected by the
-  // UDP/TCP checksums and the RPC record marks, never by the application.
-  bool corrupt = false;
-  SimTime corrupt_at = Seconds(10);
-  SimTime corrupt_duration = Seconds(30);
-  CorruptionConfig corruption;
-
-  // Hostile datagrams sent straight to the server's NFS port during the
-  // corruption window: valid RPC call headers followed by undecodable
-  // arguments, which must come back as GARBAGE_ARGS (and be counted), not
-  // crash the server. Wire corruption alone cannot exercise this path — a
-  // damaged frame dies at the transport checksum before the XDR layer.
-  size_t garbage_datagrams = 0;
-
-  // Storage faults: cap the server filesystem's free-block budget mid-run
-  // (0 = every allocating write fails with ENOSPC) and optionally lift the
-  // cap later so the post-run audit sees a healed disk.
-  bool disk_full = false;
-  SimTime disk_full_at = Seconds(10);
-  uint64_t disk_free_blocks = 0;
-  bool disk_restore = false;
-  SimTime disk_restore_at = Seconds(60);
-
-  // Slow disk: multiply every server disk op's latency by `disk_slow_factor`
-  // for the window. Nothing fails — instead the nfsd slots saturate behind
-  // the device queue (paper Section 5), which is the regime write gathering
-  // was built for: the tests run this soak with gathering on and off and
-  // compare nfsd_slot_waits.
-  bool disk_slow = false;
-  SimTime disk_slow_at = Seconds(5);
-  SimTime disk_slow_duration = Seconds(60);
-  double disk_slow_factor = 4.0;
-
   // Lease-storm readers (lease mounts only): every client past the first
   // re-opens and re-reads the surviving "chaos_keep" files for the whole
   // run. Each read needs a read lease, so a grinding writer on client 0
@@ -93,12 +44,13 @@ struct ChaosOptions {
   bool lease_storm = false;
   SimTime lease_read_interval = Milliseconds(400);
 
-  // Declarative fault schedule (scenario files and trace replay build this):
-  // each spec is scheduled against the world's canonical targets — the
-  // server, the last medium on the client→server path, the server LocalFs
-  // and disk, and client 0's node for partitions. Plays alongside whatever
-  // the fixed-slot knobs above configure, so scenarios can layer e.g. two
-  // overlapping disk windows that the single-slot fields cannot express.
+  // The fault schedule, the harness's only fault input (empty = a clean
+  // run). Each spec is scheduled in order against the world's canonical
+  // targets — the server, the last medium on the client→server path (the
+  // 56K line on the slow-link topology, the LAN itself on the same-LAN
+  // one), the server LocalFs and disk, client 0's node for partitions and
+  // client 0's UDP stack for garbage datagrams. Specs that fire in the same
+  // nanosecond fire in list order.
   std::vector<FaultSpec> schedule;
 
   // Workload knobs.
@@ -135,39 +87,27 @@ struct ChaosReport {
   uint64_t seed = 0;
   uint64_t snapshot_hash = 0;
 
-  // Recovery telemetry.
-  RpcRecoveryStats recovery;            // not-responding/ok episodes, reconnects
-  uint64_t retry_errors_absorbed = 0;   // client-side EEXIST/ENOENT absorption
-  uint64_t dup_cache_replays = 0;       // server-side duplicate suppression
-  uint64_t crash_count = 0;
+  // Telemetry the registry does not hold as one counter. Every other
+  // counter (crashes, dup-cache replays, garbage requests, ENOSPC, nfsd slot
+  // waits, lease recalls, stale-lease writes, span conservation, ...) is
+  // read from `metrics` by its registry name.
+  //
+  // Client 0 only (the registry sums every client): recovery episodes and
+  // reconnects, EEXIST/ENOENT retry absorption, latched async write errors.
+  RpcRecoveryStats recovery;
+  uint64_t retry_errors_absorbed = 0;
+  uint64_t write_errors_latched = 0;
 
-  // Data-fault telemetry: where injected corruption and disk faults were
-  // caught. The corruption soak tests assert these nonzero — damage that is
-  // injected but never counted anywhere is damage that reached the
+  // Data-fault detection summed over sources the registry keeps apart or
+  // does not hold. The corruption soak tests assert these nonzero — damage
+  // that is injected but never counted anywhere is damage that reached the
   // application silently.
-  uint64_t frames_corrupted = 0;      // medium-level damage events, whole path
-  uint64_t checksum_drops = 0;        // UDP + TCP checksum failures, both ends
-  uint64_t garbage_requests = 0;      // server replied GARBAGE_ARGS
-  uint64_t corrupted_records = 0;     // TCP record-mark failures, both ends
-  uint64_t fs_enospc = 0;             // writes refused by the free-block budget
-  uint64_t fs_injected_errors = 0;    // DiskErrorBurst failures
-  uint64_t write_errors_latched = 0;  // async write errors held for close()
+  uint64_t frames_corrupted = 0;   // medium-level damage events, whole path
+  uint64_t checksum_drops = 0;     // UDP + TCP checksum failures, both ends
+  uint64_t corrupted_records = 0;  // TCP record-mark failures, both ends
 
-  // Saturation telemetry: requests that found every nfsd busy and queued.
-  // The slow-disk soak asserts this spikes with write gathering off and
-  // shrinks with it on.
-  uint64_t nfsd_slot_waits = 0;
-
-  // Lease telemetry (lease-storm soaks). Cache consistency must come from
-  // recalls, vacates and stale discards; stale_lease_writes counts data a
-  // client pushed through an expired, unreacquired write lease and must be
-  // zero on every run — a nonzero value is silent corruption by design.
-  uint64_t leases_granted = 0;        // server grants, grace reclaims included
-  uint64_t lease_recalls_sent = 0;    // recall datagrams, retransmits included
-  uint64_t leases_vacated = 0;        // holders that answered or volunteered
-  uint64_t lease_evictions = 0;       // recalled holders evicted at the term
-  uint64_t lease_stale_discards = 0;  // dirty data discarded, all clients
-  uint64_t stale_lease_writes = 0;    // all clients; must stay zero
+  // Server lease grants, grace reclaims included.
+  uint64_t leases_granted = 0;
 
   // Per-procedure RPC latency percentiles (microseconds), from the world's
   // client.nfs.lat_us.* histograms; only procedures that were called appear.
@@ -187,19 +127,16 @@ struct ChaosReport {
   // retransmit-backoff-dominated, a slow disk disk-dominated.
   std::vector<std::pair<std::string, double>> top_components;
   std::string breakdown_table;
-  // Conservation telemetry mirrored from SpanStats: failures and pool spills
-  // must both be zero on every run.
-  uint64_t span_ops_completed = 0;
-  uint64_t span_conservation_failures = 0;
-  uint64_t span_pool_spills = 0;
 
   // Flight-recorder timeline (JSONL, one delta frame per line) captured over
   // the run; what the failure dumps write so a tripped soak assertion comes
   // with the time series that led up to it.
   std::string timeline_jsonl;
 
-  // Full registry snapshot at the end of the run and the tail of the trace
-  // ring — what the failure dumps print when a soak assertion trips.
+  // Full registry snapshot at the end of the run, where every registry
+  // counter is read (`metrics.Value("server.nfs.crashes")`), and the tail of
+  // the trace ring — what the failure dumps print when a soak assertion
+  // trips.
   MetricsSnapshot metrics;
   std::string trace_tail;
 

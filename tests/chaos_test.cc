@@ -66,19 +66,16 @@ TEST(ChaosTest, HardAndrewSurvivesCrashAndFlapOnSlowLink) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kAndrew;
   chaos.andrew = SmallAndrew();
-  chaos.crash_at = Seconds(30);
-  chaos.crash_downtime = Seconds(15);
-  chaos.flap_at = Seconds(60);
-  chaos.flaps = 2;
-  chaos.flap_down = Seconds(2);
-  chaos.flap_up = Seconds(3);
+  chaos.schedule.push_back(FaultSpecFromString("crash at=30s dur=15s").value());
+  chaos.schedule.push_back(
+      FaultSpecFromString("link_flap at=60s count=2 dur=2s period=3s").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
   EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
   EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
   EXPECT_GT(report.files_compared, 20u);  // sources + objects + a.out
-  EXPECT_EQ(report.crash_count, 1u);
+  EXPECT_EQ(report.metrics.Value("server.nfs.crashes"), 1u);
   EXPECT_EQ(report.fault_trace.size(), 6u);  // crash+restart, 2 x (down+up)
   EXPECT_GE(report.recovery.not_responding_events, 1u);
   EXPECT_GE(report.recovery.server_ok_events, 1u);
@@ -95,9 +92,7 @@ TEST(ChaosTest, SoftAndrewSurfacesTimeoutInsteadOfHanging) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kAndrew;
   chaos.andrew = SmallAndrew();
-  chaos.crash_at = Seconds(20);
-  chaos.crash_downtime = Seconds(30);
-  chaos.flap = false;
+  chaos.schedule.push_back(FaultSpecFromString("crash at=20s dur=30s").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
@@ -105,7 +100,7 @@ TEST(ChaosTest, SoftAndrewSurfacesTimeoutInsteadOfHanging) {
   EXPECT_EQ(report.workload_status.code(), ErrorCode::kTimeout);
   // The audit runs after the fault horizon: server up, dirty data flushed.
   EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
-  EXPECT_EQ(report.crash_count, 1u);
+  EXPECT_EQ(report.metrics.Value("server.nfs.crashes"), 1u);
 }
 
 // Create-delete — the non-idempotent grinder — across all three paper
@@ -123,19 +118,16 @@ TEST(ChaosTest, CreateDeleteSurvivesCrashOnAllTopologies) {
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 30;
     chaos.file_bytes = 4096;
-    chaos.crash_at = Seconds(1);
-    chaos.crash_downtime = Seconds(10);
-    chaos.flap_at = Seconds(18);
-    chaos.flaps = 1;
-    chaos.flap_down = Seconds(1);
-    chaos.flap_up = Seconds(1);
+    chaos.schedule.push_back(FaultSpecFromString("crash at=1s dur=10s").value());
+    chaos.schedule.push_back(
+        FaultSpecFromString("link_flap at=18s count=1 dur=1s period=1s").value());
 
     ChaosReport report = RunChaos(world, chaos);
 
     EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
     EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
     EXPECT_GE(report.files_compared, 4u);  // the chaos_keep files
-    EXPECT_EQ(report.crash_count, 1u);
+    EXPECT_EQ(report.metrics.Value("server.nfs.crashes"), 1u);
     // The crash landed mid-run: some call sat unanswered long enough for
     // the hard mount to announce the outage, and recovery followed.
     EXPECT_GE(report.recovery.not_responding_events, 1u);
@@ -155,17 +147,11 @@ TEST(ChaosTest, HardMountSurvivesCorruptionStorm) {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 20;
   chaos.file_bytes = 4096;
-  chaos.crash = false;
-  chaos.flap = false;
-  chaos.corrupt = true;
-  chaos.corrupt_at = Seconds(1);
-  chaos.corrupt_duration = Seconds(30);
-  chaos.corruption.bit_flip = 0.15;
-  chaos.corruption.truncate = 0.05;
-  chaos.corruption.duplicate = 0.1;
-  chaos.corruption.reorder = 0.1;
-  chaos.corruption.reorder_delay = Milliseconds(30);
-  chaos.garbage_datagrams = 25;
+  chaos.schedule.push_back(
+      FaultSpecFromString(
+          "corruption_storm at=1s dur=30s flip=0.15 trunc=0.05 dup=0.1 reorder=0.1 rdelay=30ms")
+          .value());
+  chaos.schedule.push_back(FaultSpecFromString("garbage_datagrams at=1s dur=30s count=25").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
@@ -175,7 +161,7 @@ TEST(ChaosTest, HardMountSurvivesCorruptionStorm) {
   // The damage was injected and detected, not silently passed through.
   EXPECT_GT(report.frames_corrupted, 0u) << report.SummaryLine();
   EXPECT_GT(report.checksum_drops, 0u) << report.SummaryLine();
-  EXPECT_GT(report.garbage_requests, 0u) << report.SummaryLine();
+  EXPECT_GT(report.metrics.Value("server.rpc.garbage_requests"), 0u) << report.SummaryLine();
   // Loss-by-corruption fed the same retransmit machinery as loss-by-drop.
   EXPECT_GT(world.client().transport_stats().retransmits, 0u);
   // The summary line carries each counter for the soak logs.
@@ -195,15 +181,9 @@ TEST(ChaosTest, TcpHardMountSurvivesCorruptionStorm) {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 10;
   chaos.file_bytes = 4096;
-  chaos.crash = false;
-  chaos.flap = false;
-  chaos.corrupt = true;
-  chaos.corrupt_at = Seconds(1);
-  chaos.corrupt_duration = Seconds(30);
-  chaos.corruption.bit_flip = 0.1;
-  chaos.corruption.duplicate = 0.1;
-  chaos.corruption.reorder = 0.1;
-  chaos.corruption.reorder_delay = Milliseconds(30);
+  chaos.schedule.push_back(
+      FaultSpecFromString("corruption_storm at=1s dur=30s flip=0.1 dup=0.1 reorder=0.1 rdelay=30ms")
+          .value());
 
   ChaosReport report = RunChaos(world, chaos);
 
@@ -218,6 +198,26 @@ TEST(ChaosTest, TcpHardMountSurvivesCorruptionStorm) {
   EXPECT_GT(world.server_tcp()->stack_stats().checksum_drops +
                 world.client_tcp(0)->stack_stats().checksum_drops,
             0u);
+}
+
+// Garbage datagrams with no storm to eat them: every hostile call reaches the
+// server and comes back GARBAGE_ARGS, counted once each. They are traffic,
+// not a state change, so the fault trace stays empty.
+TEST(ChaosTest, EveryGarbageDatagramIsCountedOnAQuietLan) {
+  World world(QuietWorldOptions(TopologyKind::kSameLan, HardMount()));
+  DumpOnFailure dump_on_failure(world);
+  ChaosOptions chaos;
+  chaos.workload = ChaosWorkload::kCreateDelete;
+  chaos.iterations = 20;
+  chaos.file_bytes = 4096;
+  chaos.schedule.push_back(FaultSpecFromString("garbage_datagrams at=1s dur=10s count=25").value());
+
+  ChaosReport report = RunChaos(world, chaos);
+
+  EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
+  EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
+  EXPECT_EQ(report.metrics.Value("server.rpc.garbage_requests"), 25u) << report.SummaryLine();
+  EXPECT_TRUE(report.fault_trace.empty());
 }
 
 // A slow disk (every op inflated 6x mid-run) is the paper's Section 5
@@ -245,12 +245,7 @@ TEST(ChaosTest, SlowDiskSaturatesNfsdsLessWithWriteGathering) {
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 12;
     chaos.file_bytes = 64 * 1024;  // WRITE-heavy: 8 full blocks per file
-    chaos.crash = false;
-    chaos.flap = false;
-    chaos.disk_slow = true;
-    chaos.disk_slow_at = Seconds(1);
-    chaos.disk_slow_duration = Seconds(120);
-    chaos.disk_slow_factor = 6.0;
+    chaos.schedule.push_back(FaultSpecFromString("disk_slow at=1s dur=120s mag=6").value());
 
     ChaosReport report = RunChaos(world, chaos);
 
@@ -259,7 +254,7 @@ TEST(ChaosTest, SlowDiskSaturatesNfsdsLessWithWriteGathering) {
     ASSERT_EQ(report.fault_trace.size(), 2u);  // slow begin + end
     EXPECT_NE(report.fault_trace[0].find("disk slow begin (x6.0)"), std::string::npos)
         << report.fault_trace[0];
-    slot_waits[gathering] = report.nfsd_slot_waits;
+    slot_waits[gathering] = report.metrics.Value("server.rpc.nfsd_slot_waits");
     disk_ops[gathering] = world.server_node()->disk().ops_completed();
     if (gathering == 1) {
       EXPECT_GT(world.server().stats().gather_batches, 0u) << report.SummaryLine();
@@ -286,20 +281,15 @@ TEST(ChaosTest, AndrewSurfacesEnospcAndHealsAfterRestore) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kAndrew;
   chaos.andrew = SmallAndrew();
-  chaos.crash = false;
-  chaos.flap = false;
-  chaos.disk_full = true;
-  chaos.disk_full_at = Seconds(3);
-  chaos.disk_free_blocks = 0;
-  chaos.disk_restore = true;
-  chaos.disk_restore_at = Seconds(90);
+  chaos.schedule.push_back(FaultSpecFromString("disk_full at=3s blocks=0").value());
+  chaos.schedule.push_back(FaultSpecFromString("disk_restore at=90s").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
   ASSERT_FALSE(report.workload_status.ok());
   EXPECT_EQ(report.workload_status.code(), ErrorCode::kNoSpace)
       << report.workload_status << " | " << report.SummaryLine();
-  EXPECT_GT(report.fs_enospc, 0u) << report.SummaryLine();
+  EXPECT_GT(report.metrics.Value("fs.enospc_errors"), 0u) << report.SummaryLine();
   EXPECT_GT(report.write_errors_latched, 0u) << report.SummaryLine();
   // The audit ran post-restore through the same client against the same
   // server: it was still answering, and what did reach stable storage is
@@ -311,8 +301,6 @@ TEST(ChaosTest, AndrewSurfacesEnospcAndHealsAfterRestore) {
   retry.workload = ChaosWorkload::kCreateDelete;
   retry.iterations = 16;
   retry.file_bytes = 4096;
-  retry.crash = false;
-  retry.flap = false;
   ChaosReport report2 = RunChaos(world, retry);
   EXPECT_TRUE(report2.workload_status.ok()) << report2.workload_status;
   EXPECT_TRUE(report2.integrity_ok) << report2.integrity_error;
@@ -327,16 +315,14 @@ TEST(ChaosTest, SameSeedGivesIdenticalTraceAndOutcome) {
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 20;
     chaos.file_bytes = 2048;
-    chaos.crash_at = Seconds(3);
-    chaos.crash_downtime = Seconds(8);
-    chaos.flap_at = Seconds(14);
-    chaos.flaps = 1;
-    chaos.flap_down = Seconds(1);
-    chaos.flap_up = Seconds(1);
+    chaos.schedule.push_back(FaultSpecFromString("crash at=3s dur=8s").value());
+    chaos.schedule.push_back(
+        FaultSpecFromString("link_flap at=14s count=1 dur=1s period=1s").value());
     ChaosReport report = RunChaos(world, chaos);
     const auto& stats = world.client().transport_stats();
     return std::make_tuple(report.fault_trace, report.files_compared,
-                           report.retry_errors_absorbed, report.dup_cache_replays,
+                           report.retry_errors_absorbed,
+                           report.metrics.Value("server.rpc.duplicate_cache_replays"),
                            static_cast<int>(report.workload_status.code()), stats.calls,
                            stats.retransmits);
   };
@@ -357,9 +343,7 @@ TEST(ChaosTest, TcpHardMountRidesOutCrash) {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 10;
   chaos.file_bytes = 2048;
-  chaos.crash_at = Seconds(2);
-  chaos.crash_downtime = Seconds(6);
-  chaos.flap = false;
+  chaos.schedule.push_back(FaultSpecFromString("crash at=2s dur=6s").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
@@ -381,9 +365,7 @@ TEST(ChaosTest, OneRunYieldsProfileTraceAndMatchingSnapshot) {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 15;
   chaos.file_bytes = 4096;
-  chaos.crash_at = Seconds(1);
-  chaos.crash_downtime = Seconds(8);
-  chaos.flap = false;
+  chaos.schedule.push_back(FaultSpecFromString("crash at=1s dur=8s").value());
 
   ChaosReport report = RunChaos(world, chaos);
   EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
@@ -465,9 +447,7 @@ TEST(ChaosTest, LeaseStormWithCrashKeepsIntegrityAndNoStaleWrites) {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 30;
   chaos.file_bytes = 4096;
-  chaos.crash_at = Seconds(5);
-  chaos.crash_downtime = Seconds(8);
-  chaos.flap = false;
+  chaos.schedule.push_back(FaultSpecFromString("crash at=5s dur=8s").value());
   chaos.lease_storm = true;
   chaos.lease_read_interval = Milliseconds(300);
 
@@ -475,14 +455,15 @@ TEST(ChaosTest, LeaseStormWithCrashKeepsIntegrityAndNoStaleWrites) {
 
   EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
   EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
-  EXPECT_EQ(report.crash_count, 1u);
+  EXPECT_EQ(report.metrics.Value("server.nfs.crashes"), 1u);
   // The storm actually happened: leases were granted, reads recalled the
   // writer's leases, and holders answered with vacates.
   EXPECT_GT(report.leases_granted, 0u) << report.SummaryLine();
-  EXPECT_GT(report.lease_recalls_sent, 0u) << report.SummaryLine();
-  EXPECT_GT(report.leases_vacated, 0u) << report.SummaryLine();
+  EXPECT_GT(report.metrics.Value("server.lease.recalls_sent"), 0u) << report.SummaryLine();
+  EXPECT_GT(report.metrics.Value("server.lease.vacated"), 0u) << report.SummaryLine();
   // The invariant the whole design hangs on.
-  EXPECT_EQ(report.stale_lease_writes, 0u) << report.SummaryLine();
+  EXPECT_EQ(report.metrics.Value("client.lease.stale_lease_writes"), 0u)
+      << report.SummaryLine();
   EXPECT_NE(report.SummaryLine().find("stale_lease_writes=0"), std::string::npos);
 }
 
@@ -500,15 +481,13 @@ TEST(ChaosTest, CrashWhileReadWaitsInDiskQueue) {
   chaos.andrew.directories = 3;
   chaos.andrew.source_files = 12;
   chaos.andrew.mean_file_bytes = 2000;
-  chaos.crash_at = Seconds(3);
-  chaos.crash_downtime = Seconds(8);
-  chaos.flap = false;
+  chaos.schedule.push_back(FaultSpecFromString("crash at=3s dur=8s").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
   EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
   EXPECT_TRUE(report.integrity_ok) << report.integrity_error;
-  EXPECT_EQ(report.crash_count, 1u);
+  EXPECT_EQ(report.metrics.Value("server.nfs.crashes"), 1u);
 }
 
 }  // namespace

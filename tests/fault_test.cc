@@ -901,18 +901,10 @@ TEST(FaultTest, OverlappingStormSchedulesRestoreCleanly) {
   FaultTargets targets;
   targets.medium = lan;
 
-  FaultSpec loss;
-  loss.kind = FaultKind::kLossStorm;
-  loss.at = 0;
-  loss.duration = Seconds(3);
-  loss.magnitude = 1.0;
-  FaultSpec latency;
-  latency.kind = FaultKind::kLatencyStorm;
-  latency.at = Seconds(1);  // begins inside the loss storm, ends after it
-  latency.duration = Seconds(4);
-  latency.extra = Milliseconds(200);
-  injector.ScheduleSpec(loss, targets);
-  injector.ScheduleSpec(latency, targets);
+  injector.ScheduleSpec(FaultSpecFromString("loss_storm at=0s dur=3s mag=1").value(), targets);
+  // Begins inside the loss storm, ends after it.
+  injector.ScheduleSpec(FaultSpecFromString("latency_storm at=1s dur=4s extra=200ms").value(),
+                        targets);
 
   auto task = world.client().Create(world.client().root(), "overlap");
   auto fh_or = world.Run(task);
@@ -935,13 +927,9 @@ TEST(FaultTest, CrashSpecAtTimeZeroFiresBeforeFirstRpc) {
   NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
   DumpTraceOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  FaultSpec spec;
-  spec.kind = FaultKind::kCrash;
-  spec.at = 0;
-  spec.duration = Seconds(5);
   FaultTargets targets;
   targets.server = world.server.get();
-  injector.ScheduleSpec(spec, targets);
+  injector.ScheduleSpec(FaultSpecFromString("crash at=0s dur=5s").value(), targets);
 
   auto task = world.client().Create(world.client().root(), "epoch");
   auto fh_or = world.Run(task);
@@ -1010,19 +998,9 @@ TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
   targets.fs = world.fs.get();
   targets.disk = &disk;
 
-  FaultSpec slow;
-  slow.kind = FaultKind::kDiskSlow;
-  slow.at = 0;
-  slow.duration = Seconds(8);
-  slow.magnitude = 4.0;
-  FaultSpec burst;
-  burst.kind = FaultKind::kDiskErrorBurst;
-  burst.at = Milliseconds(500);
-  burst.op = FsOp::kWrite;
-  burst.code = ErrorCode::kIo;
-  burst.count = 1;
-  injector.ScheduleSpec(slow, targets);
-  injector.ScheduleSpec(burst, targets);
+  injector.ScheduleSpec(FaultSpecFromString("disk_slow at=0s dur=8s mag=4").value(), targets);
+  injector.ScheduleSpec(
+      FaultSpecFromString("disk_error_burst at=500ms op=write code=io count=1").value(), targets);
   world.scheduler().RunUntil(Seconds(1));  // both faults armed
 
   const auto data = LoanPattern(4096, 6);

@@ -93,8 +93,6 @@ ChaosOptions QuietCreateDelete() {
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 8;
   chaos.file_bytes = 4 * 1024;
-  chaos.crash = false;
-  chaos.flap = false;
   return chaos;
 }
 

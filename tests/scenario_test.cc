@@ -177,6 +177,7 @@ TEST(ScenarioTest, FaultSpecStringRoundTrips) {
            "disk_error_burst at=8s op=write code=io count=3",
            "corruption_storm at=4s dur=10s flip=0.05 inbound=true",
            "sabotage at=16s file=mix_c0_15 offset=100",
+           "garbage_datagrams at=1s dur=30s count=25",
        }) {
     auto spec_or = FaultSpecFromString(line);
     ASSERT_TRUE(spec_or.ok()) << line << ": " << spec_or.status();
@@ -186,6 +187,10 @@ TEST(ScenarioTest, FaultSpecStringRoundTrips) {
     EXPECT_EQ(FaultSpecToString(again_or.value()), rendered) << "from: " << line;
   }
   EXPECT_FALSE(FaultSpecFromString("meteor_strike at=1s").ok());
+  // A count that does not fit an int is a bad integer, not a wrapped one.
+  EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=4294967297").ok());
+  EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=2147483648").ok());
+  EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=-1").ok());
 }
 
 TEST(ScenarioTest, DefaultMatrixShapesAndRoundTrips) {

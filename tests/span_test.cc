@@ -47,8 +47,6 @@ ChaosOptions OpMixChaos(uint32_t operations) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kOpMix;
   chaos.opmix.operations = operations;
-  chaos.crash = false;
-  chaos.flap = false;
   return chaos;
 }
 
@@ -63,26 +61,11 @@ TEST(SpanChaosTest, ConservationHoldsUnderFaultHeavySoak) {
   DumpOnFailure dump_on_failure(world);
 
   ChaosOptions chaos = OpMixChaos(150);
-  chaos.crash = true;
-  chaos.crash_at = Seconds(20);
-  chaos.crash_downtime = Seconds(10);
-  chaos.flap = true;
-  chaos.flap_at = Seconds(45);
-  chaos.flaps = 2;
-  chaos.flap_down = Seconds(1);
-  chaos.flap_up = Seconds(2);
-  FaultSpec loss;
-  loss.kind = FaultKind::kLossStorm;
-  loss.at = Seconds(5);
-  loss.duration = Seconds(25);
-  loss.magnitude = 0.2;
-  chaos.schedule.push_back(loss);
-  FaultSpec slow;
-  slow.kind = FaultKind::kDiskSlow;
-  slow.at = Seconds(60);
-  slow.duration = Seconds(30);
-  slow.magnitude = 8.0;
-  chaos.schedule.push_back(slow);
+  chaos.schedule.push_back(FaultSpecFromString("crash at=20s dur=10s").value());
+  chaos.schedule.push_back(
+      FaultSpecFromString("link_flap at=45s count=2 dur=1s period=2s").value());
+  chaos.schedule.push_back(FaultSpecFromString("loss_storm at=5s dur=25s mag=0.2").value());
+  chaos.schedule.push_back(FaultSpecFromString("disk_slow at=60s dur=30s mag=8").value());
 
   ChaosReport report = RunChaos(world, chaos);
 
@@ -108,8 +91,8 @@ TEST(SpanChaosTest, ConservationHoldsUnderFaultHeavySoak) {
 
   // The chaos report carries the attribution and the flight-recorder dump.
   EXPECT_FALSE(report.top_components.empty());
-  EXPECT_EQ(report.span_conservation_failures, 0u);
-  EXPECT_EQ(report.span_pool_spills, 0u);
+  EXPECT_EQ(report.metrics.Value("obs.span.conservation_failures"), 0u);
+  EXPECT_EQ(report.metrics.Value("obs.span.pool_exhausted_drops"), 0u);
   EXPECT_NE(report.timeline_jsonl.find("at_ms"), std::string::npos);
 }
 
