@@ -54,19 +54,19 @@ int main() {
   for (const Row& row : rows) {
     const ExperimentMeasurement udp = Measure(TransportChoice::kUdpFixedRto, row.mix, row.load);
     const ExperimentMeasurement tcp = Measure(TransportChoice::kTcp, row.mix, row.load);
-    table.AddRow({row.name, TextTable::Num(row.load, 0),
-                  TextTable::Num(udp.server_cpu_per_op_ms, 2),
-                  TextTable::Num(tcp.server_cpu_per_op_ms, 2),
-                  TextTable::Num(tcp.server_cpu_per_op_ms / udp.server_cpu_per_op_ms, 2),
-                  TextTable::Num(tcp.server_cpu_per_op_ms - udp.server_cpu_per_op_ms, 2),
-                  TextTable::Num(100.0 * udp.server_profile.BusyShare(kProtocol), 1),
-                  TextTable::Num(100.0 * tcp.server_profile.BusyShare(kProtocol), 1)});
+    const double udp_ms = udp.nhfsstone.server_cpu_ms_per_op;
+    const double tcp_ms = tcp.nhfsstone.server_cpu_ms_per_op;
+    table.AddRow({row.name, TextTable::Num(row.load, 0), TextTable::Num(udp_ms, 2),
+                  TextTable::Num(tcp_ms, 2), TextTable::Num(tcp_ms / udp_ms, 2),
+                  TextTable::Num(tcp_ms - udp_ms, 2),
+                  TextTable::Num(100.0 * udp.nhfsstone.server_profile.BusyShare(kProtocol), 1),
+                  TextTable::Num(100.0 * tcp.nhfsstone.server_profile.BusyShare(kProtocol), 1)});
     last_udp = udp;
     last_tcp = tcp;
   }
   std::printf("%s\n", table.Render().c_str());
-  std::printf("%s\n", last_udp.server_profile.FlatTable("100% lookup, UDP").c_str());
-  std::printf("%s\n", last_tcp.server_profile.FlatTable("100% lookup, TCP").c_str());
+  std::printf("%s\n", last_udp.nhfsstone.server_profile.FlatTable("100% lookup, UDP").c_str());
+  std::printf("%s\n", last_tcp.nhfsstone.server_profile.FlatTable("100% lookup, TCP").c_str());
   std::printf("Paper: ~7 ms/RPC extra CPU for the read mix, ~1 ms for lookups;\n"
               "overall TCP CPU overhead about 20%% above UDP.\n");
   return 0;

@@ -53,7 +53,7 @@ int main() {
       point.server_name_cache = config.name_cache;
       ExperimentMeasurement m = RunNhfsstonePoint(point);
       rtt_row.push_back(TextTable::Num(m.nhfsstone.rtt_ms.mean(), 1));
-      cpu_row.push_back(TextTable::Num(m.server_cpu_per_op_ms, 2));
+      cpu_row.push_back(TextTable::Num(m.nhfsstone.server_cpu_ms_per_op, 2));
     }
     rtt_table.AddRow(rtt_row);
     cpu_table.AddRow(cpu_row);

@@ -83,6 +83,16 @@ void LinkPair(Node* a, Node* b, Medium* medium) {
 
 }  // namespace
 
+TopologyOptions TopologyOptions::Quiet() {
+  TopologyOptions options;
+  options.ethernet_background = 0;
+  options.ring_background = 0;
+  options.ethernet_loss = 0;
+  options.ring_loss = 0;
+  options.serial_loss = 0;
+  return options;
+}
+
 Topology BuildTopology(TopologyKind kind, const TopologyOptions& options) {
   Topology topo;
   topo.network = std::make_unique<Network>(options.seed);

@@ -93,6 +93,10 @@ struct TopologyOptions {
   // (e.g. a DS3100 client against a MicroVAXII server, Table #4).
   std::optional<CostProfile> server_profile;
   NicConfig server_nic = NicConfig::Tuned();
+
+  // No background traffic and no residual loss on any segment class: the
+  // quiet installation tests build when they assert exact counts.
+  static TopologyOptions Quiet();
 };
 
 // A built topology: client and server endpoints plus the infrastructure.

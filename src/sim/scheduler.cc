@@ -2,35 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
-#include <utility>
 
 namespace renonfs {
-
-namespace {
-
-SchedulerBackend& DefaultBackendRef() {
-  static SchedulerBackend backend = [] {
-    const char* env = std::getenv("RENONFS_SCHED");
-    if (env != nullptr && std::string_view(env) == "legacy") {
-      return SchedulerBackend::kLegacyHeap;
-    }
-    return SchedulerBackend::kTimingWheel;
-  }();
-  return backend;
-}
-
-}  // namespace
-
-SchedulerBackend Scheduler::DefaultBackend() { return DefaultBackendRef(); }
-
-void Scheduler::SetDefaultBackend(SchedulerBackend backend) {
-  DefaultBackendRef() = backend;
-}
-
-Scheduler::Scheduler(SchedulerBackend backend) : backend_(backend) {}
 
 Scheduler::~Scheduler() = default;  // ~EventCallable destroys pending callables
 
@@ -204,7 +178,8 @@ size_t Scheduler::FireCurrentTick() {
   Slot& slot = slots_[0][index];
   size_t executed = 0;
   // Re-drain after each batch: callbacks may schedule more work for this same
-  // instant, and it must fire now (with higher seq) exactly as the heap did.
+  // instant, and it must fire now (with higher seq), as (time, seq) order
+  // demands.
   while (slot.head != nullptr) {
     fire_buf_.clear();
     for (EventNode* node = slot.head; node != nullptr; node = node->next) {
@@ -217,9 +192,9 @@ size_t Scheduler::FireCurrentTick() {
     slot.tail = nullptr;
     occupied_[0] &= ~(uint64_t{1} << index);
     // Direct inserts arrive in seq order, but a cascade can append an
-    // earlier-scheduled node behind a later one; the sort restores the
-    // (time, seq) heap's exact firing order. Same-tick batches are small, so
-    // this stays off the critical path.
+    // earlier-scheduled node behind a later one; the sort restores exact
+    // (time, seq) firing order. Same-tick batches are small, so this stays
+    // off the critical path.
     std::sort(fire_buf_.begin(), fire_buf_.end(),
               [](const EventNode* a, const EventNode* b) { return a->seq < b->seq; });
     for (EventNode* node : fire_buf_) {
@@ -229,8 +204,8 @@ size_t Scheduler::FireCurrentTick() {
       }
       now_ = node->at;
       // Mark consumed before invoking: the handle must read not-pending
-      // inside its own callback (legacy parity), and a Cancel from the
-      // callback must be a harmless no-op.
+      // inside its own callback, and a Cancel from the callback must be a
+      // harmless no-op.
       node->cancelled = true;
       node->fn.Invoke();
       node->fn.Destroy();
@@ -242,35 +217,20 @@ size_t Scheduler::FireCurrentTick() {
   return executed;
 }
 
-Scheduler::EventHandle Scheduler::ScheduleLegacy(SimTime delay,
-                                                 std::function<void()> fn) {
-  auto record = std::make_shared<EventHandle::Record>();
-  queue_.push(QueuedEvent{now_ + delay, next_seq_++, std::move(fn), record});
-  EventHandle handle;
-  handle.record_ = std::move(record);
-  return handle;
-}
-
 void Scheduler::Cancel(EventHandle& handle) {
-  if (handle.record_) {
-    handle.record_->cancelled = true;
-    handle.record_.reset();
+  EventNode* node = handle.node_;
+  handle.node_ = nullptr;
+  if (node == nullptr || node->gen != handle.gen_ || node->cancelled) {
     return;
   }
-  if (handle.node_ != nullptr) {
-    EventNode* node = handle.node_;
-    handle.node_ = nullptr;
-    if (node->gen == handle.gen_ && !node->cancelled) {
-      if (node->wheel_level >= 0) {
-        // Slot-linked: unlink and recycle right now (O(1) via the prev
-        // link) — no tombstone for the cascade or fire paths to step over.
-        UnlinkNode(node);
-        RecycleNode(node);
-      } else {
-        // Drained into the in-flight fire batch; the fire loop reaps it.
-        node->cancelled = true;
-      }
-    }
+  if (node->wheel_level >= 0) {
+    // Slot-linked: unlink and recycle right now (O(1) via the prev link) —
+    // no tombstone for the cascade or fire paths to step over.
+    UnlinkNode(node);
+    RecycleNode(node);
+  } else {
+    // Drained into the in-flight fire batch; the fire loop reaps it.
+    node->cancelled = true;
   }
 }
 
@@ -292,38 +252,9 @@ bool Scheduler::Reschedule(EventHandle& handle, SimTime delay) {
 size_t Scheduler::Run() { return RunUntil(std::numeric_limits<SimTime>::max()); }
 
 size_t Scheduler::RunUntil(SimTime deadline) {
-  if (backend_ == SchedulerBackend::kLegacyHeap) {
-    return RunUntilLegacy(deadline);
-  }
   size_t executed = 0;
   while (FindNextTick(deadline)) {
     executed += FireCurrentTick();
-  }
-  if (deadline != std::numeric_limits<SimTime>::max() && now_ < deadline) {
-    now_ = deadline;
-  }
-  return executed;
-}
-
-size_t Scheduler::RunUntilLegacy(SimTime deadline) {
-  size_t executed = 0;
-  while (!queue_.empty()) {
-    const QueuedEvent& top = queue_.top();
-    if (top.at > deadline) {
-      break;
-    }
-    // Copy out before pop; pop invalidates the reference.
-    QueuedEvent event{top.at, top.seq, std::move(const_cast<QueuedEvent&>(top).fn),
-                      top.record};
-    queue_.pop();
-    if (event.record->cancelled) {
-      continue;
-    }
-    now_ = event.at;
-    event.record->fired = true;
-    event.fn();
-    ++executed;
-    ++events_executed_;
   }
   if (deadline != std::numeric_limits<SimTime>::max() && now_ < deadline) {
     now_ = deadline;

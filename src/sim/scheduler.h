@@ -6,27 +6,19 @@
 // scenario record/replay subsystem (src/scenario) depends on this ordering
 // being bit-for-bit stable.
 //
-// Two backends implement that contract:
-//
-//   kTimingWheel (default) — a hierarchical timing wheel: 11 levels of 64
-//     slots, 6 bits of the absolute nanosecond tick per level, a uint64
-//     occupancy bitmap per level. Insertion is O(1) (the level is the
-//     highest 6-bit digit where the event time differs from the wheel
-//     cursor), firing scans bitmaps with countr_zero and lazily cascades
-//     far-future slots toward level 0 as the cursor advances. Events are
-//     fixed-size pooled nodes with small-buffer callable storage, so the
-//     steady state allocates nothing; slots are doubly linked, so Cancel
-//     unlinks and recycles the node in O(1) (the 4.3BSD callout wheel's
-//     untimeout() move) instead of leaving a tombstone to cascade and drain.
-//     Level-0 slots are 1 ns wide, so
-//     a slot holds exactly one instant; its batch is sorted by sequence
-//     number before firing, which is what makes the wheel's order identical
-//     to a (time, seq) comparison heap's. See DESIGN.md §14.
-//
-//   kLegacyHeap — the original std::priority_queue implementation with one
-//     std::function + one shared_ptr cancel record per event. Kept as the
-//     honest baseline for the bench_sim_core ablation (--legacy-heap) and
-//     the cross-backend determinism/replay tests.
+// The implementation is a hierarchical timing wheel: 11 levels of 64 slots,
+// 6 bits of the absolute nanosecond tick per level, a uint64 occupancy bitmap
+// per level. Insertion is O(1) (the level is the highest 6-bit digit where
+// the event time differs from the wheel cursor), firing scans bitmaps with
+// countr_zero and lazily cascades far-future slots toward level 0 as the
+// cursor advances. Events are fixed-size pooled nodes with small-buffer
+// callable storage, so the steady state allocates nothing; slots are doubly
+// linked, so Cancel unlinks and recycles the node in O(1) (the 4.3BSD callout
+// wheel's untimeout() move) instead of leaving a tombstone to cascade and
+// drain. Level-0 slots are 1 ns wide, so a slot holds exactly one instant;
+// its batch is sorted by sequence number before firing, which is what makes
+// the wheel's order identical to a (time, seq) comparison heap's. See
+// DESIGN.md §14.
 //
 // EventHandle holds a raw pointer + generation counter into the wheel's node
 // arena, so a handle must not outlive its Scheduler. Nodes are never
@@ -41,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -51,34 +42,20 @@
 
 namespace renonfs {
 
-enum class SchedulerBackend : uint8_t {
-  kTimingWheel,
-  kLegacyHeap,
-};
-
 class Scheduler {
  public:
-  Scheduler() : Scheduler(DefaultBackend()) {}
-  explicit Scheduler(SchedulerBackend backend);
+  Scheduler() = default;
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  // Backend used by default-constructed Schedulers (the wheel unless
-  // overridden). SetDefaultBackend lets tests and the replay-compat suite
-  // build whole Worlds on the legacy heap; the RENONFS_SCHED=legacy
-  // environment variable does the same for existing binaries.
-  static SchedulerBackend DefaultBackend();
-  static void SetDefaultBackend(SchedulerBackend backend);
-  SchedulerBackend backend() const { return backend_; }
 
   SimTime now() const { return now_; }
 
   struct EventNode;
 
   // Handle for cancelling a scheduled event; default-constructed handles are
-  // inert. Wheel handles are a (node, generation) pair — no allocation — and
-  // must not outlive the Scheduler that issued them.
+  // inert. A handle is a (node, generation) pair — no allocation — and must
+  // not outlive the Scheduler that issued it.
   class EventHandle {
    public:
     EventHandle() = default;
@@ -86,13 +63,8 @@ class Scheduler {
 
    private:
     friend class Scheduler;
-    struct Record {
-      bool fired = false;
-      bool cancelled = false;
-    };
     EventNode* node_ = nullptr;
     uint64_t gen_ = 0;
-    std::shared_ptr<Record> record_;  // legacy-heap backend only
   };
 
   // Type-erased callable storage sized for the real datapath captures — the
@@ -164,14 +136,10 @@ class Scheduler {
   };
 
   // Schedules fn to run `delay` after now. delay must be >= 0. Any callable
-  // is accepted; the wheel stores it in the node's inline buffer, the legacy
-  // backend type-erases through std::function as it always did.
+  // is accepted; it lands in the node's inline buffer (EventCallable).
   template <typename F>
   EventHandle Schedule(SimTime delay, F&& fn) {
     CHECK_GE(delay, 0);
-    if (backend_ == SchedulerBackend::kLegacyHeap) {
-      return ScheduleLegacy(delay, std::function<void()>(std::forward<F>(fn)));
-    }
     EventNode* node = AcquireNode(delay);
     if (node->fn.Emplace(std::forward<F>(fn))) {
       ++callable_heap_allocs_;
@@ -185,11 +153,11 @@ class Scheduler {
   void Cancel(EventHandle& handle);
 
   // Fast path for restartable timers: if `handle` is a live, slot-linked
-  // wheel event, move its node to `delay` after now in place — unlink,
-  // restamp (fresh seq, so ordering matches a cancel+reschedule), relink —
-  // keeping the already-emplaced callable. Returns false (doing nothing)
-  // on the legacy backend, stale/fired handles, or a node that is mid-fire;
-  // callers then fall back to Cancel + Schedule.
+  // event, move its node to `delay` after now in place — unlink, restamp
+  // (fresh seq, so ordering matches a cancel+reschedule), relink — keeping
+  // the already-emplaced callable. Returns false (doing nothing) on
+  // stale/fired handles or a node that is mid-fire; callers then fall back
+  // to Cancel + Schedule.
   bool Reschedule(EventHandle& handle, SimTime delay);
 
   // Runs events until the queue drains or the optional deadline is reached.
@@ -198,15 +166,12 @@ class Scheduler {
   size_t RunUntil(SimTime deadline);
   size_t RunFor(SimTime duration) { return RunUntil(now_ + duration); }
 
-  // Legacy heap: "empty" counts cancelled-but-unreaped tombstones. Wheel:
   // Cancel unlinks eagerly, so cancelled events leave the count at once.
-  bool empty() const {
-    return backend_ == SchedulerBackend::kLegacyHeap ? queue_.empty() : wheel_size_ == 0;
-  }
+  bool empty() const { return wheel_size_ == 0; }
   size_t events_executed() const { return events_executed_; }
 
-  // Event-node arena occupancy (zeros on the legacy backend). Exported as
-  // sim.pool.event.* metrics diagnostics by World::InitObservability.
+  // Event-node arena occupancy. Exported as sim.pool.event.* metrics
+  // diagnostics by World::InitObservability.
   struct PoolStats {
     uint64_t nodes_total = 0;
     uint64_t nodes_free = 0;
@@ -240,9 +205,6 @@ class Scheduler {
     EventNode* tail = nullptr;
   };
 
-  EventHandle ScheduleLegacy(SimTime delay, std::function<void()> fn);
-  size_t RunUntilLegacy(SimTime deadline);
-
   EventNode* AcquireNode(SimTime delay);
   void RecycleNode(EventNode* node);
   void GrowArena();
@@ -259,12 +221,10 @@ class Scheduler {
   // number executed.
   size_t FireCurrentTick();
 
-  SchedulerBackend backend_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   size_t events_executed_ = 0;
 
-  // --- timing-wheel backend state ---
   // Wheel cursor: <= every pending event's time. Advances past now_ only
   // transiently inside RunUntil (to slot starts while cascading, never past
   // the deadline), so Schedule always inserts at times >= cur_tick_.
@@ -279,32 +239,10 @@ class Scheduler {
   uint64_t nodes_high_water_ = 0;
   uint64_t callable_heap_allocs_ = 0;
   std::vector<EventNode*> fire_buf_;  // reused per-tick sort scratch
-
-  // --- legacy-heap backend state (the pre-overhaul implementation, kept as
-  // the ablation baseline; allocation profile preserved on purpose) ---
-  struct QueuedEvent {
-    SimTime at;
-    uint64_t seq;
-    // analyze:allow(event-alloc: legacy ablation baseline keeps the old per-event allocation profile by design)
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::Record> record;
-  };
-  struct Later {
-    bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
-      if (a.at != b.at) {
-        return a.at > b.at;
-      }
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later> queue_;
 };
 
 inline bool Scheduler::EventHandle::pending() const {
-  if (node_ != nullptr) {
-    return node_->gen == gen_ && !node_->cancelled;
-  }
-  return record_ && !record_->fired && !record_->cancelled;
+  return node_ != nullptr && node_->gen == gen_ && !node_->cancelled;
 }
 
 // One-shot restartable timer; used for RPC retransmit timers, reassembly

@@ -63,8 +63,6 @@ ExperimentMeasurement RunNhfsstonePoint(const ExperimentPoint& point) {
 
   ExperimentMeasurement measurement;
   measurement.nhfsstone = bench.Run();
-  measurement.server_cpu_per_op_ms = measurement.nhfsstone.server_cpu_ms_per_op;
-  measurement.server_profile = measurement.nhfsstone.server_profile;
   return measurement;
 }
 

@@ -41,10 +41,6 @@ struct ExperimentPoint {
 
 struct ExperimentMeasurement {
   NhfsstoneResult nhfsstone;
-  double server_cpu_per_op_ms = 0;
-  // Flat server CPU profile over the measurement window (same data the
-  // scalar above is derived from; see CpuProfile::FlatTable).
-  CpuProfile server_profile;
 };
 
 // Builds the world, preloads the Nhfsstone subtree, runs warmup+measurement.

@@ -297,13 +297,10 @@ void World::InitObservability() {
   // --- sim-core allocator diagnostics ---------------------------------------
   // Occupancy gauges for the scheduler's event-node arena and the mbuf /
   // cluster FixedPools. Registered as diagnostics, not counters: pool warmth
-  // depends on the scheduler backend and on earlier Worlds in the process, so
-  // these must stay out of the snapshot hash that replay compares.
+  // depends on earlier Worlds in the process, so these must stay out of the
+  // snapshot hash that replay compares.
   {
     Scheduler& sched = scheduler();
-    m.RegisterDiagnostic("sim.sched.backend_wheel", [&sched] {
-      return sched.backend() == SchedulerBackend::kTimingWheel ? uint64_t{1} : uint64_t{0};
-    });
     m.RegisterDiagnostic("sim.pool.event.nodes_total",
                          [&sched] { return sched.pool_stats().nodes_total; });
     m.RegisterDiagnostic("sim.pool.event.nodes_in_use",

@@ -37,8 +37,8 @@ TEST(ClusterLedgerTest, TracksAllocFreeAndLiveAcrossCacheLifetime) {
 }
 
 TEST(InvariantAuditorTest, CleanInstallationQuiesces) {
-  NfsWorld world;
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld());
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "audited");
     if (!fh_or.ok()) {
@@ -63,7 +63,7 @@ TEST(InvariantAuditorTest, CleanInstallationQuiesces) {
   }(world);
   ASSERT_TRUE(world.Run(task).ok());
 
-  QuiesceReport report = world.auditor->DrainAndAudit(world.scheduler());
+  QuiesceReport report = world.auditor().DrainAndAudit(world.scheduler());
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_EQ(report.Summary(), "quiesce audit: clean");
 }

@@ -3,40 +3,20 @@
 // integrity audit after recovery.
 #include <gtest/gtest.h>
 
-#include <iostream>
 #include <map>
 #include <tuple>
 
 #include "src/workload/chaos.h"
 #include "src/workload/world.h"
+#include "tests/nfs_test_util.h"
 
 namespace renonfs {
 namespace {
 
-// When the enclosing test fails, dump the full metrics registry, the server
-// CPU flat profile and the trace-ring tail to stderr — soak failures must
-// be debuggable from the CI logs alone.
-class DumpOnFailure {
- public:
-  explicit DumpOnFailure(World& world) : world_(world) {}
-  ~DumpOnFailure() {
-    if (::testing::Test::HasFailure()) {
-      DumpObservability(world_, std::cerr);
-    }
-  }
-
- private:
-  World& world_;
-};
-
 WorldOptions QuietWorldOptions(TopologyKind topology, NfsMountOptions mount) {
   WorldOptions options;
   options.topology = topology;
-  options.topology_options.ethernet_background = 0;
-  options.topology_options.ring_background = 0;
-  options.topology_options.ethernet_loss = 0;
-  options.topology_options.ring_loss = 0;
-  options.topology_options.serial_loss = 0;
+  options.topology_options = TopologyOptions::Quiet();
   options.mount = mount;
   return options;
 }

@@ -2,7 +2,6 @@
 // the hard/soft/intr mount recovery semantics they exercise.
 #include <gtest/gtest.h>
 
-#include <iostream>
 
 #include <cstring>
 #include <string>
@@ -14,27 +13,6 @@
 
 namespace renonfs {
 namespace {
-
-// When the enclosing test fails, print the trace-ring tail and the server
-// CPU flat profile to stderr so soak failures are debuggable from the CI
-// logs alone.
-class DumpTraceOnFailure {
- public:
-  explicit DumpTraceOnFailure(NfsWorld& world) : world_(world) {}
-  ~DumpTraceOnFailure() {
-    if (!::testing::Test::HasFailure()) {
-      return;
-    }
-    std::cerr << "--- failure dump: last trace spans ---\n"
-              << world_.tracer->Tail(64)
-              << CpuProfile::Capture(world_.topo.server->cpu(), world_.scheduler().now())
-                     .FlatTable("server CPU by category")
-              << std::flush;
-  }
-
- private:
-  NfsWorld& world_;
-};
 
 NfsMountOptions FastRetryMount(int max_tries, bool hard, bool intr = false) {
   NfsMountOptions mount = NfsMountOptions::RenoUdpFixed();
@@ -50,10 +28,10 @@ NfsMountOptions FastRetryMount(int max_tries, bool hard, bool intr = false) {
 // A one-way partition drops server→client replies while client→server
 // requests still flow — the classic duplicate generator.
 TEST(FaultTest, DupCacheAbsorbsRetransmittedCreate) {
-  NfsWorld world;
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld());
+  DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/true,
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
                        /*at=*/0, /*duration=*/Milliseconds(2500));
 
   auto task = world.client().Create(world.client().root(), "dup_victim");
@@ -61,21 +39,21 @@ TEST(FaultTest, DupCacheAbsorbsRetransmittedCreate) {
 
   ASSERT_TRUE(fh_or.ok()) << fh_or.status();
   // Executed exactly once; every retransmission was replayed from the cache.
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsCreate], 1u);
-  EXPECT_GE(world.server->rpc_stats().duplicate_cache_replays, 1u);
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsCreate], 1u);
+  EXPECT_GE(world.server().rpc_stats().duplicate_cache_replays, 1u);
   EXPECT_GE(world.client().transport_stats().retransmits, 1u);
   // The dup cache handled it; the client-side absorption heuristic did not
   // need to fire.
   EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
-  EXPECT_TRUE(world.fs->Lookup(world.fs->root(), "dup_victim").ok());
+  EXPECT_TRUE(world.fs().Lookup(world.fs().root(), "dup_victim").ok());
 }
 
 // Satellite regression: a soft mount gives up with a timeout Status after
 // exactly max_tries transmissions with exponential backoff.
 TEST(FaultTest, SoftTimeoutAfterExactlyMaxTries) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/4, /*hard=*/false));
-  DumpTraceOnFailure dump_on_failure(world);
-  world.server->Crash();  // never restarted: the server is simply gone
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/4, /*hard=*/false)));
+  DumpOnFailure dump_on_failure(world);
+  world.server().Crash();  // never restarted: the server is simply gone
 
   auto task = world.client().Getattr(world.client().root());
   auto attr_or = world.Run(task);
@@ -85,37 +63,37 @@ TEST(FaultTest, SoftTimeoutAfterExactlyMaxTries) {
   EXPECT_EQ(world.client().transport_stats().calls, 1u);
   EXPECT_EQ(world.client().transport_stats().retransmits, 3u);  // 4 transmissions total
   EXPECT_EQ(world.client().transport_stats().soft_timeouts, 1u);
-  world.server->Restart();
+  world.server().Restart();
 }
 
 // A hard mount rides out a crash/reboot: the call retries forever, announces
 // "nfs server not responding" after max_tries, and completes (announcing
 // "ok") once the server is back.
 TEST(FaultTest, HardMountRidesOutServerCrash) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(world.server.get(), /*crash_at=*/0,
+  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/0,
                                 /*downtime=*/Seconds(10));
 
   auto task = world.client().Create(world.client().root(), "survivor");
   auto fh_or = world.Run(task);
 
   ASSERT_TRUE(fh_or.ok()) << fh_or.status();
-  EXPECT_EQ(world.server->crash_count(), 1u);
+  EXPECT_EQ(world.server().crash_count(), 1u);
   EXPECT_EQ(world.client().transport_stats().soft_timeouts, 0u);
   EXPECT_GE(world.client().recovery_stats().not_responding_events, 1u);
   EXPECT_GE(world.client().recovery_stats().server_ok_events, 1u);
   EXPECT_GT(world.client().recovery_stats().last_outage, 0);
-  EXPECT_TRUE(world.fs->Lookup(world.fs->root(), "survivor").ok());
+  EXPECT_TRUE(world.fs().Lookup(world.fs().root(), "survivor").ok());
 }
 
 // intr: Interrupt() is the only way out of a hard mount while the server is
 // down — outstanding calls resolve with kCancelled.
 TEST(FaultTest, InterruptCancelsHardMountCalls) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true, /*intr=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  world.server->Crash();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true, /*intr=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  world.server().Crash();
   world.scheduler().Schedule(Seconds(3), [&world]() { world.client().Interrupt(); });
 
   auto task = world.client().Create(world.client().root(), "doomed");
@@ -124,22 +102,22 @@ TEST(FaultTest, InterruptCancelsHardMountCalls) {
   ASSERT_FALSE(fh_or.ok());
   EXPECT_EQ(fh_or.status().code(), ErrorCode::kCancelled);
   EXPECT_EQ(world.client().recovery_stats().interrupted_calls, 1u);
-  world.server->Restart();
+  world.server().Restart();
 }
 
 // A plain hard mount (no intr) ignores Interrupt(), faithfully.
 TEST(FaultTest, HardMountWithoutIntrIsUninterruptible) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true, /*intr=*/false));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true, /*intr=*/false)));
+  DumpOnFailure dump_on_failure(world);
   EXPECT_EQ(world.client().Interrupt(), 0u);
 }
 
 // Link down swallows frames without sender notification; the hard mount
 // retries through the outage and completes once carrier returns.
 TEST(FaultTest, LinkFlapRecoversHardMount) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  Medium* lan = world.topo.path_media.front();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
   injector.LinkDownAt(lan, 0);
   injector.LinkUpAt(lan, Seconds(2));
@@ -155,9 +133,9 @@ TEST(FaultTest, LinkFlapRecoversHardMount) {
 // A 100% transient-loss storm behaves like an outage and then clears; a
 // latency storm delays every frame by the configured extra.
 TEST(FaultTest, LossAndLatencyStorms) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  Medium* lan = world.topo.path_media.front();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
   injector.LossStormAt(lan, 0, Seconds(3), 1.0);
 
@@ -180,14 +158,14 @@ TEST(FaultTest, LossAndLatencyStorms) {
 // Crash loses all volatile server state; stable storage and the listener
 // survive into the next boot.
 TEST(FaultTest, CrashLosesVolatileStateOnly) {
-  NfsWorld world;
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld());
+  DumpOnFailure dump_on_failure(world);
   // Seed a file in stable storage, then read it through the client so the
   // server's buffer cache fills from disk.
   uint8_t payload[512] = {42};
-  auto ino = world.fs->Create(world.fs->root(), "durable", 0644);
+  auto ino = world.fs().Create(world.fs().root(), "durable", 0644);
   ASSERT_TRUE(ino.ok());
-  ASSERT_TRUE(world.fs->Write(ino.value(), 0, payload, sizeof(payload)).ok());
+  ASSERT_TRUE(world.fs().Write(ino.value(), 0, payload, sizeof(payload)).ok());
   auto lookup = world.client().Lookup(world.client().root(), "durable");
   auto fh_or = world.Run(lookup);
   ASSERT_TRUE(fh_or.ok());
@@ -199,17 +177,17 @@ TEST(FaultTest, CrashLosesVolatileStateOnly) {
   ASSERT_TRUE(n_or.ok());
   ASSERT_EQ(n_or.value(), sizeof(readback));
 
-  EXPECT_GT(world.server->cache().size(), 0u);
-  world.server->Crash();
-  EXPECT_TRUE(world.server->crashed());
-  EXPECT_EQ(world.server->cache().size(), 0u);
-  world.server->Restart();
-  EXPECT_FALSE(world.server->crashed());
+  EXPECT_GT(world.server().cache().size(), 0u);
+  world.server().Crash();
+  EXPECT_TRUE(world.server().crashed());
+  EXPECT_EQ(world.server().cache().size(), 0u);
+  world.server().Restart();
+  EXPECT_FALSE(world.server().crashed());
 
   // Stable storage kept the acknowledged write.
-  auto ino_or = world.fs->Lookup(world.fs->root(), "durable");
+  auto ino_or = world.fs().Lookup(world.fs().root(), "durable");
   ASSERT_TRUE(ino_or.ok());
-  auto bytes_or = world.fs->Read(ino_or.value(), 0, sizeof(payload));
+  auto bytes_or = world.fs().Read(ino_or.value(), 0, sizeof(payload));
   ASSERT_TRUE(bytes_or.ok());
   EXPECT_EQ(bytes_or.value().size(), sizeof(payload));
   EXPECT_EQ(bytes_or.value()[0], 42);
@@ -224,10 +202,10 @@ TEST(FaultTest, CrashLosesVolatileStateOnly) {
 TEST(FaultTest, TcpHardMountReconnectsAfterCrash) {
   NfsMountOptions mount = NfsMountOptions::RenoTcp();
   mount.hard = true;
-  NfsWorld world(1, mount);
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, mount));
+  DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(world.server.get(), /*crash_at=*/Seconds(1),
+  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Seconds(1),
                                 /*downtime=*/Seconds(8));
 
   auto warm = world.client().Create(world.client().root(), "pre_crash");
@@ -241,7 +219,7 @@ TEST(FaultTest, TcpHardMountReconnectsAfterCrash) {
   EXPECT_GE(world.client().recovery_stats().reconnects, 1u);
   EXPECT_GE(world.client().recovery_stats().reissued_calls, 1u);
   EXPECT_GE(world.client().recovery_stats().server_ok_events, 1u);
-  EXPECT_TRUE(world.fs->Lookup(world.fs->root(), "post_crash").ok());
+  EXPECT_TRUE(world.fs().Lookup(world.fs().root(), "post_crash").ok());
 }
 
 // Review regression: a soft TCP mount with tcp_soft_cycles == 1 expires
@@ -253,9 +231,9 @@ TEST(FaultTest, TcpSoftSingleCycleMountReconnectsAfterExpiry) {
   NfsMountOptions mount = NfsMountOptions::RenoTcp();
   mount.hard = false;
   mount.tcp_soft_cycles = 1;
-  NfsWorld world(1, mount);
-  DumpTraceOnFailure dump_on_failure(world);
-  world.server->Crash();
+  World world(QuietWorld(1, mount));
+  DumpOnFailure dump_on_failure(world);
+  world.server().Crash();
 
   auto task = world.client().Getattr(world.client().root());
   auto attr_or = world.Run(task);
@@ -264,11 +242,11 @@ TEST(FaultTest, TcpSoftSingleCycleMountReconnectsAfterExpiry) {
   EXPECT_EQ(world.client().transport_stats().soft_timeouts, 1u);
   EXPECT_GE(world.client().recovery_stats().reconnects, 1u);
 
-  world.server->Restart();
+  world.server().Restart();
   auto again = world.client().Create(world.client().root(), "after_reboot");
   auto fh_or = world.Run(again);
   ASSERT_TRUE(fh_or.ok()) << fh_or.status();
-  EXPECT_TRUE(world.fs->Lookup(world.fs->root(), "after_reboot").ok());
+  EXPECT_TRUE(world.fs().Lookup(world.fs().root(), "after_reboot").ok());
 }
 
 // Review regression: a crash landing while the server coroutine is suspended
@@ -283,16 +261,16 @@ TEST(FaultTest, CrashSweepNeverLeaksAReplyToADeadConnection) {
   uint64_t dropped_total = 0;
   for (SimTime crash_at = Milliseconds(1); crash_at <= Milliseconds(15);
        crash_at += Microseconds(100)) {
-    NfsWorld world(1, mount);
-    DumpTraceOnFailure dump_on_failure(world);
+    World world(QuietWorld(1, mount));
+    DumpOnFailure dump_on_failure(world);
     FaultInjector injector(world.scheduler());
-    injector.ServerCrashRestartAt(world.server.get(), crash_at, /*downtime=*/Seconds(2));
+    injector.ServerCrashRestartAt(&world.server(), crash_at, /*downtime=*/Seconds(2));
 
     auto task = world.client().Create(world.client().root(), "sweep");
     auto fh_or = world.Run(task);
     ASSERT_TRUE(fh_or.ok()) << fh_or.status() << " crash_at=" << crash_at;
-    EXPECT_TRUE(world.fs->Lookup(world.fs->root(), "sweep").ok());
-    dropped_total += world.server->rpc_stats().replies_dropped_crash;
+    EXPECT_TRUE(world.fs().Lookup(world.fs().root(), "sweep").ok());
+    dropped_total += world.server().rpc_stats().replies_dropped_crash;
   }
   // The sweep actually caught requests mid-flight on the server.
   EXPECT_GE(dropped_total, 1u);
@@ -319,9 +297,9 @@ CoTask<Status> CreateRemoveLoop(NfsClient& client, int iterations) {
 // arrives after the copy's reply went out — it must be answered from the
 // duplicate cache, never re-executed into EEXIST.
 TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedUdp) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  Medium* lan = world.topo.path_media.front();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  Medium* lan = world.topology().path_media.front();
   CorruptionConfig config;
   config.duplicate = 1.0;
   config.reorder = 1.0;
@@ -335,10 +313,10 @@ TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedUdp) {
   EXPECT_TRUE(status.ok()) << status;
   // Each CREATE executed exactly once; every duplicate was absorbed by the
   // cache (replayed if it arrived after the reply, dropped if mid-execution).
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsCreate], 8u);
-  EXPECT_GE(world.server->rpc_stats().duplicate_cache_replays, 1u);
-  EXPECT_GE(world.server->rpc_stats().duplicate_cache_replays +
-                world.server->rpc_stats().duplicate_in_progress_drops,
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsCreate], 8u);
+  EXPECT_GE(world.server().rpc_stats().duplicate_cache_replays, 1u);
+  EXPECT_GE(world.server().rpc_stats().duplicate_cache_replays +
+                world.server().rpc_stats().duplicate_in_progress_drops,
             8u);
   EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
 }
@@ -349,9 +327,9 @@ TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedUdp) {
 TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedTcp) {
   NfsMountOptions mount = NfsMountOptions::RenoTcp();
   mount.hard = true;
-  NfsWorld world(1, mount);
-  DumpTraceOnFailure dump_on_failure(world);
-  Medium* lan = world.topo.path_media.front();
+  World world(QuietWorld(1, mount));
+  DumpOnFailure dump_on_failure(world);
+  Medium* lan = world.topology().path_media.front();
   CorruptionConfig config;
   config.duplicate = 1.0;
   config.reorder = 1.0;
@@ -363,8 +341,8 @@ TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedTcp) {
   lan->SetCorruption(CorruptionConfig{});
 
   EXPECT_TRUE(status.ok()) << status;
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsCreate], 8u);
-  EXPECT_EQ(world.server->rpc_stats().duplicate_cache_replays, 0u);
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsCreate], 8u);
+  EXPECT_EQ(world.server().rpc_stats().duplicate_cache_replays, 0u);
   EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
 }
 
@@ -464,8 +442,8 @@ TEST(FaultTest, WriteToLoanedBlockBreaksCopyOnWrite) {
 // refcounts must keep those clusters alive (ASan verifies no use-after-free)
 // and the hard mount must recover to byte-identical data after restart.
 TEST(FaultTest, ServerCrashWithLoanedRepliesInFlight) {
-  NfsWorld world(/*num_clients=*/2, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(/*clients=*/2, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
   const auto data = LoanPattern(64 * 1024);
   NfsFh fh;
 
@@ -483,7 +461,7 @@ TEST(FaultTest, ServerCrashWithLoanedRepliesInFlight) {
   // Crash just after the reads start: READ replies built from loaned cache
   // clusters are crossing the LAN when the cache that loaned them vanishes.
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(world.server.get(), /*crash_at=*/Milliseconds(8),
+  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Milliseconds(8),
                                 /*downtime=*/Seconds(2));
 
   auto read_task = [](NfsClient& c, NfsFh f, size_t len)
@@ -500,9 +478,9 @@ TEST(FaultTest, ServerCrashWithLoanedRepliesInFlight) {
 
   ASSERT_TRUE(bytes_or.ok()) << bytes_or.status();
   EXPECT_EQ(bytes_or.value(), data);
-  EXPECT_EQ(world.server->crash_count(), 1u);
-  EXPECT_GT(world.server->stats().loaned_replies, 0u);
-  EXPECT_GT(world.server->stats().loaned_bytes, 0u);
+  EXPECT_EQ(world.server().crash_count(), 1u);
+  EXPECT_GT(world.server().stats().loaned_replies, 0u);
+  EXPECT_GT(world.server().stats().loaned_bytes, 0u);
 }
 
 // Zero-copy regression: the same cold-client read of a 64K file, loaning on
@@ -517,8 +495,8 @@ TEST(FaultTest, ReadReplyLoansInsteadOfCopies) {
   for (int loaning = 0; loaning < 2; ++loaning) {
     NfsServerOptions server_options = NfsServerOptions::Reno();
     server_options.page_loaning = loaning == 1;
-    NfsWorld world(/*num_clients=*/2, NfsMountOptions::Reno(), server_options);
-    DumpTraceOnFailure dump_on_failure(world);
+    World world(QuietWorld(/*clients=*/2, NfsMountOptions::Reno(), server_options));
+    DumpOnFailure dump_on_failure(world);
     const auto data = LoanPattern(kFileBytes);
     NfsFh fh;
     auto write_task = [](NfsClient& c, const std::vector<uint8_t>& bytes,
@@ -552,11 +530,11 @@ TEST(FaultTest, ReadReplyLoansInsteadOfCopies) {
     copied[loaning] = MbufStats::Instance().bytes_copied;
     shared[loaning] = MbufStats::Instance().bytes_shared;
     if (loaning == 1) {
-      EXPECT_EQ(world.server->stats().loaned_bytes, kFileBytes);
-      EXPECT_GT(world.server->stats().loaned_replies, 0u);
+      EXPECT_EQ(world.server().stats().loaned_bytes, kFileBytes);
+      EXPECT_GT(world.server().stats().loaned_replies, 0u);
     } else {
-      EXPECT_EQ(world.server->stats().loaned_bytes, 0u);
-      EXPECT_EQ(world.server->stats().loaned_replies, 0u);
+      EXPECT_EQ(world.server().stats().loaned_bytes, 0u);
+      EXPECT_EQ(world.server().stats().loaned_replies, 0u);
     }
   }
   // The server's data-byte memcpy is gone: total copy volume drops by at
@@ -604,12 +582,12 @@ CoTask<Status> WriteFileUnderLease(NfsClient& c, std::string name,
 }
 
 // The file's bytes as stable storage sees them (server-side, no client cache).
-std::vector<uint8_t> ServerBytes(NfsWorld& world, const std::string& name) {
-  auto ino_or = world.fs->Lookup(world.fs->root(), name);
+std::vector<uint8_t> ServerBytes(World& world, const std::string& name) {
+  auto ino_or = world.fs().Lookup(world.fs().root(), name);
   if (!ino_or.ok()) return {};
-  auto attr_or = world.fs->Getattr(ino_or.value());
+  auto attr_or = world.fs().Getattr(ino_or.value());
   if (!attr_or.ok()) return {};
-  auto bytes_or = world.fs->Read(ino_or.value(), 0, attr_or->size);
+  auto bytes_or = world.fs().Read(ino_or.value(), 0, attr_or->size);
   if (!bytes_or.ok()) return {};
   return bytes_or.value();
 }
@@ -619,8 +597,8 @@ std::vector<uint8_t> ServerBytes(NfsWorld& world, const std::string& name) {
 // moved on, and discard rather than push [Gray89]. The surviving writer's
 // bytes win, byte for byte.
 TEST(FaultTest, LeasedWriterPartitionedPastTermDiscardsInsteadOfPushing) {
-  NfsWorld world(2, LeaseMount(), LeaseServer());
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(2, LeaseMount(), LeaseServer()));
+  DumpOnFailure dump_on_failure(world);
   const auto stale = LoanPattern(8192, 1);
   const auto fresh = LoanPattern(8192, 77);
   NfsFh fh0;
@@ -628,14 +606,14 @@ TEST(FaultTest, LeasedWriterPartitionedPastTermDiscardsInsteadOfPushing) {
       WriteFileUnderLease(world.client(0), "shared.dat", stale, &fh0, /*flush=*/false);
   ASSERT_TRUE(world.Run(setup).ok());
   // The close returned without pushing: the write lease caches the data.
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsWrite], 0u);
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsWrite], 0u);
 
   // Client 0 falls off the network for four lease terms.
   const SimTime t0 = world.scheduler().now();
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/true,
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
                        /*at=*/0, Seconds(20));
-  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/false,
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/false,
                        /*at=*/0, Seconds(20));
 
   // Client 1 wants the file: the server's recalls go unanswered, the holder
@@ -653,7 +631,7 @@ TEST(FaultTest, LeasedWriterPartitionedPastTermDiscardsInsteadOfPushing) {
     co_return co_await c.Close(fh_or.value());
   }(world.client(1), fresh);
   ASSERT_TRUE(world.Run(takeover).ok());
-  EXPECT_GE(world.server->lease_stats().evictions, 1u);
+  EXPECT_GE(world.server().lease_stats().evictions, 1u);
 
   // Partition heals; client 0 tries to flush. The re-acquired lease reply
   // shows the modify time moved — the stale bytes are discarded, not pushed.
@@ -677,8 +655,8 @@ TEST(FaultTest, LeasedWriterPartitionedPastTermDiscardsInsteadOfPushing) {
 // datagrams go unanswered, the server retries with backoff and evicts the
 // holder at the term deadline, and the blocked reader then proceeds.
 TEST(FaultTest, ServerEvictsRecalledLeaseOfUnreachableClient) {
-  NfsWorld world(2, LeaseMount(), LeaseServer());
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(2, LeaseMount(), LeaseServer()));
+  DumpOnFailure dump_on_failure(world);
   const auto data = LoanPattern(16384, 9);
   NfsFh fh0;
   auto setup =
@@ -686,9 +664,9 @@ TEST(FaultTest, ServerEvictsRecalledLeaseOfUnreachableClient) {
   ASSERT_TRUE(world.Run(setup).ok());
 
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/true,
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
                        /*at=*/0, Seconds(10));
-  injector.PartitionAt(world.topo.client, world.topo.server->id(), /*inbound=*/false,
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/false,
                        /*at=*/0, Seconds(10));
 
   auto read_task = [](NfsClient& c,
@@ -706,42 +684,42 @@ TEST(FaultTest, ServerEvictsRecalledLeaseOfUnreachableClient) {
   auto bytes_or = world.Run(read_task);
   ASSERT_TRUE(bytes_or.ok()) << bytes_or.status();
   EXPECT_EQ(bytes_or.value(), data);  // the holder had flushed before vanishing
-  EXPECT_GE(world.server->lease_stats().recalls_sent, 2u);  // recall was retried
-  EXPECT_GE(world.server->lease_stats().evictions, 1u);
+  EXPECT_GE(world.server().lease_stats().recalls_sent, 2u);  // recall was retried
+  EXPECT_GE(world.server().lease_stats().evictions, 1u);
 }
 
 // Failure matrix 3 — write-lease recall racing REMOVE: the unlink waits for
 // the holder to push its dirty data and vacate, then runs. Exactly-once, no
 // eviction, no stale write.
 TEST(FaultTest, RecallOfDirtyWriteLeaseRacesRemove) {
-  NfsWorld world(2, LeaseMount(), LeaseServer());
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(2, LeaseMount(), LeaseServer()));
+  DumpOnFailure dump_on_failure(world);
   const auto data = LoanPattern(8192, 5);
   NfsFh fh0;
   auto setup =
       WriteFileUnderLease(world.client(0), "doomed.dat", data, &fh0, /*flush=*/false);
   ASSERT_TRUE(world.Run(setup).ok());
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsWrite], 0u);
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsWrite], 0u);
 
   auto remove = world.client(1).Remove(world.client(1).root(), "doomed.dat");
   Status status = world.Run(remove);
   EXPECT_TRUE(status.ok()) << status;
-  EXPECT_FALSE(world.fs->Lookup(world.fs->root(), "doomed.dat").ok());
+  EXPECT_FALSE(world.fs().Lookup(world.fs().root(), "doomed.dat").ok());
   EXPECT_GE(world.client(0).stats().lease_recalls, 1u);
   EXPECT_GE(world.client(0).stats().lease_vacates, 1u);
-  EXPECT_GE(world.server->lease_stats().recalled, 1u);
-  EXPECT_GE(world.server->lease_stats().vacated, 1u);
-  EXPECT_EQ(world.server->lease_stats().evictions, 0u);
+  EXPECT_GE(world.server().lease_stats().recalled, 1u);
+  EXPECT_GE(world.server().lease_stats().vacated, 1u);
+  EXPECT_EQ(world.server().lease_stats().evictions, 0u);
   // Push-then-vacate: the dirty bytes reached the server before the unlink.
-  EXPECT_GE(world.server->stats().proc_counts[kNfsWrite], 1u);
+  EXPECT_GE(world.server().stats().proc_counts[kNfsWrite], 1u);
   EXPECT_EQ(world.client(0).stats().stale_lease_writes, 0u);
 }
 
 // Removing a file you hold the lease on must not recall yourself: the REMOVE
 // is exempt from the requester's own lease and a voluntary vacate follows.
 TEST(FaultTest, RemovingOwnLeasedFileVacatesWithoutRecall) {
-  NfsWorld world(1, LeaseMount(), LeaseServer());
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, LeaseMount(), LeaseServer()));
+  DumpOnFailure dump_on_failure(world);
   const auto data = LoanPattern(4096, 3);
   NfsFh fh;
   auto setup =
@@ -753,8 +731,8 @@ TEST(FaultTest, RemovingOwnLeasedFileVacatesWithoutRecall) {
   world.scheduler().RunUntil(world.scheduler().now() + Seconds(1));
   EXPECT_EQ(world.client(0).stats().lease_recalls, 0u);
   EXPECT_GE(world.client(0).stats().lease_vacates, 1u);
-  EXPECT_GE(world.server->lease_stats().vacated, 1u);
-  EXPECT_EQ(world.server->lease_stats().recalls_sent, 0u);
+  EXPECT_GE(world.server().lease_stats().vacated, 1u);
+  EXPECT_EQ(world.server().lease_stats().recalls_sent, 0u);
 }
 
 // Failure matrix 4 — reboot with leases outstanding (and the client's xid
@@ -762,8 +740,8 @@ TEST(FaultTest, RemovingOwnLeasedFileVacatesWithoutRecall) {
 // leases for one grace term, the client detects the new boot verifier,
 // reclaims its old write lease, and the post-reboot writes land intact.
 TEST(FaultTest, LeaseReclaimAcrossServerRebootPreservesWrites) {
-  NfsWorld world(1, LeaseMount(), LeaseServer(/*max_term=*/Seconds(10)));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, LeaseMount(), LeaseServer(/*max_term=*/Seconds(10))));
+  DumpOnFailure dump_on_failure(world);
   const auto first = LoanPattern(8192, 11);
   const auto second = LoanPattern(8192, 22);
   NfsFh fh_a;
@@ -778,16 +756,16 @@ TEST(FaultTest, LeaseReclaimAcrossServerRebootPreservesWrites) {
   // during the outage; the restarted server opens a one-max-term grace window.
   const SimTime t0 = world.scheduler().now();
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(world.server.get(), Milliseconds(100), Seconds(6));
+  injector.ServerCrashRestartAt(&world.server(), Milliseconds(100), Seconds(6));
   world.scheduler().RunUntil(t0 + Seconds(7));
-  ASSERT_FALSE(world.server->crashed());
-  EXPECT_TRUE(world.server->lease_table().InGrace());
+  ASSERT_FALSE(world.server().crashed());
+  EXPECT_TRUE(world.server().lease_table().InGrace());
 
   // Lease traffic now carries the new boot verifier: a canary GETATTR is
   // denied (grace) and marks every old-epoch lease stale on the client.
   auto probe = world.client(0).Getattr(fh_b_or.value());
   ASSERT_TRUE(world.Run(probe).ok());
-  EXPECT_GE(world.server->lease_stats().grace_denials, 1u);
+  EXPECT_GE(world.server().lease_stats().grace_denials, 1u);
   EXPECT_GE(world.client(0).stats().lease_expirations, 1u);
 
   // New writes reclaim the old lease (allowed during grace because it was
@@ -799,9 +777,9 @@ TEST(FaultTest, LeaseReclaimAcrossServerRebootPreservesWrites) {
     co_return co_await c.Flush(fh);
   }(world.client(0), fh_a, second);
   ASSERT_TRUE(world.Run(rewrite).ok());
-  EXPECT_GE(world.server->lease_stats().reclaimed, 1u);
+  EXPECT_GE(world.server().lease_stats().reclaimed, 1u);
   EXPECT_EQ(world.client(0).stats().stale_lease_writes, 0u);
-  EXPECT_EQ(world.server->crash_count(), 1u);
+  EXPECT_EQ(world.server().crash_count(), 1u);
   EXPECT_EQ(ServerBytes(world, "reclaim.dat"), second);
 }
 
@@ -809,8 +787,8 @@ TEST(FaultTest, LeaseReclaimAcrossServerRebootPreservesWrites) {
 // ride the lease for free, and writes stay cached past close until a flush
 // or a recall.
 TEST(FaultTest, LeaseServesCacheWithoutRpcsAndCachesWritesPastClose) {
-  NfsWorld world(1, LeaseMount(Seconds(30)), LeaseServer());
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, LeaseMount(Seconds(30)), LeaseServer()));
+  DumpOnFailure dump_on_failure(world);
   const auto data = LoanPattern(8192, 2);
   auto create = world.client(0).Create(world.client(0).root(), "cached.dat");
   auto fh_or = world.Run(create);
@@ -837,20 +815,20 @@ TEST(FaultTest, LeaseServesCacheWithoutRpcsAndCachesWritesPastClose) {
     co_return co_await c.Close(f);
   }(world.client(0), fh, data);
   ASSERT_TRUE(world.Run(writer).ok());
-  EXPECT_EQ(world.server->stats().proc_counts[kNfsWrite], 0u);
+  EXPECT_EQ(world.server().stats().proc_counts[kNfsWrite], 0u);
 
   auto flush = world.client(0).Flush(fh);
   ASSERT_TRUE(world.Run(flush).ok());
-  EXPECT_GE(world.server->stats().proc_counts[kNfsWrite], 1u);
+  EXPECT_GE(world.server().stats().proc_counts[kNfsWrite], 1u);
   EXPECT_EQ(ServerBytes(world, "cached.dat"), data);
 }
 
 // DiskSlowAt inflates every op by the factor for the window, then restores
 // nominal latency, firing trace entries at both edges.
 TEST(FaultTest, DiskSlowAtInflatesAndRestoresLatency) {
-  NfsWorld world;
-  DumpTraceOnFailure dump_on_failure(world);
-  DiskModel& disk = world.topo.server->disk();
+  World world(QuietWorld());
+  DumpOnFailure dump_on_failure(world);
+  DiskModel& disk = world.topology().server->disk();
   const SimTime nominal = disk.OpLatency(8192);
 
   FaultInjector injector(world.scheduler());
@@ -872,11 +850,11 @@ TEST(FaultTest, DiskSlowAtInflatesAndRestoresLatency) {
 TEST(FaultTest, TraceIsOrderedAndDeterministic) {
   std::vector<std::string> traces[2];
   for (int run = 0; run < 2; ++run) {
-    NfsWorld world;
-    DumpTraceOnFailure dump_on_failure(world);
+    World world(QuietWorld());
+    DumpOnFailure dump_on_failure(world);
     FaultInjector injector(world.scheduler());
-    injector.ServerCrashRestartAt(world.server.get(), Seconds(1), Seconds(2));
-    injector.LinkFlapAt(world.topo.path_media.front(), Seconds(4), 2, Seconds(1),
+    injector.ServerCrashRestartAt(&world.server(), Seconds(1), Seconds(2));
+    injector.LinkFlapAt(world.topology().path_media.front(), Seconds(4), 2, Seconds(1),
                         Seconds(1));
     world.scheduler().RunUntil(Seconds(10));
     traces[run] = injector.trace();
@@ -894,9 +872,9 @@ TEST(FaultTest, TraceIsOrderedAndDeterministic) {
 // and the medium is fully restored afterwards — a schedule entry must not
 // resurrect or clobber another entry's restore.
 TEST(FaultTest, OverlappingStormSchedulesRestoreCleanly) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  Medium* lan = world.topo.path_media.front();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
   FaultTargets targets;
   targets.medium = lan;
@@ -924,18 +902,18 @@ TEST(FaultTest, OverlappingStormSchedulesRestoreCleanly) {
 // land, the trace must record it, and a hard mount's first call must still
 // complete after the restart.
 TEST(FaultTest, CrashSpecAtTimeZeroFiresBeforeFirstRpc) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
   FaultTargets targets;
-  targets.server = world.server.get();
+  targets.server = &world.server();
   injector.ScheduleSpec(FaultSpecFromString("crash at=0s dur=5s").value(), targets);
 
   auto task = world.client().Create(world.client().root(), "epoch");
   auto fh_or = world.Run(task);
 
   ASSERT_TRUE(fh_or.ok()) << fh_or.status();
-  EXPECT_EQ(world.server->crash_count(), 1u);
+  EXPECT_EQ(world.server().crash_count(), 1u);
   EXPECT_GE(world.client().recovery_stats().not_responding_events, 1u);
   ASSERT_GE(injector.trace().size(), 2u);
   EXPECT_NE(injector.trace()[0].find("server crash"), std::string::npos);
@@ -946,8 +924,8 @@ TEST(FaultTest, CrashSpecAtTimeZeroFiresBeforeFirstRpc) {
 // grace clock restarts with the second boot, the client still reclaims its
 // pre-crash write lease, and the rewritten bytes survive both outages.
 TEST(FaultTest, CrashDuringLeaseGraceStillRecovers) {
-  NfsWorld world(1, LeaseMount(), LeaseServer(/*max_term=*/Seconds(10)));
-  DumpTraceOnFailure dump_on_failure(world);
+  World world(QuietWorld(1, LeaseMount(), LeaseServer(/*max_term=*/Seconds(10))));
+  DumpOnFailure dump_on_failure(world);
   const auto first = LoanPattern(8192, 11);
   const auto second = LoanPattern(8192, 22);
   NfsFh fh;
@@ -962,12 +940,12 @@ TEST(FaultTest, CrashDuringLeaseGraceStillRecovers) {
   FaultInjector injector(world.scheduler());
   // First reboot at ~t0+6.1s opens a one-max-term (10s) grace window; the
   // second crash lands squarely inside it.
-  injector.ServerCrashRestartAt(world.server.get(), Milliseconds(100), Seconds(6));
-  injector.ServerCrashRestartAt(world.server.get(), Seconds(8), Seconds(3));
+  injector.ServerCrashRestartAt(&world.server(), Milliseconds(100), Seconds(6));
+  injector.ServerCrashRestartAt(&world.server(), Seconds(8), Seconds(3));
   world.scheduler().RunUntil(t0 + Seconds(12));
-  ASSERT_FALSE(world.server->crashed());
-  EXPECT_EQ(world.server->crash_count(), 2u);
-  EXPECT_TRUE(world.server->lease_table().InGrace());
+  ASSERT_FALSE(world.server().crashed());
+  EXPECT_EQ(world.server().crash_count(), 2u);
+  EXPECT_TRUE(world.server().lease_table().InGrace());
 
   // The canary GETATTR carries the second boot's verifier back and expires
   // the old-epoch leases client-side; the rewrite then reclaims in grace.
@@ -990,12 +968,12 @@ TEST(FaultTest, CrashDuringLeaseGraceStillRecovers) {
 // fails the push and surfaces on flush, the burst does not disturb the slow
 // window's restore, and once both pass the same data commits clean.
 TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  DiskModel& disk = world.topo.server->disk();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  DiskModel& disk = world.topology().server->disk();
   FaultInjector injector(world.scheduler());
   FaultTargets targets;
-  targets.fs = world.fs.get();
+  targets.fs = &world.fs();
   targets.disk = &disk;
 
   injector.ScheduleSpec(FaultSpecFromString("disk_slow at=0s dur=8s mag=4").value(), targets);
@@ -1018,7 +996,7 @@ TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
   }(world.client(), data, &fh);
   Status status = world.Run(failing);
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(world.fs->fault_stats().injected_errors, 1u);
+  EXPECT_EQ(world.fs().fault_stats().injected_errors, 1u);
   EXPECT_EQ(disk.slow_factor(), 4.0);  // the burst did not end the window
 
   world.scheduler().RunUntil(Seconds(9));
@@ -1041,9 +1019,9 @@ TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
 // before the disk await), while unclamped code would still be parked inside
 // its first window round until the backlog horizon.
 TEST(FaultTest, GatherWindowClampedUnderDiskBacklog) {
-  NfsWorld world(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true));
-  DumpTraceOnFailure dump_on_failure(world);
-  DiskModel& disk = world.topo.server->disk();
+  World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
+  DumpOnFailure dump_on_failure(world);
+  DiskModel& disk = world.topology().server->disk();
 
   auto create = world.client().Create(world.client().root(), "gather.dat");
   auto fh_or = world.Run(create);
@@ -1067,13 +1045,13 @@ TEST(FaultTest, GatherWindowClampedUnderDiskBacklog) {
   uint64_t batches_at_sample = 0;
   SimTime horizon_at_sample = 0;
   world.scheduler().Schedule(Seconds(5), [&]() {
-    batches_at_sample = world.server->stats().gather_batches;
+    batches_at_sample = world.server().stats().gather_batches;
     horizon_at_sample = disk.queue_clears_at();
   });
   auto flush = world.client().Flush(fh_or.value());
   ASSERT_TRUE(world.Run(flush).ok());
 
-  EXPECT_GE(world.server->stats().gathered_writes, 2u);
+  EXPECT_GE(world.server().stats().gathered_writes, 2u);
   // Clamped: the batch had committed to the queue by the 5s sample — at most
   // gather_max_rounds * max_gather_window = 2s of window waiting. Unclamped,
   // the leader would still be asleep and the batch not yet submitted.

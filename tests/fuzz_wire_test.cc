@@ -356,19 +356,19 @@ TEST(FuzzTest, CoverageGuidedCorpusGrowsAndReplays) {
 }
 
 TEST(FuzzTest, UdpServerSurvivesMutatedDatagrams) {
-  NfsWorld world;
+  World world(QuietWorld());
   // Finite disk: a mutated WRITE/SETATTR carrying a 2 GB offset must bounce
   // off the block budget with ENOSPC, not materialize a 2 GB file.
-  world.fs->SetFreeBlockBudget(4096);
-  const auto corpus = BuildCallCorpus(world.server->RootFh());
+  world.fs().SetFreeBlockBudget(4096);
+  const auto corpus = BuildCallCorpus(world.server().RootFh());
   FuzzMutator mutator(FuzzSeed());
 
-  UdpStack& udp = *world.client_udp[0];
+  UdpStack& udp = *world.client_udp(0);
   const uint16_t fuzz_port = 5999;
   uint64_t replies_seen = 0;
   udp.Bind(fuzz_port, [&](SockAddr, MbufChain) { ++replies_seen; });
 
-  const SockAddr server_addr{world.topo.server->id(), kNfsPort};
+  const SockAddr server_addr{world.topology().server->id(), kNfsPort};
   uint32_t xid = 0x9000;
   constexpr int kDatagrams = 5500;
   for (int i = 0; i < kDatagrams; ++i) {
@@ -377,7 +377,7 @@ TEST(FuzzTest, UdpServerSurvivesMutatedDatagrams) {
       // Interleave pristine calls (fresh xid so the dup cache can't absorb
       // them): the server must keep answering mid-storm.
       bytes = EncodeCall(xid++, kNfsGetattr,
-                         [&](XdrEncoder& e) { EncodeFh(e, world.server->RootFh()); });
+                         [&](XdrEncoder& e) { EncodeFh(e, world.server().RootFh()); });
     }
     udp.SendTo(fuzz_port, server_addr, MbufChain::FromBytes(bytes.data(), bytes.size()));
     world.scheduler().RunFor(Milliseconds(2));
@@ -386,12 +386,12 @@ TEST(FuzzTest, UdpServerSurvivesMutatedDatagrams) {
 
   // The server survived (we are still running), dropped/GARBAGE'd the
   // mutants, and answered the valid interleaved calls.
-  EXPECT_GT(world.server->rpc_stats().garbage_requests, 0u);
+  EXPECT_GT(world.server().rpc_stats().garbage_requests, 0u);
   EXPECT_GT(replies_seen, static_cast<uint64_t>(kDatagrams / 8 / 2));
 
   // And a real client still gets service afterwards.
-  auto task = world.client().Getattr(world.server->RootFh());
-  auto attr_or = world.Run(task, world.scheduler().now() + Seconds(60));
+  auto task = world.client().Getattr(world.server().RootFh());
+  auto attr_or = world.Run(task, Seconds(60));
   EXPECT_TRUE(attr_or.ok());
 
   // Drain the stragglers: mutants that decoded as real ops may still be
@@ -401,15 +401,15 @@ TEST(FuzzTest, UdpServerSurvivesMutatedDatagrams) {
 }
 
 TEST(FuzzTest, TcpServerSurvivesMutatedRecordBodies) {
-  NfsWorld world;
-  world.fs->SetFreeBlockBudget(4096);  // see the UDP test
-  const auto corpus = BuildCallCorpus(world.server->RootFh());
+  World world(QuietWorld());
+  world.fs().SetFreeBlockBudget(4096);  // see the UDP test
+  const auto corpus = BuildCallCorpus(world.server().RootFh());
   FuzzMutator mutator(FuzzSeed());
 
-  TcpStack& tcp = *world.client_tcp[0];
+  TcpStack& tcp = *world.client_tcp(0);
   uint64_t reply_bytes = 0;
   TcpConnection* conn =
-      tcp.Connect(tcp.AllocateEphemeralPort(), SockAddr{world.topo.server->id(), kNfsPort},
+      tcp.Connect(tcp.AllocateEphemeralPort(), SockAddr{world.topology().server->id(), kNfsPort},
                   []() {}, TcpConfig{});
   conn->set_data_handler([&](MbufChain data) { reply_bytes += data.Length(); });
   world.scheduler().RunFor(Milliseconds(50));
@@ -420,7 +420,7 @@ TEST(FuzzTest, TcpServerSurvivesMutatedRecordBodies) {
     std::vector<uint8_t> body = mutator.Mutate(corpus[i % corpus.size()]);
     if (i % 8 == 0) {
       body = EncodeCall(xid++, kNfsGetattr,
-                        [&](XdrEncoder& e) { EncodeFh(e, world.server->RootFh()); });
+                        [&](XdrEncoder& e) { EncodeFh(e, world.server().RootFh()); });
     }
     // Valid record mark, damaged body: the stream framing survives, so one
     // connection carries the whole storm and every body hits the decoders.
@@ -436,12 +436,12 @@ TEST(FuzzTest, TcpServerSurvivesMutatedRecordBodies) {
   }
   world.scheduler().RunFor(Seconds(2));
 
-  EXPECT_GT(world.server->rpc_stats().garbage_requests, 0u);
+  EXPECT_GT(world.server().rpc_stats().garbage_requests, 0u);
   EXPECT_GT(reply_bytes, 0u);  // valid interleaved calls were answered
 
   // The NFS client (own connection) still gets service.
-  auto task = world.client().Getattr(world.server->RootFh());
-  auto attr_or = world.Run(task, world.scheduler().now() + Seconds(60));
+  auto task = world.client().Getattr(world.server().RootFh());
+  auto attr_or = world.Run(task, Seconds(60));
   EXPECT_TRUE(attr_or.ok());
 
   // Drain the stragglers (see the UDP test) before the world dies.
@@ -449,14 +449,14 @@ TEST(FuzzTest, TcpServerSurvivesMutatedRecordBodies) {
 }
 
 TEST(FuzzTest, TcpServerPoisonsConnectionsWithCorruptMarks) {
-  NfsWorld world;
-  TcpStack& tcp = *world.client_tcp[0];
+  World world(QuietWorld());
+  TcpStack& tcp = *world.client_tcp(0);
   Rng rng(FuzzSeed());
 
   constexpr int kConnections = 40;
   for (int i = 0; i < kConnections; ++i) {
     TcpConnection* conn = tcp.Connect(tcp.AllocateEphemeralPort(),
-                                      SockAddr{world.topo.server->id(), kNfsPort},
+                                      SockAddr{world.topology().server->id(), kNfsPort},
                                       []() {}, TcpConfig{});
     conn->set_data_handler([](MbufChain) {});
     world.scheduler().RunFor(Milliseconds(20));
@@ -486,12 +486,12 @@ TEST(FuzzTest, TcpServerPoisonsConnectionsWithCorruptMarks) {
   }
   world.scheduler().RunFor(Seconds(1));
 
-  EXPECT_EQ(world.server->rpc_stats().corrupted_records,
+  EXPECT_EQ(world.server().rpc_stats().corrupted_records,
             static_cast<uint64_t>(kConnections));
 
   // Poisoned connections must not have taken the server down for anyone else.
-  auto task = world.client().Getattr(world.server->RootFh());
-  auto attr_or = world.Run(task, world.scheduler().now() + Seconds(60));
+  auto task = world.client().Getattr(world.server().RootFh());
+  auto attr_or = world.Run(task, Seconds(60));
   EXPECT_TRUE(attr_or.ok());
 }
 
@@ -511,10 +511,10 @@ MbufChain RecordMarked(const std::vector<uint8_t>& body) {
 // resync hunt must find the call's boundary and answer it on the same
 // connection, no reconnect needed.
 TEST(FuzzTest, TcpServerResynchronizesAfterCorruptMark) {
-  NfsWorld world;
-  TcpStack& tcp = *world.client_tcp[0];
+  World world(QuietWorld());
+  TcpStack& tcp = *world.client_tcp(0);
   TcpConnection* conn = tcp.Connect(tcp.AllocateEphemeralPort(),
-                                    SockAddr{world.topo.server->id(), kNfsPort},
+                                    SockAddr{world.topology().server->id(), kNfsPort},
                                     []() {}, TcpConfig{});
   uint64_t reply_bytes = 0;
   conn->set_data_handler([&](MbufChain data) { reply_bytes += data.Length(); });
@@ -523,14 +523,14 @@ TEST(FuzzTest, TcpServerResynchronizesAfterCorruptMark) {
   uint8_t evil[8] = {0x00, 0x00, 0x10, 0x00, 0xde, 0xad, 0xbe, 0xef};
   MbufChain stream = MbufChain::FromBytes(evil, sizeof(evil));
   stream.Concat(RecordMarked(EncodeCall(
-      0xBEEF, kNfsGetattr, [&](XdrEncoder& e) { EncodeFh(e, world.server->RootFh()); })));
+      0xBEEF, kNfsGetattr, [&](XdrEncoder& e) { EncodeFh(e, world.server().RootFh()); })));
   conn->Send(std::move(stream));
   world.scheduler().RunFor(Seconds(1));
 
-  EXPECT_EQ(world.server->rpc_stats().corrupted_records, 1u);
-  EXPECT_EQ(world.server->rpc_stats().resync_hunts, 1u);
-  EXPECT_EQ(world.server->rpc_stats().resync_successes, 1u);
-  EXPECT_EQ(world.server->rpc_stats().resync_failures, 0u);
+  EXPECT_EQ(world.server().rpc_stats().corrupted_records, 1u);
+  EXPECT_EQ(world.server().rpc_stats().resync_hunts, 1u);
+  EXPECT_EQ(world.server().rpc_stats().resync_successes, 1u);
+  EXPECT_EQ(world.server().rpc_stats().resync_failures, 0u);
   EXPECT_GT(reply_bytes, 0u);  // the hunted-out call was answered in place
 }
 
@@ -538,10 +538,10 @@ TEST(FuzzTest, TcpServerResynchronizesAfterCorruptMark) {
 // give up at its window — the old poison behavior, now with the failure
 // counted — and the server must keep serving everyone else.
 TEST(FuzzTest, TcpServerPoisonsConnectionWhenHuntOverruns) {
-  NfsWorld world;
-  TcpStack& tcp = *world.client_tcp[0];
+  World world(QuietWorld());
+  TcpStack& tcp = *world.client_tcp(0);
   TcpConnection* conn = tcp.Connect(tcp.AllocateEphemeralPort(),
-                                    SockAddr{world.topo.server->id(), kNfsPort},
+                                    SockAddr{world.topology().server->id(), kNfsPort},
                                     []() {}, TcpConfig{});
   uint64_t reply_bytes = 0;
   conn->set_data_handler([&](MbufChain data) { reply_bytes += data.Length(); });
@@ -555,20 +555,20 @@ TEST(FuzzTest, TcpServerPoisonsConnectionWhenHuntOverruns) {
   conn->Send(MbufChain::FromBytes(zeros.data(), zeros.size()));
   world.scheduler().RunFor(Seconds(5));
 
-  EXPECT_EQ(world.server->rpc_stats().corrupted_records, 1u);
-  EXPECT_EQ(world.server->rpc_stats().resync_hunts, 1u);
-  EXPECT_EQ(world.server->rpc_stats().resync_successes, 0u);
-  EXPECT_EQ(world.server->rpc_stats().resync_failures, 1u);
+  EXPECT_EQ(world.server().rpc_stats().corrupted_records, 1u);
+  EXPECT_EQ(world.server().rpc_stats().resync_hunts, 1u);
+  EXPECT_EQ(world.server().rpc_stats().resync_successes, 0u);
+  EXPECT_EQ(world.server().rpc_stats().resync_failures, 1u);
 
   // A valid call after the overrun goes unanswered: the stream is poisoned.
   conn->Send(RecordMarked(EncodeCall(
-      0xBEEF, kNfsGetattr, [&](XdrEncoder& e) { EncodeFh(e, world.server->RootFh()); })));
+      0xBEEF, kNfsGetattr, [&](XdrEncoder& e) { EncodeFh(e, world.server().RootFh()); })));
   world.scheduler().RunFor(Seconds(1));
   EXPECT_EQ(reply_bytes, 0u);
 
   // The poisoned connection must not take the server down for anyone else.
-  auto task = world.client().Getattr(world.server->RootFh());
-  auto attr_or = world.Run(task, world.scheduler().now() + Seconds(60));
+  auto task = world.client().Getattr(world.server().RootFh());
+  auto attr_or = world.Run(task, Seconds(60));
   EXPECT_TRUE(attr_or.ok());
 }
 
@@ -577,9 +577,9 @@ TEST(FuzzTest, TcpServerPoisonsConnectionWhenHuntOverruns) {
 // cycled the connection (losing the call on a plain mount); the hunt must
 // find the reply and resolve the call with zero reconnects.
 TEST(FuzzTest, TcpClientResynchronizesAfterCorruptReplyMark) {
-  NfsWorld world;
+  World world(QuietWorld());
   const uint16_t port = 4444;
-  world.server_tcp->Listen(port, [&](TcpConnection* conn) {
+  world.server_tcp()->Listen(port, [&](TcpConnection* conn) {
     conn->set_data_handler([conn](MbufChain data) {
       if (data.Length() < 8) {
         return;
@@ -606,8 +606,8 @@ TEST(FuzzTest, TcpClientResynchronizesAfterCorruptReplyMark) {
   });
 
   TcpRpcOptions options;  // plain mount: a reconnect would lose the call
-  TcpRpcTransport transport(world.client_tcp[0].get(), 893,
-                            SockAddr{world.topo.server->id(), port}, options);
+  TcpRpcTransport transport(world.client_tcp(0), 893,
+                            SockAddr{world.topology().server->id(), port}, options);
 
   auto task = transport.Call(kNfsNull, RpcTimerClass::kOther, MbufChain());
   auto result = world.Run(task, Seconds(30));
@@ -621,11 +621,11 @@ TEST(FuzzTest, TcpClientResynchronizesAfterCorruptReplyMark) {
 }
 
 TEST(FuzzTest, TcpClientSurvivesHostileServer) {
-  NfsWorld world;
+  World world(QuietWorld());
   // A hostile listener on the server node: whatever arrives, it answers with
   // bytes whose record mark is invalid.
   const uint16_t hostile_port = 3333;
-  world.server_tcp->Listen(hostile_port, [&](TcpConnection* conn) {
+  world.server_tcp()->Listen(hostile_port, [&](TcpConnection* conn) {
     conn->set_data_handler([conn](MbufChain) {
       uint8_t garbage[16] = {0x00, 0x12, 0x34, 0x56, 0xde, 0xad, 0xbe, 0xef,
                              0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
@@ -634,8 +634,8 @@ TEST(FuzzTest, TcpClientSurvivesHostileServer) {
   });
 
   TcpRpcOptions options;  // plain mount: no recovery, no retained wire
-  TcpRpcTransport transport(world.client_tcp[0].get(), 891,
-                            SockAddr{world.topo.server->id(), hostile_port}, options);
+  TcpRpcTransport transport(world.client_tcp(0), 891,
+                            SockAddr{world.topology().server->id(), hostile_port}, options);
 
   auto task = transport.Call(kNfsNull, RpcTimerClass::kOther, MbufChain());
   auto result = world.Run(task, Seconds(120));

@@ -159,18 +159,8 @@ TEST(MediumTest, BackgroundTrafficOccupiesBandwidth) {
   EXPECT_GT(arrival, Milliseconds(8));  // queued behind the background frame
 }
 
-TopologyOptions QuietOptions() {
-  TopologyOptions options;
-  options.ethernet_background = 0;
-  options.ring_background = 0;
-  options.ethernet_loss = 0;
-  options.ring_loss = 0;
-  options.serial_loss = 0;
-  return options;
-}
-
 struct RoutedPath {
-  explicit RoutedPath(TopologyKind kind, TopologyOptions options = QuietOptions()) {
+  explicit RoutedPath(TopologyKind kind, TopologyOptions options = TopologyOptions::Quiet()) {
     topo = BuildTopology(kind, options);
     udp_client = std::make_unique<UdpStack>(topo.client);
     udp_server = std::make_unique<UdpStack>(topo.server);
@@ -232,7 +222,7 @@ TEST(TopologyLatencyTest, SlowLinkMuchSlowerThanLan) {
 }
 
 TEST(TopologyLatencyTest, FragmentLossKillsWholeDatagram) {
-  TopologyOptions options = QuietOptions();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ring_loss = 0.5;  // drop half the frames on the ring
   options.seed = 3;
   RoutedPath path(TopologyKind::kTokenRingPath, options);

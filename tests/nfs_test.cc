@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,7 @@ CoTask<StatusOr<std::vector<uint8_t>>> ReadFile(NfsClient& client, NfsFh fh, siz
 }
 
 TEST(NfsIntegrationTest, CreateWriteReadBack) {
-  NfsWorld world;
+  World world(QuietWorld());
   const auto data = Pattern(100 * 1024);
   NfsFh fh;
   auto write_task = WriteFile(world.client(), world.client().root(), "big.dat", data, &fh);
@@ -71,15 +72,15 @@ TEST(NfsIntegrationTest, CreateWriteReadBack) {
   EXPECT_EQ(bytes_or.value(), data);
 
   // Server really has the data (check through LocalFs).
-  auto server_ino = world.fs->Lookup(world.fs->root(), "big.dat");
+  auto server_ino = world.fs().Lookup(world.fs().root(), "big.dat");
   ASSERT_TRUE(server_ino.ok());
-  auto server_data = world.fs->Read(*server_ino, 0, 200 * 1024);
+  auto server_data = world.fs().Read(*server_ino, 0, 200 * 1024);
   ASSERT_TRUE(server_data.ok());
   EXPECT_EQ(*server_data, data);
 }
 
 TEST(NfsIntegrationTest, WorksOverTcpTransport) {
-  NfsWorld world(1, NfsMountOptions::RenoTcp());
+  World world(QuietWorld(1, NfsMountOptions::RenoTcp()));
   const auto data = Pattern(64 * 1024, 9);
   NfsFh fh;
   auto write_task = WriteFile(world.client(), world.client().root(), "t.dat", data, &fh);
@@ -92,7 +93,7 @@ TEST(NfsIntegrationTest, WorksOverTcpTransport) {
 }
 
 TEST(NfsIntegrationTest, LookupPathWalksComponents) {
-  NfsWorld world;
+  World world(QuietWorld());
   auto setup = [](NfsClient& c) -> CoTask<Status> {
     auto a = co_await c.Mkdir(c.root(), "usr");
     if (!a.ok()) {
@@ -117,7 +118,7 @@ TEST(NfsIntegrationTest, LookupPathWalksComponents) {
 }
 
 TEST(NfsIntegrationTest, NameCacheEliminatesRepeatLookupRpcs) {
-  NfsWorld world;
+  World world(QuietWorld());
   auto setup = [](NfsClient& c) -> CoTask<Status> {
     auto f = co_await c.Create(c.root(), "cached");
     co_return f.status();
@@ -142,7 +143,7 @@ TEST(NfsIntegrationTest, NameCacheEliminatesRepeatLookupRpcs) {
 TEST(NfsIntegrationTest, NoNameCacheIssuesRpcPerLookup) {
   NfsMountOptions mount = NfsMountOptions::Reno();
   mount.name_cache = false;
-  NfsWorld world(1, mount);
+  World world(QuietWorld(1, mount));
   auto setup = [](NfsClient& c) -> CoTask<Status> {
     auto f = co_await c.Create(c.root(), "raw");
     co_return f.status();
@@ -164,7 +165,7 @@ TEST(NfsIntegrationTest, NoNameCacheIssuesRpcPerLookup) {
 }
 
 TEST(NfsIntegrationTest, AttrCacheFiveSecondTimeout) {
-  NfsWorld world;
+  World world(QuietWorld());
   NfsFh fh;
   auto setup = WriteFile(world.client(), world.client().root(), "attrs", Pattern(10), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
@@ -190,8 +191,8 @@ TEST(NfsIntegrationTest, AttrCacheFiveSecondTimeout) {
 }
 
 TEST(NfsIntegrationTest, DelayedWritePolicyDefersUntilClose) {
-  NfsWorld world;  // Reno default: delayed writes, push on close
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld());  // Reno default: delayed writes, push on close
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "delay");
     if (!fh_or.ok()) {
@@ -219,8 +220,8 @@ TEST(NfsIntegrationTest, DelayedWritePolicyDefersUntilClose) {
 TEST(NfsIntegrationTest, WriteThroughPushesImmediately) {
   NfsMountOptions mount = NfsMountOptions::Reno();
   mount.biods = 0;  // no biods => write-through, as in Table #5
-  NfsWorld world(1, mount);
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld(1, mount));
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "sync");
     if (!fh_or.ok()) {
@@ -240,8 +241,8 @@ TEST(NfsIntegrationTest, WriteThroughPushesImmediately) {
 TEST(NfsIntegrationTest, AsyncPolicyPushesFullBlocksInBackground) {
   NfsMountOptions mount = NfsMountOptions::Reno();
   mount.write_policy = WritePolicy::kAsync;
-  NfsWorld world(1, mount);
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld(1, mount));
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "async");
     if (!fh_or.ok()) {
@@ -263,8 +264,8 @@ TEST(NfsIntegrationTest, PushBeforeReadCausesReReadOfOwnWrites) {
   // RPCs). The Ultrix-like client trusts its own writes and reads from
   // cache.
   auto reads_after_write_then_read = [](NfsMountOptions mount) {
-    NfsWorld world(1, mount);
-    auto task = [](NfsWorld& w) -> CoTask<Status> {
+    World world(QuietWorld(1, mount));
+    auto task = [](World& w) -> CoTask<Status> {
       NfsClient& c = w.client();
       auto fh_or = co_await c.Create(c.root(), "rw");
       if (!fh_or.ok()) {
@@ -298,7 +299,7 @@ TEST(NfsIntegrationTest, UltrixPartialWritePrereadsBlock) {
   // Without dirty-region bufs, modifying the middle of an existing block
   // requires pre-reading it from the server. Use a second client so the
   // writer's cache is cold.
-  NfsWorld world(2, NfsMountOptions::UltrixLike());
+  World world(QuietWorld(2, NfsMountOptions::UltrixLike()));
   NfsFh fh;
   auto setup = WriteFile(world.client(0), world.client(0).root(), "pre", Pattern(4000), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
@@ -328,7 +329,7 @@ TEST(NfsIntegrationTest, UltrixPartialWritePrereadsBlock) {
 }
 
 TEST(NfsIntegrationTest, RenoPartialWriteNeedsNoPreread) {
-  NfsWorld world;  // Reno: dirty-region bufs
+  World world(QuietWorld());  // Reno: dirty-region bufs
   NfsFh fh;
   auto setup = WriteFile(world.client(), world.client().root(), "nopre", Pattern(4000), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
@@ -358,7 +359,7 @@ TEST(NfsIntegrationTest, RenoPartialWriteNeedsNoPreread) {
 }
 
 TEST(NfsIntegrationTest, CloseOpenConsistencyBetweenTwoClients) {
-  NfsWorld world(2);
+  World world(QuietWorld(2));
   // Client 0 creates and writes; client 1 opens afterwards and must see it.
   NfsFh fh0;
   auto write_task =
@@ -385,7 +386,7 @@ TEST(NfsIntegrationTest, CloseOpenConsistencyBetweenTwoClients) {
 }
 
 TEST(NfsIntegrationTest, SecondClientSeesUpdateAfterCloseAndTtl) {
-  NfsWorld world(2);
+  World world(QuietWorld(2));
   NfsFh fh0;
   auto v1 = WriteFile(world.client(0), world.client(0).root(), "evolving", Pattern(5000, 1), &fh0);
   ASSERT_TRUE(world.Run(v1).ok());
@@ -440,8 +441,8 @@ TEST(NfsIntegrationTest, SecondClientSeesUpdateAfterCloseAndTtl) {
 TEST(NfsIntegrationTest, NoConsistRemoveBeforePushSkipsWrites) {
   // The create-delete win: with no push-on-close, deleting the file discards
   // the delayed writes entirely — zero write RPCs (Table #5 "no consist").
-  NfsWorld world(1, NfsMountOptions::RenoNoConsist());
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld(1, NfsMountOptions::RenoNoConsist()));
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "ephemeral");
     if (!fh_or.ok()) {
@@ -458,7 +459,7 @@ TEST(NfsIntegrationTest, NoConsistRemoveBeforePushSkipsWrites) {
 }
 
 TEST(NfsIntegrationTest, ReaddirListsAndCaches) {
-  NfsWorld world;
+  World world(QuietWorld());
   auto setup = [](NfsClient& c) -> CoTask<Status> {
     for (int i = 0; i < 30; ++i) {
       auto f = co_await c.Create(c.root(), "entry" + std::to_string(i));
@@ -486,8 +487,8 @@ TEST(NfsIntegrationTest, ReaddirListsAndCaches) {
 }
 
 TEST(NfsIntegrationTest, RenameLinkSymlinkReadlink) {
-  NfsWorld world;
-  auto task = [](NfsWorld& w) -> CoTask<Status> {
+  World world(QuietWorld());
+  auto task = [](World& w) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "orig");
     if (!fh_or.ok()) {
@@ -533,7 +534,7 @@ TEST(NfsIntegrationTest, RenameLinkSymlinkReadlink) {
 }
 
 TEST(NfsIntegrationTest, StatfsReportsServerVolume) {
-  NfsWorld world;
+  World world(QuietWorld());
   auto task = world.client().Statfs();
   auto stat_or = world.Run(task);
   ASSERT_TRUE(stat_or.ok());
@@ -541,7 +542,7 @@ TEST(NfsIntegrationTest, StatfsReportsServerVolume) {
 }
 
 TEST(NfsIntegrationTest, StaleFileHandleError) {
-  NfsWorld world;
+  World world(QuietWorld());
   auto task = world.client().Getattr(NfsFh::Make(1, 9999));
   auto attr_or = world.Run(task);
   ASSERT_FALSE(attr_or.ok());
@@ -549,7 +550,7 @@ TEST(NfsIntegrationTest, StaleFileHandleError) {
 }
 
 TEST(NfsIntegrationTest, SetattrTruncateVisibleOnRead) {
-  NfsWorld world;
+  World world(QuietWorld());
   NfsFh fh;
   auto setup = WriteFile(world.client(), world.client().root(), "trunc", Pattern(9000), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
@@ -568,13 +569,13 @@ TEST(NfsIntegrationTest, SetattrTruncateVisibleOnRead) {
 }
 
 TEST(NfsIntegrationTest, ServerCountsPerProcCalls) {
-  NfsWorld world;
+  World world(QuietWorld());
   NfsFh fh;
   auto setup = WriteFile(world.client(), world.client().root(), "counted", Pattern(10), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
-  EXPECT_GE(world.server->stats().proc_counts[kNfsCreate], 1u);
-  EXPECT_GE(world.server->stats().proc_counts[kNfsWrite], 1u);
-  EXPECT_GT(world.server->stats().disk_writes, 0u);
+  EXPECT_GE(world.server().stats().proc_counts[kNfsCreate], 1u);
+  EXPECT_GE(world.server().stats().proc_counts[kNfsWrite], 1u);
+  EXPECT_GT(world.server().stats().disk_writes, 0u);
 }
 
 TEST(NfsIntegrationTest, RsizeBelowBlockSizeSplitsReads) {
@@ -582,7 +583,7 @@ TEST(NfsIntegrationTest, RsizeBelowBlockSizeSplitsReads) {
   mount.rsize = 2048;
   mount.wsize = 2048;
   mount.read_ahead = 0;
-  NfsWorld world(1, mount);
+  World world(QuietWorld(1, mount));
   NfsFh fh;
   auto setup = WriteFile(world.client(), world.client().root(), "small-io", Pattern(8192), &fh);
   ASSERT_TRUE(world.Run(setup).ok());
@@ -604,14 +605,18 @@ struct PersonalityCase {
   NfsMountOptions (*make)();
 };
 
+// Without this gtest prints the parameter as its raw bytes, two pointers, and
+// the test IDs ctest discovers would change with every load address.
+void PrintTo(const PersonalityCase& personality, std::ostream* os) { *os << personality.name; }
+
 class NfsDataIntegrityTest : public ::testing::TestWithParam<PersonalityCase> {};
 
 TEST_P(NfsDataIntegrityTest, RandomOpsMatchModel) {
-  NfsWorld world(1, GetParam().make());
+  World world(QuietWorld(1, GetParam().make()));
   Rng ops_rng(2024);
   std::vector<uint8_t> expected;
 
-  auto task = [](NfsWorld& w, Rng& rng, std::vector<uint8_t>& model) -> CoTask<Status> {
+  auto task = [](World& w, Rng& rng, std::vector<uint8_t>& model) -> CoTask<Status> {
     NfsClient& c = w.client();
     auto fh_or = co_await c.Create(c.root(), "model");
     if (!fh_or.ok()) {
@@ -678,9 +683,9 @@ TEST_P(NfsDataIntegrityTest, RandomOpsMatchModel) {
   // except under no-consistency, where unpushed data may remain client-side.
   auto flush = world.client().FlushAll();
   ASSERT_TRUE(world.Run(flush).ok());
-  auto ino = world.fs->Lookup(world.fs->root(), "model");
+  auto ino = world.fs().Lookup(world.fs().root(), "model");
   ASSERT_TRUE(ino.ok());
-  auto server_bytes = world.fs->Read(*ino, 0, expected.size() + 1000);
+  auto server_bytes = world.fs().Read(*ino, 0, expected.size() + 1000);
   ASSERT_TRUE(server_bytes.ok());
   EXPECT_EQ(*server_bytes, expected);
 }

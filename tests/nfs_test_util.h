@@ -1,149 +1,45 @@
-// Shared client/server fixture for NFS integration tests and workloads.
+// Shared helpers for tests that build a whole NFS installation (World).
 #ifndef RENONFS_TESTS_NFS_TEST_UTIL_H_
 #define RENONFS_TESTS_NFS_TEST_UTIL_H_
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <gtest/gtest.h>
 
-#include "src/fs/local_fs.h"
-#include "src/net/network.h"
-#include "src/net/udp.h"
-#include "src/nfs/client.h"
-#include "src/nfs/server.h"
-#include "src/obs/profiler.h"
-#include "src/obs/trace.h"
-#include "src/sim/audit.h"
-#include "src/tcp/tcp.h"
-#include "src/util/logging.h"
+#include <iostream>
+#include <utility>
+
+#include "src/workload/chaos.h"
+#include "src/workload/world.h"
 
 namespace renonfs {
 
-inline TopologyOptions QuietTopology() {
-  TopologyOptions options;
-  options.ethernet_background = 0;
-  options.ring_background = 0;
-  options.ethernet_loss = 0;
-  options.ring_loss = 0;
-  options.serial_loss = 0;
+// One server plus `clients` mounts on a quiet same-LAN topology. The seed is
+// pinned: an exported RENONFS_SEED must not re-seed tests that assert exact
+// counts.
+inline WorldOptions QuietWorld(size_t clients = 1, NfsMountOptions mount = NfsMountOptions::Reno(),
+                               NfsServerOptions server = NfsServerOptions::Reno()) {
+  WorldOptions options;
+  options.topology_options = TopologyOptions::Quiet();
+  options.mount = std::move(mount);
+  options.server = std::move(server);
+  options.clients = clients;
+  options.seed_from_env = false;
   return options;
 }
 
-// One server plus N clients on a topology; client 0 rides the built
-// topology's client node, further clients are added to the first medium on
-// the path (the client-side Ethernet).
-struct NfsWorld {
-  explicit NfsWorld(size_t num_clients = 1,
-                    NfsMountOptions mount = NfsMountOptions::Reno(),
-                    NfsServerOptions server_options = NfsServerOptions::Reno(),
-                    TopologyKind kind = TopologyKind::kSameLan,
-                    TopologyOptions topo_options = QuietTopology()) {
-    topo = BuildTopology(kind, topo_options);
-    fs = std::make_unique<LocalFs>(topo.scheduler());
-    server_udp = std::make_unique<UdpStack>(topo.server);
-    server_tcp = std::make_unique<TcpStack>(topo.server);
-    server = std::make_unique<NfsServer>(topo.server, fs.get(), server_options);
-    server->AttachUdp(server_udp.get());
-    server->AttachTcp(server_tcp.get());
-
-    if (kind != TopologyKind::kSameLan) {
-      mount.tcp.mss = 966;  // below the smallest path MTU
-    }
-
-    std::vector<Node*> client_nodes;
-    client_nodes.push_back(topo.client);
-    Medium* client_lan = topo.path_media.front();
-    for (size_t i = 1; i < num_clients; ++i) {
-      Node* extra = topo.network->AddNode(topo_options.host_profile,
-                                          "client" + std::to_string(i));
-      extra->AttachMedium(client_lan);
-      if (kind == TopologyKind::kSameLan) {
-        extra->AddRoute(topo.server->id(), client_lan, topo.server->id());
-        topo.server->AddRoute(extra->id(), client_lan, extra->id());
-      } else {
-        // Route through the same first-hop router as client 0; the routers
-        // use default routes, so only the reverse direction needs care.
-        extra->SetDefaultRoute(client_lan, topo.network->nodes()[2]->id());
-      }
-      client_nodes.push_back(extra);
-    }
-
-    for (size_t i = 0; i < num_clients; ++i) {
-      client_udp.push_back(std::make_unique<UdpStack>(client_nodes[i]));
-      client_tcp.push_back(std::make_unique<TcpStack>(client_nodes[i]));
-      clients.push_back(std::make_unique<NfsClient>(
-          client_nodes[i], client_udp.back().get(), client_tcp.back().get(),
-          SockAddr{topo.server->id(), kNfsPort}, server->RootFh(), mount,
-          static_cast<uint16_t>(890 + i)));
-    }
-
-    // Per-RPC trace ring across all layers, for failure dumps (see
-    // DumpTraceOnFailure in the fault/chaos tests).
-    tracer = std::make_unique<Tracer>(topo.scheduler(), 4096);
-    tracer->set_proc_namer(NfsProcName);
-    const uint16_t rpc_track = tracer->RegisterTrack("server.rpc");
-    const uint16_t nfs_track = tracer->RegisterTrack("server.nfs");
-    server->set_tracer(tracer.get(), rpc_track, nfs_track);
-    for (size_t i = 0; i < clients.size(); ++i) {
-      const std::string name =
-          i == 0 ? "client.rpc" : "client" + std::to_string(i) + ".rpc";
-      clients[i]->set_tracer(tracer.get(), tracer->RegisterTrack(name));
-    }
-
-    // Quiesce audit over the caches and the server disk (see src/sim/audit.h);
-    // the destructor drains and CHECKs unless a test clears quiesce_audit.
-    auditor = std::make_unique<InvariantAuditor>();
-    auto register_cache = [this](std::string cache_name, const BufCache& cache) {
-      InvariantAuditor::CacheHooks hooks;
-      hooks.name = std::move(cache_name);
-      hooks.owner = &cache;
-      hooks.loaned_count = [&cache] { return cache.loaned_count(); };
-      hooks.collect = [&cache](std::unordered_set<const Cluster*>& out) {
-        cache.CollectClusterIds(out);
-      };
-      auditor->RegisterCache(std::move(hooks));
-    };
-    register_cache("server", server->cache());
-    for (size_t i = 0; i < clients.size(); ++i) {
-      register_cache("client" + std::to_string(i), clients[i]->buf_cache());
-    }
-    auditor->RegisterDisk("server", &topo.server->disk());
-  }
-
-  ~NfsWorld() {
-    if (!quiesce_audit) {
-      return;
-    }
-    QuiesceReport report = auditor->DrainAndAudit(scheduler());
-    CHECK(report.ok()) << report.Summary();
-  }
-
-  Scheduler& scheduler() { return topo.scheduler(); }
-  NfsClient& client(size_t i = 0) { return *clients[i]; }
-
-  // Runs the scheduler until `task` completes (or the deadline passes).
-  template <typename T>
-  T Run(CoTask<T>& task, SimTime deadline = Seconds(3600)) {
-    while (!task.done() && scheduler().now() < deadline) {
-      scheduler().RunUntil(scheduler().now() + Milliseconds(200));
-    }
-    CHECK(task.done()) << "task did not complete by the deadline";
-    if constexpr (!std::is_void_v<T>) {
-      return task.Take();
+// When the enclosing test fails, dumps the world's metrics, server CPU
+// profile, latency attribution and trace tail to stderr, so failures are
+// debuggable from the CI logs alone.
+class DumpOnFailure {
+ public:
+  explicit DumpOnFailure(World& world) : world_(world) {}
+  ~DumpOnFailure() {
+    if (::testing::Test::HasFailure()) {
+      DumpObservability(world_, std::cerr);
     }
   }
 
-  Topology topo;
-  std::unique_ptr<LocalFs> fs;
-  std::unique_ptr<UdpStack> server_udp;
-  std::unique_ptr<TcpStack> server_tcp;
-  std::unique_ptr<NfsServer> server;
-  std::vector<std::unique_ptr<UdpStack>> client_udp;
-  std::vector<std::unique_ptr<TcpStack>> client_tcp;
-  std::vector<std::unique_ptr<NfsClient>> clients;
-  std::unique_ptr<Tracer> tracer;
-  std::unique_ptr<InvariantAuditor> auditor;
-  bool quiesce_audit = true;
+ private:
+  World& world_;
 };
 
 }  // namespace renonfs

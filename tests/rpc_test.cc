@@ -256,16 +256,6 @@ struct RpcFixture {
   int side_effect_count = 0;
 };
 
-TopologyOptions QuietOptions() {
-  TopologyOptions options;
-  options.ethernet_background = 0;
-  options.ring_background = 0;
-  options.ethernet_loss = 0;
-  options.ring_loss = 0;
-  options.serial_loss = 0;
-  return options;
-}
-
 CoTask<void> CallEcho(RpcClientTransport& transport, MbufChain args,
                       std::optional<std::vector<uint8_t>>& out) {
   auto result = co_await transport.Call(kEchoProc, RpcTimerClass::kRead, std::move(args));
@@ -283,7 +273,7 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed = 3) {
 }
 
 TEST(RpcEndToEndTest, UdpEchoSmall) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   auto transport = fix.MakeUdpTransport(UdpRpcOptions::FixedRto());
   const auto data = Pattern(200);
   std::optional<std::vector<uint8_t>> reply;
@@ -295,7 +285,7 @@ TEST(RpcEndToEndTest, UdpEchoSmall) {
 }
 
 TEST(RpcEndToEndTest, UdpEcho8K) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   auto transport = fix.MakeUdpTransport(UdpRpcOptions::FixedRto());
   const auto data = Pattern(8192);
   std::optional<std::vector<uint8_t>> reply;
@@ -306,7 +296,7 @@ TEST(RpcEndToEndTest, UdpEcho8K) {
 }
 
 TEST(RpcEndToEndTest, TcpEcho8K) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   auto transport = fix.MakeTcpTransport();
   const auto data = Pattern(8192);
   std::optional<std::vector<uint8_t>> reply;
@@ -317,7 +307,7 @@ TEST(RpcEndToEndTest, TcpEcho8K) {
 }
 
 TEST(RpcEndToEndTest, UdpRetransmitsOnLossAndStillCompletes) {
-  TopologyOptions options = QuietOptions();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = 0.15;
   options.seed = 9;
   RpcFixture fix(TopologyKind::kSameLan, options);
@@ -345,7 +335,7 @@ TEST(RpcEndToEndTest, UdpRetransmitsOnLossAndStillCompletes) {
 TEST(RpcEndToEndTest, DuplicateRequestCachePreventsReexecution) {
   // Force duplicates: an RTO shorter than the server's processing time makes
   // the client retransmit while the original request is still executing.
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   UdpRpcOptions options = UdpRpcOptions::FixedRto(Milliseconds(400));
   auto transport = fix.MakeUdpTransport(options);
   std::optional<uint32_t> counter_value;
@@ -366,7 +356,7 @@ TEST(RpcEndToEndTest, DuplicateRequestCachePreventsReexecution) {
 }
 
 TEST(RpcEndToEndTest, InProgressDuplicateDropped) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   // RTO 400 ms, server takes 1.5 s: several retransmissions arrive while the
   // first execution is still in progress — they must all be dropped.
   auto transport = fix.MakeUdpTransport(UdpRpcOptions::FixedRto(Milliseconds(400)));
@@ -388,11 +378,11 @@ TEST(RpcEndToEndTest, InProgressDuplicateDropped) {
 }
 
 TEST(RpcEndToEndTest, NonIdempotentReplayedFromCache) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   // Drop the first reply by cutting the server->client direction briefly:
   // easiest deterministic approach is heavy loss with a fixed seed and many
   // calls; assert executions <= calls even when replies were lost.
-  TopologyOptions options = QuietOptions();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = 0.3;
   options.seed = 17;
   RpcFixture lossy(TopologyKind::kSameLan, options);
@@ -427,7 +417,7 @@ TEST(RpcEndToEndTest, NonIdempotentReplayedFromCache) {
 TEST(RpcEndToEndTest, DupCacheEntryAgesOutAndReexecutes) {
   RpcServerOptions server_options;
   server_options.dup_cache_max_age = Seconds(5);
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions(), server_options);
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet(), server_options);
   Scheduler& sched = fix.topo.scheduler();
 
   int replies_seen = 0;
@@ -460,7 +450,7 @@ TEST(RpcEndToEndTest, DupCacheEntryAgesOutAndReexecutes) {
 }
 
 TEST(RpcEndToEndTest, CongestionWindowLimitsOutstanding) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   auto transport_ptr = fix.MakeUdpTransport(UdpRpcOptions::DynamicRto());
   auto* transport = static_cast<UdpRpcTransport*>(transport_ptr.get());
   // Fire 10 calls at once: with an initial window of 1 they must trickle out.
@@ -484,7 +474,7 @@ TEST(RpcEndToEndTest, CongestionWindowLimitsOutstanding) {
 }
 
 TEST(RpcEndToEndTest, SoftTimeoutWhenServerUnreachable) {
-  TopologyOptions options = QuietOptions();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = 1.0;  // nothing gets through
   RpcFixture fix(TopologyKind::kSameLan, options);
   UdpRpcOptions udp_options = UdpRpcOptions::FixedRto(Milliseconds(300));
@@ -504,7 +494,7 @@ TEST(RpcEndToEndTest, SoftTimeoutWhenServerUnreachable) {
 TEST(RpcEndToEndTest, DynamicRtoRetransmitsFasterThanFixedAfterLearning) {
   // After learning a ~20 ms LAN RTT, the dynamic policy's RTO is far below
   // the 1 s constant; a lost datagram is retried much sooner.
-  TopologyOptions options = QuietOptions();
+  TopologyOptions options = TopologyOptions::Quiet();
   RpcFixture fix(TopologyKind::kSameLan, options);
   auto transport_ptr = fix.MakeUdpTransport(UdpRpcOptions::DynamicRto());
   auto* transport = static_cast<UdpRpcTransport*>(transport_ptr.get());
@@ -528,7 +518,7 @@ TEST(RpcEndToEndTest, DynamicRtoRetransmitsFasterThanFixedAfterLearning) {
 }
 
 TEST(RpcEndToEndTest, TcpManyCallsOverOneConnection) {
-  RpcFixture fix(TopologyKind::kSameLan, QuietOptions());
+  RpcFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   auto transport = fix.MakeTcpTransport();
   int completed = 0;
   std::vector<CoTask<void>> tasks;

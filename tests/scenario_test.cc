@@ -13,7 +13,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/scenario/runner.h"
-#include "src/sim/scheduler.h"
 #include "src/scenario/scenario.h"
 #include "src/scenario/trace.h"
 #include "src/util/config.h"
@@ -388,36 +387,16 @@ TEST(ScenarioRunnerTest, TamperedRecordReportsDivergence) {
   ASSERT_TRUE(op_replay.value().diverged());
 }
 
-// Restores the process default scheduler backend on scope exit.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(SchedulerBackend backend) : old_(Scheduler::DefaultBackend()) {
-    Scheduler::SetDefaultBackend(backend);
-  }
-  ~ScopedBackend() { Scheduler::SetDefaultBackend(old_); }
-
- private:
-  SchedulerBackend old_;
-};
-
 TEST(ScenarioRunnerTest, LegacyHeapTraceReplaysOnTimingWheel) {
-  // Cross-backend replay compatibility: a trace recorded before the
-  // timing-wheel overhaul (simulated here by recording on the legacy heap)
-  // must replay divergence-free on the wheel — same op log, same fault
-  // trace, same snapshot hash. This is the PR 7 trace-replay contract the
-  // scheduler rebuild was required to preserve.
-  ScopedSeedEnv clean(nullptr);
-  const Scenario scenario = Scenario::Parse(kSmallScenario).value();
-  TraceRecord record;
-  {
-    ScopedBackend legacy(SchedulerBackend::kLegacyHeap);
-    auto outcome_or = RunScenario(scenario, /*seed_from_env=*/false);
-    ASSERT_TRUE(outcome_or.ok()) << outcome_or.status();
-    ASSERT_TRUE(outcome_or.value().passed());
-    record = outcome_or.value().Trace();
-  }
-  ScopedBackend wheel(SchedulerBackend::kTimingWheel);
-  auto replay_or = ReplayTrace(record);
+  // Replay compatibility across the scheduler rebuild: this trace was
+  // recorded on the original std::priority_queue scheduler, before that
+  // backend was deleted (seed 7, an opmix run through a loss storm and a
+  // server crash). It must replay divergence-free on the wheel — same op log,
+  // same fault trace, same snapshot hash — so any later change that makes
+  // the simulator drift from what the heap recorded fails here.
+  auto record_or = ReadTraceFile(std::string(RENONFS_TESTDATA_DIR) + "/legacy_heap.trace");
+  ASSERT_TRUE(record_or.ok()) << record_or.status();
+  auto replay_or = ReplayTrace(record_or.value());
   ASSERT_TRUE(replay_or.ok()) << replay_or.status();
   EXPECT_FALSE(replay_or.value().diverged())
       << (replay_or.value().divergences.empty() ? ""

@@ -3,7 +3,6 @@
 // top-K slow-op retention, and timing-neutrality of the passive sink.
 #include <gtest/gtest.h>
 
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -13,30 +12,14 @@
 #include "src/sim/scheduler.h"
 #include "src/workload/chaos.h"
 #include "src/workload/world.h"
+#include "tests/nfs_test_util.h"
 
 namespace renonfs {
 namespace {
 
-class DumpOnFailure {
- public:
-  explicit DumpOnFailure(World& world) : world_(world) {}
-  ~DumpOnFailure() {
-    if (::testing::Test::HasFailure()) {
-      DumpObservability(world_, std::cerr);
-    }
-  }
-
- private:
-  World& world_;
-};
-
 WorldOptions QuietWorldOptions() {
   WorldOptions options;
-  options.topology_options.ethernet_background = 0;
-  options.topology_options.ring_background = 0;
-  options.topology_options.ethernet_loss = 0;
-  options.topology_options.ring_loss = 0;
-  options.topology_options.serial_loss = 0;
+  options.topology_options = TopologyOptions::Quiet();
   options.mount = NfsMountOptions::Reno();
   options.mount.hard = true;
   options.mount.max_tries = 3;

@@ -63,21 +63,11 @@ struct TcpFixture {
   std::vector<uint8_t> client_received;
 };
 
-TopologyOptions Quiet() {
-  TopologyOptions options;
-  options.ethernet_background = 0;
-  options.ring_background = 0;
-  options.ethernet_loss = 0;
-  options.ring_loss = 0;
-  options.serial_loss = 0;
-  return options;
-}
-
 // The ephemeral allocator hands out ports from [49152, 65535], skipping any
 // port a listener or an existing connection on the node already holds, and
 // advances deterministically (reconnecting transports depend on both).
 TEST(TcpTest, EphemeralPortAllocatorSkipsBoundPorts) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   fix.client_stack->Listen(49152, [](TcpConnection*) {});
   fix.client_stack->Connect(49153, SockAddr{fix.topo.server->id(), 2049}, []() {});
@@ -89,7 +79,7 @@ TEST(TcpTest, EphemeralPortAllocatorSkipsBoundPorts) {
 }
 
 TEST(TcpTest, HandshakeEstablishesBothEnds) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   fix.ConnectClient(2049);
   fix.topo.scheduler().Run();
@@ -101,7 +91,7 @@ TEST(TcpTest, HandshakeEstablishesBothEnds) {
 }
 
 TEST(TcpTest, SmallTransferExactBytes) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   const auto data = Pattern(500);
@@ -111,7 +101,7 @@ TEST(TcpTest, SmallTransferExactBytes) {
 }
 
 TEST(TcpTest, BulkTransferSegmentsAndDelivers) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   const auto data = Pattern(100 * 1024);
@@ -124,7 +114,7 @@ TEST(TcpTest, BulkTransferSegmentsAndDelivers) {
 }
 
 TEST(TcpTest, BidirectionalTransfer) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   const auto to_server = Pattern(5000, 1);
@@ -139,7 +129,7 @@ TEST(TcpTest, BidirectionalTransfer) {
 }
 
 TEST(TcpTest, RecoversFromHeavyLoss) {
-  TopologyOptions options = Quiet();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = 0.05;  // 5% frame loss
   options.seed = 11;
   TcpFixture fix(TopologyKind::kSameLan, options);
@@ -154,7 +144,7 @@ TEST(TcpTest, RecoversFromHeavyLoss) {
 }
 
 TEST(TcpTest, MssAvoidsIpFragmentation) {
-  TcpFixture fix(TopologyKind::kTokenRingPath, Quiet());
+  TcpFixture fix(TopologyKind::kTokenRingPath, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   const auto data = Pattern(64 * 1024);
@@ -168,7 +158,7 @@ TEST(TcpTest, MssAvoidsIpFragmentation) {
 }
 
 TEST(TcpTest, RttEstimateTracksPathDelay) {
-  TcpFixture fix(TopologyKind::kSlowLinkPath, Quiet());
+  TcpFixture fix(TopologyKind::kSlowLinkPath, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   const auto data = Pattern(20 * 1024);
@@ -181,7 +171,7 @@ TEST(TcpTest, RttEstimateTracksPathDelay) {
 }
 
 TEST(TcpTest, CongestionWindowGrowsFromOneMss) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   EXPECT_EQ(conn->cwnd(), 1460u);
@@ -192,7 +182,7 @@ TEST(TcpTest, CongestionWindowGrowsFromOneMss) {
 }
 
 TEST(TcpTest, FastRetransmitOnIsolatedLoss) {
-  TopologyOptions options = Quiet();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = 0.01;
   options.seed = 5;
   TcpFixture fix(TopologyKind::kSameLan, options);
@@ -206,7 +196,7 @@ TEST(TcpTest, FastRetransmitOnIsolatedLoss) {
 }
 
 TEST(TcpTest, InterleavedSendsPreserveOrder) {
-  TcpFixture fix(TopologyKind::kSameLan, Quiet());
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);
   TcpConnection* conn = fix.ConnectClient(2049);
   std::vector<uint8_t> expected;
@@ -226,7 +216,7 @@ TEST(TcpTest, InterleavedSendsPreserveOrder) {
 class TcpLossSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TcpLossSweep, ExactDeliveryUnderLoss) {
-  TopologyOptions options = Quiet();
+  TopologyOptions options = TopologyOptions::Quiet();
   options.ethernet_loss = GetParam() / 100.0;
   options.seed = 100 + GetParam();
   TcpFixture fix(TopologyKind::kSameLan, options);

@@ -4,22 +4,10 @@
 #include "src/workload/create_delete.h"
 #include "src/workload/nhfsstone.h"
 #include "src/workload/world.h"
+#include "tests/nfs_test_util.h"
 
 namespace renonfs {
 namespace {
-
-WorldOptions QuietWorld(NfsMountOptions mount = NfsMountOptions::Reno(),
-                        NfsServerOptions server = NfsServerOptions::Reno()) {
-  WorldOptions options;
-  options.topology_options.ethernet_background = 0;
-  options.topology_options.ring_background = 0;
-  options.topology_options.ethernet_loss = 0;
-  options.topology_options.ring_loss = 0;
-  options.topology_options.serial_loss = 0;
-  options.mount = mount;
-  options.server = server;
-  return options;
-}
 
 std::unique_ptr<RpcClientTransport> MakeRawTransport(World& world) {
   UdpRpcOptions options = UdpRpcOptions::DynamicRto();
@@ -115,7 +103,7 @@ TEST(AndrewTest, RunsAllPhasesAndCountsRpcs) {
 
 TEST(AndrewTest, UltrixIssuesMoreLookupsThanReno) {
   auto lookups_for = [](NfsMountOptions mount) {
-    World world(QuietWorld(mount));
+    World world(QuietWorld(1, mount));
     AndrewOptions options;
     options.source_files = 30;
     options.directories = 5;
@@ -135,7 +123,7 @@ TEST(AndrewTest, NoConsistCutsWrites) {
   // Full-size tree: with a trimmed tree the write difference (dominated by
   // discarded compiler temporaries) is within noise.
   auto run_with = [](NfsMountOptions mount) {
-    World world(QuietWorld(mount));
+    World world(QuietWorld(1, mount));
     AndrewBenchmark bench(world, AndrewOptions{});
     bench.PreloadSource();
     return bench.Run();
@@ -153,10 +141,10 @@ TEST(CreateDeleteTest, NoConsistMuchFasterForLargeFiles) {
   options.iterations = 10;
   options.file_bytes = 100 * 1024;
 
-  World consist(QuietWorld(NfsMountOptions::Reno()));
+  World consist(QuietWorld(1, NfsMountOptions::Reno()));
   const CreateDeleteResult with_consistency = RunCreateDeleteNfs(consist, options);
 
-  World noconsist(QuietWorld(NfsMountOptions::RenoNoConsist()));
+  World noconsist(QuietWorld(1, NfsMountOptions::RenoNoConsist()));
   const CreateDeleteResult without = RunCreateDeleteNfs(noconsist, options);
 
   // Table #5: ~2.2 s vs ~0.33 s per iteration at 100 KB.
@@ -172,10 +160,10 @@ TEST(CreateDeleteTest, WritePolicyMattersOnlyForData) {
 
   NfsMountOptions write_through = NfsMountOptions::Reno();
   write_through.biods = 0;
-  World wt(QuietWorld(write_through));
+  World wt(QuietWorld(1, write_through));
   const double wt_empty = RunCreateDeleteNfs(wt, options).ms_per_iteration;
 
-  World dl(QuietWorld(NfsMountOptions::Reno()));
+  World dl(QuietWorld(1, NfsMountOptions::Reno()));
   const double dl_empty = RunCreateDeleteNfs(dl, options).ms_per_iteration;
 
   // With no data there is nothing to push: policies are within noise.

@@ -12,8 +12,7 @@ namespace {
 // "helper that suspends internally" in its most deceptive form, because the
 // caller's body looks entirely synchronous.
 bool IsPumpPrimitive(const std::string& name) {
-  return name == "RunUntil" || name == "RunFor" || name == "RunUntilLegacy" ||
-         name == "DrainAndAudit";
+  return name == "RunUntil" || name == "RunFor" || name == "DrainAndAudit";
 }
 
 bool ReturnsStatus(const FunctionSummary& fn) {
@@ -253,7 +252,7 @@ AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
       }
     }
   }
-  for (const char* p : {"RunUntil", "RunFor", "RunUntilLegacy", "DrainAndAudit"}) {
+  for (const char* p : {"RunUntil", "RunFor", "DrainAndAudit"}) {
     ctx.may_suspend.insert(p);
     ctx.unguarded_suspend.insert(p);
   }
