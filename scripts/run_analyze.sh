@@ -2,14 +2,10 @@
 # Runs the await-safety analyzer over the whole library + test tree.
 #   usage: run_analyze.sh <analyzer-binary> <repo-root> [flags...]
 # Flags are passed through to the analyzer; the useful ones here:
-#   --jobs N     parallel lex/check workers
 #   --stats      print the machine-readable stats line
-#   --no-cache   bypass build/analyze-cache (RENONFS_ANALYZE_NO_CACHE=1 too)
 #   --verbose    show allow-suppressed findings
 # The file list is discovered at run time so new sources are covered without
-# touching the build system. Summaries and findings are cached under
-# <root>/build/analyze-cache keyed by content hash + dependency signature;
-# a warm re-run parses and re-checks nothing.
+# touching the build system. Every run is a full cold scan.
 set -euo pipefail
 
 analyzer="$1"
@@ -24,5 +20,4 @@ if [[ "${#files[@]}" -eq 0 ]]; then
 fi
 exec "$analyzer" \
   --allowlist "$root/tools/analyze/status_allowlist.txt" \
-  --cache-dir "$root/build/analyze-cache" \
   "$@" "${files[@]}"

@@ -129,7 +129,6 @@ class LocalFs {
   // (truncate, remove) credits the budget back. nullopt = unlimited (the
   // default, and the pre-fault behavior).
   void SetFreeBlockBudget(std::optional<uint64_t> blocks) { free_blocks_ = blocks; }
-  std::optional<uint64_t> free_block_budget() const { return free_blocks_; }
 
   // Fails the next `count` operations of class `op` with `code` (kIo and
   // kNoSpace model a dying and a full disk respectively). Schedules stack:
@@ -143,7 +142,6 @@ class LocalFs {
   StatusOr<size_t> EntryCount(Ino dir) const;
 
   bool Exists(Ino ino) const { return inodes_.contains(ino); }
-  size_t inode_count() const { return inodes_.size(); }
 
  private:
   struct DirSlot {

@@ -121,7 +121,6 @@ class Medium {
 
   // Registers the receive handler for a node attached to this medium.
   void Attach(HostId node, Receiver receiver);
-  bool IsAttached(HostId node) const { return taps_.contains(node); }
 
   // Queues a frame for transmission to frame.link_next_hop. Returns false on
   // overflow. An overflow also damages one random frame already in the

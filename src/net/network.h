@@ -31,7 +31,6 @@ class Network {
   Node* AddNode(const CostProfile& profile, std::string name);
   Medium* AddMedium(MediumConfig config);
 
-  const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
   const std::vector<std::unique_ptr<Medium>>& media() const { return media_; }
 
  private:

@@ -77,7 +77,6 @@ class Node {
 
   void set_forwarding(bool enabled) { forwarding_ = enabled; }
   void set_nic_config(NicConfig config) { nic_config_ = config; }
-  const NicConfig& nic_config() const { return nic_config_; }
 
   // Attaches this node to a medium; frames addressed to it at the link layer
   // are delivered through the receive path.
@@ -101,7 +100,6 @@ class Node {
   // Kernel state above the IP layer (sockets, caches) is torn down by the
   // owning subsystem (e.g. NfsServer::Crash), not here.
   void set_powered(bool on) { powered_ = on; }
-  bool powered() const { return powered_; }
 
   // One-way partitions: silently drop traffic from `src` (input) or towards
   // `dst` (output, including forwarded frames). Models a broken route or a

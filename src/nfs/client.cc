@@ -15,18 +15,6 @@ NfsFh FhFromKey(uint64_t key) {
 }
 }  // namespace
 
-const char* NfsTransportKindName(NfsTransportKind kind) {
-  switch (kind) {
-    case NfsTransportKind::kUdpFixedRto:
-      return "UDP fixed-RTO";
-    case NfsTransportKind::kUdpDynamicRto:
-      return "UDP dynamic-RTO+cwnd";
-    case NfsTransportKind::kTcp:
-      return "TCP";
-  }
-  return "?";
-}
-
 NfsMountOptions NfsMountOptions::Reno() { return NfsMountOptions{}; }
 
 NfsMountOptions NfsMountOptions::RenoUdpFixed() {
@@ -137,8 +125,6 @@ NfsClient::NfsClient(Node* node, UdpStack* udp, TcpStack* tcp, SockAddr server, 
       rpc_options.max_tries = options_.max_tries;
       rpc_options.hard = options_.hard;
       rpc_options.intr = options_.intr;
-      rpc_options.cwnd.slow_start = options_.cwnd_slow_start;
-      rpc_options.rto.big_deviation_multiplier = options_.big_rto_multiplier;
       transport_ = std::make_unique<UdpRpcTransport>(udp, local_port, server_, rpc_options);
       break;
     }

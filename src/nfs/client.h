@@ -42,7 +42,6 @@
 namespace renonfs {
 
 enum class NfsTransportKind { kUdpFixedRto, kUdpDynamicRto, kTcp };
-const char* NfsTransportKindName(NfsTransportKind kind);
 
 enum class WritePolicy { kWriteThrough, kAsync, kDelayed };
 
@@ -87,10 +86,6 @@ struct NfsMountOptions {
   // small writes to one block cost repeated write RPCs.
   bool async_partial_blocks = false;
   size_t cache_blocks = 160;  // ~1.3 MB of 8 KB buffers, a uVAXII-class cache
-
-  // Transport ablation knobs (bench_section4_rto_ablation).
-  bool cwnd_slow_start = false;
-  int big_rto_multiplier = 4;
 
   // NQNFS-style lease consistency [Gray89]. The client takes read leases on
   // attribute fetches (LEASE doubles as GETATTR) and a write lease before

@@ -115,14 +115,6 @@ struct NfsServerStats {
   uint64_t gather_batches = 0;      // multi-call batches committed
   uint64_t gathered_writes = 0;     // WRITE calls absorbed into a batch
   uint64_t disk_writes_saved = 0;   // per-call disk ops avoided by batching
-
-  uint64_t TotalCalls() const {
-    uint64_t total = 0;
-    for (uint64_t count : proc_counts) {
-      total += count;
-    }
-    return total;
-  }
 };
 
 class NfsServer {

@@ -53,16 +53,6 @@ const char* LatencyComponentName(LatencyComponent component) {
   return "?";
 }
 
-LatencyComponent OpBreakdown::Dominant() const {
-  size_t best = 0;
-  for (size_t i = 1; i < kNumLatencyComponents; ++i) {
-    if (comp[i] > comp[best]) {
-      best = i;
-    }
-  }
-  return static_cast<LatencyComponent>(best);
-}
-
 SpanCollector::SpanCollector(SpanOptions options) : options_(options) {
   options_.top_k = std::min<uint32_t>(options_.top_k, kMaxSlowOps);
   if (options_.max_live_ops == 0) {
@@ -304,7 +294,6 @@ void SpanCollector::Finish(OpRecord& rec, const TraceEvent& event) {
   lat_hist_[slot].Add(static_cast<uint64_t>(total) / 1000);
   for (size_t i = 0; i < kNumLatencyComponents; ++i) {
     agg.comp[i] += rec.comp[i];
-    comp_hist_[slot][i].Add(static_cast<uint64_t>(rec.comp[i]) / 1000);
   }
   ++stats_.ops_completed;
   Retain(rec, event);

@@ -92,8 +92,6 @@ struct OpBreakdown {
   std::array<SimTime, kMaxSpanAttempts> attempt_at{};
 
   SimTime total() const { return end - start; }
-  // Largest component, by time attributed.
-  LatencyComponent Dominant() const;
 };
 
 struct SpanOptions {
@@ -149,15 +147,6 @@ class SpanCollector : public SpanSink {
   }
   ProcBreakdown TotalBreakdown() const;  // summed across procs
 
-  // Per-proc per-component latency histogram (microsecond samples, one Add
-  // per completed op) and the per-proc op-latency histogram.
-  const Log2Histogram& ComponentHistogram(uint32_t proc, LatencyComponent c) const {
-    return comp_hist_[ProcSlot(proc)][static_cast<size_t>(c)];
-  }
-  const Log2Histogram& LatencyHistogram(uint32_t proc) const {
-    return lat_hist_[ProcSlot(proc)];
-  }
-
   // Components of one proc's aggregate, largest share of total time first.
   struct ComponentShare {
     LatencyComponent component = LatencyComponent::kSendWait;
@@ -207,7 +196,6 @@ class SpanCollector : public SpanSink {
 
   // Open-addressed xid -> pool-slot index map (fixed capacity, tombstoned
   // deletes, periodic in-place rebuild — no allocation after construction).
-  size_t TableProbe(uint32_t xid) const;
   void TableInsert(uint32_t xid, uint32_t slot);
   void TableErase(uint32_t xid);
   void TableRebuild();
@@ -224,8 +212,6 @@ class SpanCollector : public SpanSink {
   size_t tombstones_ = 0;
 
   std::array<ProcBreakdown, kSpanProcSlots> breakdown_{};
-  std::array<std::array<Log2Histogram, kNumLatencyComponents>, kSpanProcSlots>
-      comp_hist_{};
   std::array<Log2Histogram, kSpanProcSlots> lat_hist_{};
   std::array<std::array<OpBreakdown, kMaxSlowOps>, kSpanProcSlots> slow_{};
   std::array<uint32_t, kSpanProcSlots> slow_count_{};

@@ -81,7 +81,6 @@ class Tracer {
 
   // Tracks are display lanes ("client0.rpc", "server.rpc", "net.lan", ...).
   uint16_t RegisterTrack(std::string name);
-  const std::string& TrackName(uint16_t track) const { return tracks_[track]; }
 
   void Record(uint16_t track, TraceEventKind kind, uint32_t xid, uint32_t proc,
               uint64_t arg = 0);

@@ -179,7 +179,6 @@ class UdpRpcTransport : public RpcClientTransport {
   size_t Interrupt() override;
 
   const RtoPolicy& rto_policy() const { return rto_policy_; }
-  double congestion_window() const { return cwnd_.window(); }
   size_t outstanding() const { return outstanding_; }
 
  private:

@@ -4,22 +4,6 @@
 
 namespace renonfs {
 
-const char* RpcTimerClassName(RpcTimerClass cls) {
-  switch (cls) {
-    case RpcTimerClass::kRead:
-      return "read";
-    case RpcTimerClass::kWrite:
-      return "write";
-    case RpcTimerClass::kGetattr:
-      return "getattr";
-    case RpcTimerClass::kLookup:
-      return "lookup";
-    case RpcTimerClass::kOther:
-      return "other";
-  }
-  return "?";
-}
-
 void RttEstimator::AddSample(SimTime rtt) {
   if (samples_ == 0) {
     srtt_ = rtt;

@@ -31,8 +31,6 @@ namespace renonfs {
 enum class RpcTimerClass : uint8_t { kRead = 0, kWrite = 1, kGetattr = 2, kLookup = 3, kOther = 4 };
 inline constexpr size_t kNumTimedClasses = 4;
 
-const char* RpcTimerClassName(RpcTimerClass cls);
-
 // Is this one of the paper's "big" RPC classes (high RTT variance)?
 inline constexpr bool IsBigClass(RpcTimerClass cls) {
   return cls == RpcTimerClass::kRead || cls == RpcTimerClass::kWrite;
@@ -47,7 +45,6 @@ class RttEstimator {
   bool valid() const { return samples_ > 0; }
   SimTime smoothed_mean() const { return srtt_; }       // "A"
   SimTime smoothed_deviation() const { return sdev_; }  // "D"
-  uint64_t samples() const { return samples_; }
 
   // A + k*D, clamped to [floor, ceiling].
   SimTime Rto(int deviation_multiplier, SimTime floor, SimTime ceiling) const;

@@ -95,7 +95,6 @@ class RpcServer {
   // any dispatch already in progress will have its reply suppressed — a
   // request straddling the reboot must look like it was never received.
   void OnServerCrash();
-  uint64_t crash_epoch() const { return crash_epoch_; }
 
   const RpcServerStats& stats() const { return stats_; }
   Node* node() { return node_; }

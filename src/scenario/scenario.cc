@@ -64,15 +64,6 @@ bool TransportFromName(const std::string& name, NfsTransportKind* out) {
   return false;
 }
 
-const char* TransportToken(NfsTransportKind kind) {
-  switch (kind) {
-    case NfsTransportKind::kUdpFixedRto: return "udp_fixed";
-    case NfsTransportKind::kUdpDynamicRto: return "udp";
-    case NfsTransportKind::kTcp: return "tcp";
-  }
-  return "udp";
-}
-
 bool WorkloadFromName(const std::string& name, ChaosWorkload* out) {
   if (name == "andrew") {
     *out = ChaosWorkload::kAndrew;

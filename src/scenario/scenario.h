@@ -93,7 +93,6 @@ StatusOr<NfsMountOptions> MountFromName(const std::string& name);
 bool TopologyFromName(const std::string& name, TopologyKind* out);
 const char* TopologyToken(TopologyKind kind);
 bool TransportFromName(const std::string& name, NfsTransportKind* out);
-const char* TransportToken(NfsTransportKind kind);
 bool WorkloadFromName(const std::string& name, ChaosWorkload* out);
 const char* WorkloadToken(ChaosWorkload workload);
 

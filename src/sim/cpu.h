@@ -102,7 +102,6 @@ class CpuResource {
   // divided by elapsed simulated time is the utilization over that window
   // (the paper's patched idle-loop counter, inverted).
   SimTime busy_accum() const { return busy_accum_; }
-  SimTime busy_until() const { return busy_until_; }
   double speed_factor() const { return speed_factor_; }
 
   // Busy time attributed to one category; the categories always sum to

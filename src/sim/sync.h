@@ -38,8 +38,6 @@ class SimFuture {
   };
   Awaiter operator co_await() const { return Awaiter{state_}; }
 
-  bool ready() const { return state_->value.has_value(); }
-
   std::shared_ptr<State> state() const { return state_; }
 
  private:
@@ -110,7 +108,6 @@ class Semaphore {
   }
 
   size_t available() const { return count_; }
-  size_t waiting() const { return waiters_.size(); }
 
  private:
   size_t count_;

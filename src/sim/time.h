@@ -14,7 +14,6 @@ constexpr SimTime Microseconds(int64_t us) { return us * 1000; }
 constexpr SimTime Milliseconds(int64_t ms) { return ms * 1000 * 1000; }
 constexpr SimTime Seconds(int64_t s) { return s * 1000 * 1000 * 1000; }
 
-constexpr double ToMicroseconds(SimTime t) { return static_cast<double>(t) / 1e3; }
 constexpr double ToMilliseconds(SimTime t) { return static_cast<double>(t) / 1e6; }
 constexpr double ToSeconds(SimTime t) { return static_cast<double>(t) / 1e9; }
 

@@ -88,20 +88,6 @@ StatusOr<std::string> KvConfig::GetString(std::string_view key,
   return value != nullptr ? *value : std::move(fallback);
 }
 
-StatusOr<int64_t> KvConfig::GetInt(std::string_view key, int64_t fallback) const {
-  const std::string* value = Find(key);
-  if (value == nullptr) {
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value->c_str(), &end, 0);
-  if (errno != 0 || end == value->c_str() || *end != '\0') {
-    return BadValue(key, *value, "an integer");
-  }
-  return static_cast<int64_t>(parsed);
-}
-
 StatusOr<uint64_t> KvConfig::GetUint(std::string_view key, uint64_t fallback) const {
   const std::string* value = Find(key);
   if (value == nullptr) {
@@ -158,10 +144,6 @@ StatusOr<SimTime> KvConfig::GetDuration(std::string_view key, SimTime fallback) 
 
 void KvConfig::Add(std::string_view key, std::string_view value) {
   entries_.emplace_back(std::string(key), std::string(value));
-}
-
-void KvConfig::AddInt(std::string_view key, int64_t value) {
-  Add(key, std::to_string(value));
 }
 
 void KvConfig::AddUint(std::string_view key, uint64_t value) {

@@ -47,7 +47,6 @@ class KvConfig {
   // Typed getters: return `fallback` when the key is absent, fail with
   // kInvalidArgument when present but unparsable.
   StatusOr<std::string> GetString(std::string_view key, std::string fallback) const;
-  StatusOr<int64_t> GetInt(std::string_view key, int64_t fallback) const;
   StatusOr<uint64_t> GetUint(std::string_view key, uint64_t fallback) const;
   StatusOr<double> GetDouble(std::string_view key, double fallback) const;
   StatusOr<bool> GetBool(std::string_view key, bool fallback) const;  // true/false/1/0
@@ -56,7 +55,6 @@ class KvConfig {
   StatusOr<SimTime> GetDuration(std::string_view key, SimTime fallback) const;
 
   void Add(std::string_view key, std::string_view value);
-  void AddInt(std::string_view key, int64_t value);
   void AddUint(std::string_view key, uint64_t value);
   void AddDouble(std::string_view key, double value);
   void AddBool(std::string_view key, bool value);

@@ -43,7 +43,6 @@ struct CheckVoidify {
               : ::renonfs::CheckVoidify() & ::renonfs::CheckFailureStream(__FILE__, __LINE__, #condition)
 
 #define CHECK_EQ(a, b) CHECK((a) == (b))
-#define CHECK_NE(a, b) CHECK((a) != (b))
 #define CHECK_LT(a, b) CHECK((a) < (b))
 #define CHECK_LE(a, b) CHECK((a) <= (b))
 #define CHECK_GT(a, b) CHECK((a) > (b))

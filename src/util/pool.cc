@@ -127,12 +127,4 @@ FixedPool* FixedPool::Find(const char* name) {
   return nullptr;
 }
 
-void FixedPool::ForEach(const std::function<void(const FixedPool&)>& fn) {
-  for (const FixedPool* pool : Registry()) {
-    if (pool != nullptr) {
-      fn(*pool);
-    }
-  }
-}
-
 }  // namespace renonfs

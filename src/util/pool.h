@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace renonfs {
 
@@ -55,7 +54,6 @@ class FixedPool {
 
   // Process-wide registry of live pools, in construction order.
   static FixedPool* Find(const char* name);
-  static void ForEach(const std::function<void(const FixedPool&)>& fn);
 
  private:
   struct FreeNode {

@@ -127,9 +127,6 @@ class World {
     }
   }
 
-  // Server CPU utilization over a window: sample Begin, run, then End.
-  SimTime server_cpu_sample() const { return topo_.server->cpu().busy_accum(); }
-
   // Flat server CPU profile by cost category at the current sim time;
   // subtract two snapshots with CpuProfile::Delta for a window.
   CpuProfile ServerCpuProfile() {
@@ -154,7 +151,6 @@ class World {
   // Runtime invariant auditor over this installation's caches and disk; the
   // destructor runs DrainAndAudit() and CHECKs the report (see WorldOptions).
   InvariantAuditor& auditor() { return *auditor_; }
-  QuiesceReport AuditQuiesceNow() { return auditor_->Audit(scheduler()); }
 
  private:
   // Builds the tracer + registry and wires them through the server, every

@@ -16,7 +16,6 @@ void XdrEncoder::PutUint32(uint32_t value) {
   p[1] = static_cast<uint8_t>(value >> 16);
   p[2] = static_cast<uint8_t>(value >> 8);
   p[3] = static_cast<uint8_t>(value);
-  written_ += 4;
 }
 
 void XdrEncoder::PutFixedOpaque(const void* bytes, size_t len) {
@@ -25,7 +24,6 @@ void XdrEncoder::PutFixedOpaque(const void* bytes, size_t len) {
   if (pad > 0) {
     chain_->Append(kZeroPad, pad);
   }
-  written_ += len + pad;
 }
 
 void XdrEncoder::PutVarOpaque(const void* bytes, size_t len) {
@@ -41,7 +39,6 @@ void XdrEncoder::PutVarOpaqueChain(MbufChain data) {
   if (pad > 0) {
     chain_->Append(kZeroPad, pad);
   }
-  written_ += len + pad;
 }
 
 StatusOr<uint32_t> XdrDecoder::GetUint32() {

@@ -42,7 +42,6 @@ class XdrEncoder {
     PutUint32(static_cast<uint32_t>(value));
   }
   void PutBool(bool value) { PutUint32(value ? 1 : 0); }
-  void PutEnum(uint32_t value) { PutUint32(value); }
 
   // Fixed-length opaque: bytes plus zero padding to a 4-byte boundary.
   void PutFixedOpaque(const void* bytes, size_t len);
@@ -53,11 +52,8 @@ class XdrEncoder {
   // shared rather than copied.
   void PutVarOpaqueChain(MbufChain data);
 
-  size_t BytesWritten() const { return written_; }
-
  private:
   MbufChain* chain_;
-  size_t written_ = 0;
 };
 
 class XdrDecoder {
@@ -71,7 +67,6 @@ class XdrDecoder {
   StatusOr<int32_t> GetInt32();
   StatusOr<uint64_t> GetUint64();
   StatusOr<bool> GetBool();
-  StatusOr<uint32_t> GetEnum() { return GetUint32(); }
 
   Status GetFixedOpaque(void* dst, size_t len);
   StatusOr<std::vector<uint8_t>> GetVarOpaque(size_t max_len);
@@ -101,8 +96,6 @@ class BufferedXdrEncoder {
   void PutFixedOpaque(const void* bytes, size_t len);
   void PutVarOpaque(const void* bytes, size_t len);
   void PutString(std::string_view s) { PutVarOpaque(s.data(), s.size()); }
-
-  size_t BytesWritten() const { return buffer_.size(); }
 
   // The copy the reference port pays: buffer contents into a fresh chain.
   MbufChain CopyIntoChain() const;

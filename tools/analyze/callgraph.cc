@@ -122,7 +122,7 @@ std::string AnalysisContext::SuspendWhy(const std::string& name) const {
   return "indirect std::function (target unknown)";
 }
 
-AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
+AnalysisContext BuildContext(const std::vector<FileSummary>& files,
                              const std::set<std::string>& status_allowlist) {
   AnalysisContext ctx;
 
@@ -131,17 +131,17 @@ AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
   std::map<std::string, std::vector<int>> by_qualified;  // "C::n" -> def idx
   std::set<std::string> virtual_names;
   std::set<std::string> indirect_names;
-  for (const FileSummary* file : files) {
-    for (const FunctionSummary& fn : file->functions) {
+  for (const FileSummary& file : files) {
+    for (const FunctionSummary& fn : file.functions) {
       by_name[fn.name].push_back(static_cast<int>(defs.size()));
       if (fn.qualified != fn.name) {
         by_qualified[fn.qualified].push_back(static_cast<int>(defs.size()));
         ctx.defined_qualified.insert(fn.qualified);
       }
-      defs.push_back({file, &fn});
+      defs.push_back({&file, &fn});
     }
-    virtual_names.insert(file->virtual_decls.begin(), file->virtual_decls.end());
-    indirect_names.insert(file->indirect_names.begin(), file->indirect_names.end());
+    virtual_names.insert(file.virtual_decls.begin(), file.virtual_decls.end());
+    indirect_names.insert(file.indirect_names.begin(), file.indirect_names.end());
   }
 
   // Receiver-class map from the tree-wide `Type name` declaration pairs,
@@ -151,8 +151,8 @@ AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
     for (const auto& [q, idx] : by_qualified) {
       class_names.insert(q.substr(0, q.rfind("::")));
     }
-    for (const FileSummary* file : files) {
-      for (const std::string& pair : file->typed_names) {
+    for (const FileSummary& file : files) {
+      for (const std::string& pair : file.typed_names) {
         const size_t eq = pair.find('=');
         if (eq == std::string::npos) {
           continue;
@@ -290,112 +290,7 @@ AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
     }
   }
 
-  // Tarjan SCC over the definition graph (edges: def -> every same-named
-  // resolution of each callee). Iterative to stay stack-safe on deep chains.
-  {
-    const int n = static_cast<int>(defs.size());
-    std::vector<int> index(n, -1), low(n, 0), on_stack(n, 0);
-    std::vector<int> scc(n, -1);
-    std::vector<int> stack;
-    int next_index = 0;
-    int next_scc = 0;
-    struct Frame {
-      int v;
-      size_t callee_i = 0;  // index into defs[v].fn->callees
-      size_t cand_i = 0;    // index into the current callee's candidates
-    };
-    for (int root = 0; root < n; ++root) {
-      if (index[root] != -1) {
-        continue;
-      }
-      std::vector<Frame> frames{{root}};
-      index[root] = low[root] = next_index++;
-      stack.push_back(root);
-      on_stack[root] = 1;
-      while (!frames.empty()) {
-        Frame& f = frames.back();
-        const std::vector<std::string>& callees = defs[f.v].fn->callees;
-        bool descended = false;
-        while (f.callee_i < callees.size()) {
-          const std::vector<int>& cand = resolve(callees[f.callee_i]);
-          if (f.cand_i >= cand.size()) {
-            ++f.callee_i;
-            f.cand_i = 0;
-            continue;
-          }
-          const int w = cand[f.cand_i++];
-          if (index[w] == -1) {
-            index[w] = low[w] = next_index++;
-            stack.push_back(w);
-            on_stack[w] = 1;
-            frames.push_back({w});
-            descended = true;
-            break;
-          }
-          if (on_stack[w]) {
-            low[f.v] = std::min(low[f.v], index[w]);
-          }
-        }
-        if (descended) {
-          continue;
-        }
-        if (low[f.v] == index[f.v]) {
-          for (;;) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[w] = 0;
-            scc[w] = next_scc;
-            if (w == f.v) {
-              break;
-            }
-          }
-          ++next_scc;
-        }
-        const int v = f.v;
-        frames.pop_back();
-        if (!frames.empty()) {
-          low[frames.back().v] = std::min(low[frames.back().v], low[v]);
-        }
-      }
-    }
-    ctx.scc_count = next_scc;
-    for (int i = 0; i < n; ++i) {
-      ctx.file_sccs[defs[i].file->path].insert(scc[i]);
-    }
-  }
-
-  ctx.global_salt = Fnv1aMix(Fnv1a("renonfs-analyze"), uint64_t{kAnalyzerVersion});
-  for (const std::string& a : status_allowlist) {
-    ctx.global_salt = Fnv1aMix(ctx.global_salt, a);
-  }
   return ctx;
-}
-
-uint64_t DepSignature(const FileSummary& file, const AnalysisContext& ctx) {
-  uint64_t h = Fnv1aMix(ctx.global_salt, file.path);
-  std::set<std::string> names;
-  for (const FunctionSummary& fn : file.functions) {
-    names.insert(fn.callees.begin(), fn.callees.end());
-  }
-  for (const std::string& encoded : names) {
-    std::string receiver, name;
-    SplitCallee(encoded, &receiver, &name);
-    h = Fnv1aMix(h, encoded);
-    uint64_t bits = 0;
-    bits |= ctx.CallMaySuspend(receiver, name) ? 1u : 0u;
-    bits |= ctx.CallUnguarded(receiver, name) ? 2u : 0u;
-    bits |= ctx.conservative_virtual.contains(name) ? 4u : 0u;
-    bits |= ctx.conservative_indirect.contains(name) ? 8u : 0u;
-    bits |= ctx.status_enforced.contains(name) ? 16u : 0u;
-    h = Fnv1aMix(h, bits);
-    const auto it = ctx.timer_params.find(name);
-    if (it != ctx.timer_params.end()) {
-      for (const int p : it->second) {
-        h = Fnv1aMix(h, uint64_t{1} << (p & 63));
-      }
-    }
-  }
-  return h;
 }
 
 }  // namespace renonfs::analyze

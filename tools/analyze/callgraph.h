@@ -15,12 +15,10 @@
 // It also carries the [[nodiscard]]-style enforcement set for Status-
 // returning functions in src/nfs, src/rpc, src/fs (minus the allowlist) and
 // the per-function timer-parameter summaries for the interprocedural
-// fixed-timeout check, plus the SCC partition used by the incremental
-// driver's re-analysis accounting.
+// fixed-timeout check.
 #ifndef RENONFS_TOOLS_ANALYZE_CALLGRAPH_H_
 #define RENONFS_TOOLS_ANALYZE_CALLGRAPH_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -56,19 +54,6 @@ struct AnalysisContext {
   std::set<std::string> suspend_qualified;
   std::set<std::string> unguarded_qualified;
 
-  // SCC partition of the definition-level call graph, for incremental stats:
-  // path -> the set of SCC ids its functions belong to.
-  int scc_count = 0;
-  std::map<std::string, std::set<int>> file_sccs;
-
-  // Salt covering the analyzer version and the status allowlist: folded into
-  // every dependency signature so either changing invalidates the cache.
-  uint64_t global_salt = 0;
-
-  bool MaySuspend(const std::string& name) const {
-    return may_suspend.contains(name) || conservative_virtual.contains(name) ||
-           conservative_indirect.contains(name);
-  }
   // Call-site-level queries: refine through the receiver's declared class
   // when its qualified definitions are visible, else fall back to the name
   // union. Pump primitives and conservative names always suspend.
@@ -76,20 +61,12 @@ struct AnalysisContext {
   // Whether a suspending resolution of the call never touches the
   // crash-epoch machinery (only meaningful when CallMaySuspend is true).
   bool CallUnguarded(const std::string& receiver, const std::string& name) const;
-  // Human-readable reason for MaySuspend, for finding messages.
+  // Human-readable reason a call may suspend, for finding messages.
   std::string SuspendWhy(const std::string& name) const;
 };
 
-// Bump when check semantics change: invalidates every cache entry.
-inline constexpr int kAnalyzerVersion = 1;
-
-AnalysisContext BuildContext(const std::vector<const FileSummary*>& files,
+AnalysisContext BuildContext(const std::vector<FileSummary>& files,
                              const std::set<std::string>& status_allowlist);
-
-// Dependency signature of one file under a context: folds, for every name
-// the file's functions call, the context bits that can change this file's
-// findings. A warm cache entry is valid iff content hash AND this match.
-uint64_t DepSignature(const FileSummary& file, const AnalysisContext& ctx);
 
 }  // namespace renonfs::analyze
 

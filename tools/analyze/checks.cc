@@ -942,8 +942,7 @@ bool IsKnownCheck(const std::string& check) {
 }
 
 std::vector<Finding> AnalyzeFile(const LexedFile& file, const AnalysisContext& ctx,
-                                 std::vector<Finding>* suppressed,
-                                 FileStats* stats) {
+                                 std::vector<Finding>* suppressed) {
   const std::vector<size_t> match = MatchDelimiters(file.tokens);
   std::vector<Body> bodies = FindFunctionBodies(file.tokens, match);
   std::vector<Finding> raw;
@@ -955,10 +954,6 @@ std::vector<Finding> AnalyzeFile(const LexedFile& file, const AnalysisContext& c
         body.coroutine = true;
         break;
       }
-    }
-    if (stats != nullptr) {
-      ++stats->functions;
-      stats->coroutines += body.coroutine ? 1 : 0;
     }
     // Suspension points: literal co_awaits plus calls to may-suspend
     // functions. await-stale/cond-await now run on every body that can

@@ -76,11 +76,6 @@ struct Finding {
   bool note = false;    // advisory: printed but does not fail tree mode
 };
 
-struct FileStats {
-  int functions = 0;
-  int coroutines = 0;
-};
-
 // True iff `check` is a check id findings can carry (bad-allow validation).
 bool IsKnownCheck(const std::string& check);
 
@@ -89,8 +84,7 @@ bool IsKnownCheck(const std::string& check);
 // (reported in --verbose mode so audited cases stay visible). Findings are
 // returned in line order.
 std::vector<Finding> AnalyzeFile(const LexedFile& file, const AnalysisContext& ctx,
-                                 std::vector<Finding>* suppressed,
-                                 FileStats* stats);
+                                 std::vector<Finding>* suppressed);
 
 }  // namespace renonfs::analyze
 

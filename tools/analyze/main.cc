@@ -6,37 +6,23 @@
 //                                         line must be reported and nothing
 //                                         else may be; exit 0 iff both hold
 //
-// Tree mode runs in three passes (DESIGN §16): (1) lex every file and distill
-// a FileSummary — or load it from the cache when the content hash matches;
-// (2) build the whole-tree AnalysisContext (call graph, may-suspend fixpoint,
-// status enforcement, SCC partition); (3) re-run the checks on exactly the
-// files whose content or dependency signature changed, reusing cached
-// findings for the rest. A warm run parses and checks nothing.
+// Both modes run the same three passes on every invocation (DESIGN §16):
+// (1) lex every file and distill a FileSummary; (2) build the whole-tree
+// AnalysisContext (call graph, may-suspend fixpoint, status enforcement);
+// (3) run the checks on every file. Nothing is carried between runs, so the
+// verdict always comes from the analyzer binary that printed it.
 //
 // Flags:
 //   --verbose             also print allow-suppressed findings
 //   --stats               print one machine-readable stats line
-//   --jobs N              lex/check worker threads (default 1)
-//   --cache-dir DIR       summary+findings cache (default build/analyze-cache)
-//   --no-cache            ignore and do not write the cache
-//                         (RENONFS_ANALYZE_NO_CACHE=1 does the same)
 //   --allowlist FILE      discarded-status allowlist
 //                         (default tools/analyze/status_allowlist.txt)
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tools/analyze/callgraph.h"
@@ -49,8 +35,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: analyze [--verbose] [--stats] [--jobs N] [--cache-dir D]\n"
-               "               [--no-cache] [--allowlist F] file...\n"
+               "usage: analyze [--verbose] [--stats] [--allowlist F] file...\n"
                "       analyze --self-test fixture...\n");
   return 2;
 }
@@ -84,346 +69,50 @@ std::set<std::string> LoadAllowlist(const std::string& path) {
   return names;
 }
 
-// ---------------------------------------------------------------------------
-// Cache serialization. One text file per source path under the cache dir,
-// two sections: the summary (valid iff content_hash matches) and the check
-// results (valid iff dep_sig additionally matches). Any parse hiccup is a
-// cache miss — the format carries a version stamp and is regenerated
-// wholesale on mismatch.
-// ---------------------------------------------------------------------------
-
-struct CacheEntry {
-  uint64_t content_hash = 0;
-  uint64_t dep_sig = 0;
-  FileSummary summary;
-  bool has_results = false;
-  std::vector<Finding> findings;    // pre-allow
-  std::vector<Finding> suppressed;  // kept so --verbose works from cache
-  FileStats stats;
-};
-
-std::string CachePath(const std::string& cache_dir, const std::string& path) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.txt",
-                static_cast<unsigned long long>(Fnv1a(path)));
-  return cache_dir + "/" + name;
-}
-
-void PutNames(std::ostream& out, const char* key,
-              const std::vector<std::string>& names) {
-  out << key;
-  for (const std::string& n : names) {
-    out << ' ' << n;
-  }
-  out << '\n';
-}
-
-void PutFindings(std::ostream& out, const char* key,
-                 const std::vector<Finding>& fs) {
-  out << key << ' ' << fs.size() << '\n';
-  for (const Finding& f : fs) {
-    out << f.line << ' ' << f.check << ' ' << (f.note ? 1 : 0) << ' '
-        << f.message << '\n';
-  }
-}
-
-bool GetFindings(std::istream& in, const char* key, const std::string& path,
-                 std::vector<Finding>* fs) {
-  std::string k;
-  size_t n = 0;
-  if (!(in >> k >> n) || k != key || n > 100000) {
-    return false;
-  }
-  in.ignore();
-  for (size_t i = 0; i < n; ++i) {
-    Finding f;
-    int note = 0;
-    if (!(in >> f.line >> f.check >> note)) {
-      return false;
-    }
-    f.note = note != 0;
-    f.path = path;
-    in.ignore();  // the single space before the message
-    if (!std::getline(in, f.message)) {
-      return false;
-    }
-    fs->push_back(std::move(f));
-  }
-  return true;
-}
-
-void WriteCacheEntry(const std::string& cache_dir, const std::string& path,
-                     const CacheEntry& e) {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir, ec);
-  const std::string final_path = CachePath(cache_dir, path);
-  const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return;  // cache is best-effort
-    }
-    out << "renonfs-analyze-cache " << kAnalyzerVersion << '\n'
-        << "path " << path << '\n'
-        << "content_hash " << e.content_hash << '\n';
-    out << "functions " << e.summary.functions.size() << '\n';
-    for (const FunctionSummary& fn : e.summary.functions) {
-      out << "fn " << fn.qualified << ' ' << fn.name << ' ' << fn.line << ' '
-          << (fn.has_co_await ? 1 : 0) << ' ' << (fn.has_guard ? 1 : 0) << '\n';
-      PutNames(out, " returns", fn.return_mentions);
-      PutNames(out, " params", fn.params);
-      out << " timer_params";
-      for (const int p : fn.timer_params) {
-        out << ' ' << p;
-      }
-      out << '\n';
-      PutNames(out, " callees", fn.callees);
-    }
-    PutNames(out, "virtual_decls", e.summary.virtual_decls);
-    PutNames(out, "indirect_names", e.summary.indirect_names);
-    PutNames(out, "typed_names", e.summary.typed_names);
-    if (e.has_results) {
-      out << "dep_sig " << e.dep_sig << '\n'
-          << "stats " << e.stats.functions << ' ' << e.stats.coroutines << '\n';
-      PutFindings(out, "findings", e.findings);
-      PutFindings(out, "suppressed", e.suppressed);
-    }
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-  }
-}
-
-std::optional<CacheEntry> ReadCacheEntry(const std::string& cache_dir,
-                                         const std::string& path) {
-  std::ifstream in(CachePath(cache_dir, path), std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  CacheEntry e;
-  std::string k, magic, cached_path;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "renonfs-analyze-cache" ||
-      version != kAnalyzerVersion) {
-    return std::nullopt;
-  }
-  if (!(in >> k >> cached_path) || k != "path" || cached_path != path) {
-    return std::nullopt;
-  }
-  if (!(in >> k >> e.content_hash) || k != "content_hash") {
-    return std::nullopt;
-  }
-  size_t nfn = 0;
-  if (!(in >> k >> nfn) || k != "functions" || nfn > 100000) {
-    return std::nullopt;
-  }
-  e.summary.path = path;
-  const auto get_names = [&](const char* key, std::vector<std::string>* out) {
-    std::string kk, line;
-    if (!(in >> kk) || kk != key || !std::getline(in, line)) {
-      return false;
-    }
-    std::istringstream ls(line);
-    std::string n;
-    while (ls >> n) {
-      out->push_back(n);
-    }
-    return true;
-  };
-  for (size_t i = 0; i < nfn; ++i) {
-    FunctionSummary fn;
-    int co = 0, guard = 0;
-    if (!(in >> k >> fn.qualified >> fn.name >> fn.line >> co >> guard) ||
-        k != "fn") {
-      return std::nullopt;
-    }
-    fn.has_co_await = co != 0;
-    fn.has_guard = guard != 0;
-    if (!get_names("returns", &fn.return_mentions) ||
-        !get_names("params", &fn.params)) {
-      return std::nullopt;
-    }
-    std::string line;
-    if (!(in >> k) || k != "timer_params" || !std::getline(in, line)) {
-      return std::nullopt;
-    }
-    std::istringstream ls(line);
-    int p = 0;
-    while (ls >> p) {
-      fn.timer_params.push_back(p);
-    }
-    if (!get_names("callees", &fn.callees)) {
-      return std::nullopt;
-    }
-    e.summary.functions.push_back(std::move(fn));
-  }
-  if (!get_names("virtual_decls", &e.summary.virtual_decls) ||
-      !get_names("indirect_names", &e.summary.indirect_names) ||
-      !get_names("typed_names", &e.summary.typed_names)) {
-    return std::nullopt;
-  }
-  e.summary.content_hash = e.content_hash;
-  if (in >> k && k == "dep_sig") {
-    if (!(in >> e.dep_sig) ||
-        !(in >> k >> e.stats.functions >> e.stats.coroutines) || k != "stats" ||
-        !GetFindings(in, "findings", path, &e.findings) ||
-        !GetFindings(in, "suppressed", path, &e.suppressed)) {
-      return std::nullopt;
-    }
-    e.has_results = true;
-  }
-  return e;
-}
-
-// ---------------------------------------------------------------------------
-// Driver.
-// ---------------------------------------------------------------------------
-
-struct Work {
-  std::string path;
-  std::string contents;
-  uint64_t content_hash = 0;
-  std::unique_ptr<LexedFile> lexed;  // only when (re)parsed or (re)checked
-  FileSummary summary;
-  bool summary_from_cache = false;
-  bool results_from_cache = false;
-  uint64_t cached_dep_sig = 0;
-  bool cached_has_results = false;
-  std::vector<Finding> findings;
-  std::vector<Finding> suppressed;
-  FileStats stats;
-  uint64_t dep_sig = 0;
-  bool failed = false;
-};
-
-void ForEachParallel(size_t count, int jobs, const std::function<void(size_t)>& fn) {
-  if (jobs <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  const int n = std::min<int>(jobs, static_cast<int>(count));
-  workers.reserve(static_cast<size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    workers.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-        fn(i);
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-}
-
 struct Options {
   bool self_test = false;
   bool verbose = false;
   bool stats = false;
-  bool use_cache = true;
-  int jobs = 1;
-  std::string cache_dir = "build/analyze-cache";
   std::string allowlist = "tools/analyze/status_allowlist.txt";
   std::vector<std::string> paths;
 };
 
+// Passes 1 and 2, shared by tree mode and --self-test: lex and summarize every
+// file, then build the whole-tree context over all of them. Returns false
+// (after printing why) when a file cannot be read.
+bool LoadTree(const Options& opt, std::vector<LexedFile>* lexed,
+              AnalysisContext* ctx) {
+  lexed->reserve(opt.paths.size());
+  for (const std::string& path : opt.paths) {
+    std::string contents;
+    if (!ReadFile(path, &contents)) {
+      std::fprintf(stderr, "analyze: cannot read %s\n", path.c_str());
+      return false;
+    }
+    lexed->push_back(LexFile(path, contents));
+  }
+  std::vector<FileSummary> summaries;
+  summaries.reserve(lexed->size());
+  for (const LexedFile& f : *lexed) {
+    summaries.push_back(ExtractSummary(f));
+  }
+  *ctx = BuildContext(summaries, LoadAllowlist(opt.allowlist));
+  return true;
+}
+
 int RunTree(const Options& opt) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::set<std::string> allowlist = LoadAllowlist(opt.allowlist);
-
-  // Pass 1: summaries — from the cache when the content hash matches,
-  // otherwise lex and extract (keeping the lexed file for pass 3).
-  std::vector<Work> work(opt.paths.size());
-  ForEachParallel(work.size(), opt.jobs, [&](size_t i) {
-    Work& w = work[i];
-    w.path = opt.paths[i];
-    if (!ReadFile(w.path, &w.contents)) {
-      w.failed = true;
-      return;
-    }
-    w.content_hash = Fnv1a(w.contents);
-    if (opt.use_cache) {
-      if (auto e = ReadCacheEntry(opt.cache_dir, w.path);
-          e && e->content_hash == w.content_hash) {
-        w.summary = std::move(e->summary);
-        w.summary_from_cache = true;
-        w.cached_has_results = e->has_results;
-        w.cached_dep_sig = e->dep_sig;
-        w.findings = std::move(e->findings);
-        w.suppressed = std::move(e->suppressed);
-        w.stats = e->stats;
-        return;
-      }
-    }
-    w.lexed = std::make_unique<LexedFile>(LexFile(w.path, w.contents));
-    w.summary = ExtractSummary(*w.lexed);
-    w.summary.content_hash = w.content_hash;
-  });
-  for (const Work& w : work) {
-    if (w.failed) {
-      std::fprintf(stderr, "analyze: cannot read %s\n", w.path.c_str());
-      return 2;
-    }
+  std::vector<LexedFile> lexed;
+  AnalysisContext ctx;
+  if (!LoadTree(opt, &lexed, &ctx)) {
+    return 2;
   }
 
-  // Pass 2: whole-tree context.
-  std::vector<const FileSummary*> summaries;
-  summaries.reserve(work.size());
-  for (const Work& w : work) {
-    summaries.push_back(&w.summary);
-  }
-  const AnalysisContext ctx = BuildContext(summaries, allowlist);
-
-  // Pass 3: checks, skipping files whose cached results are still valid
-  // (content hash matched in pass 1 AND the dependency signature under the
-  // fresh context matches the cached one).
-  ForEachParallel(work.size(), opt.jobs, [&](size_t i) {
-    Work& w = work[i];
-    w.dep_sig = DepSignature(w.summary, ctx);
-    if (w.summary_from_cache && w.cached_has_results &&
-        w.cached_dep_sig == w.dep_sig) {
-      w.results_from_cache = true;
-      return;
-    }
-    w.findings.clear();
-    w.suppressed.clear();
-    w.stats = FileStats{};
-    if (w.lexed == nullptr) {
-      // Summary was cached but a dependency changed: re-lex for the checks.
-      w.lexed = std::make_unique<LexedFile>(LexFile(w.path, w.contents));
-    }
-    w.findings = AnalyzeFile(*w.lexed, ctx, &w.suppressed, &w.stats);
-    if (opt.use_cache) {
-      CacheEntry e;
-      e.content_hash = w.content_hash;
-      e.dep_sig = w.dep_sig;
-      e.summary = w.summary;
-      e.has_results = true;
-      e.findings = w.findings;
-      e.suppressed = w.suppressed;
-      e.stats = w.stats;
-      WriteCacheEntry(opt.cache_dir, w.path, e);
-    }
-  });
-
-  // Report.
+  // Pass 3: checks, then the report.
   size_t finding_count = 0, note_count = 0, suppressed_count = 0;
-  size_t parsed = 0, checked = 0;
-  std::set<int> dirty_sccs;
-  FileStats totals;
-  for (const Work& w : work) {
-    parsed += w.summary_from_cache ? 0 : 1;
-    if (!w.results_from_cache) {
-      ++checked;
-      if (const auto it = ctx.file_sccs.find(w.path); it != ctx.file_sccs.end()) {
-        dirty_sccs.insert(it->second.begin(), it->second.end());
-      }
-    }
-    for (const Finding& f : w.findings) {
+  for (const LexedFile& file : lexed) {
+    std::vector<Finding> suppressed;
+    for (const Finding& f : AnalyzeFile(file, ctx, &suppressed)) {
       if (f.note) {
         // Advisory only: visible in the log, never fails the run.
         std::printf("%s:%d: [note:%s] %s\n", f.path.c_str(), f.line,
@@ -436,29 +125,25 @@ int RunTree(const Options& opt) {
       ++finding_count;
     }
     if (opt.verbose) {
-      for (const Finding& f : w.suppressed) {
+      for (const Finding& f : suppressed) {
         std::printf("%s:%d: [%s] suppressed by analyze:allow: %s\n",
                     f.path.c_str(), f.line, f.check.c_str(), f.message.c_str());
       }
     }
-    suppressed_count += w.suppressed.size();
-    totals.functions += w.stats.functions;
-    totals.coroutines += w.stats.coroutines;
+    suppressed_count += suppressed.size();
   }
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
   if (opt.stats) {
-    std::printf(
-        "analyze: stats files=%zu parsed=%zu checked=%zu sccs=%d "
-        "sccs_reanalyzed=%zu may_suspend=%zu wall_ms=%lld\n",
-        work.size(), parsed, checked, ctx.scc_count, dirty_sccs.size(),
-        ctx.may_suspend.size(), static_cast<long long>(wall_ms));
+    std::printf("analyze: stats files=%zu may_suspend=%zu wall_ms=%lld\n",
+                lexed.size(), ctx.may_suspend.size(),
+                static_cast<long long>(wall_ms));
   }
   if (finding_count == 0) {
     std::printf(
         "analyze: clean — %zu file(s), %zu allow-suppressed, %zu note(s)\n",
-        work.size(), suppressed_count, note_count);
+        lexed.size(), suppressed_count, note_count);
     return 0;
   }
   std::printf("analyze: %zu finding(s), %zu note(s)\n", finding_count, note_count);
@@ -472,32 +157,15 @@ int RunTree(const Options& opt) {
 // one function, stale use in its caller) resolve exactly as in tree mode.
 int RunSelfTest(const Options& opt) {
   std::vector<LexedFile> lexed;
-  lexed.reserve(opt.paths.size());
-  for (const std::string& path : opt.paths) {
-    std::string contents;
-    if (!ReadFile(path, &contents)) {
-      std::fprintf(stderr, "analyze: cannot read %s\n", path.c_str());
-      return 2;
-    }
-    lexed.push_back(LexFile(path, contents));
+  AnalysisContext ctx;
+  if (!LoadTree(opt, &lexed, &ctx)) {
+    return 2;
   }
-  std::vector<FileSummary> summaries;
-  summaries.reserve(lexed.size());
-  for (const LexedFile& f : lexed) {
-    summaries.push_back(ExtractSummary(f));
-  }
-  std::vector<const FileSummary*> refs;
-  refs.reserve(summaries.size());
-  for (const FileSummary& s : summaries) {
-    refs.push_back(&s);
-  }
-  const AnalysisContext ctx =
-      BuildContext(refs, LoadAllowlist(opt.allowlist));
 
   size_t matched = 0;
   size_t failures = 0;
   for (const LexedFile& file : lexed) {
-    const std::vector<Finding> findings = AnalyzeFile(file, ctx, nullptr, nullptr);
+    const std::vector<Finding> findings = AnalyzeFile(file, ctx, nullptr);
     // (line, check) pairs that findings satisfied.
     std::set<std::pair<int, std::string>> satisfied;
     for (const Finding& f : findings) {
@@ -538,10 +206,6 @@ int RunSelfTest(const Options& opt) {
 
 int Main(int argc, char** argv) {
   Options opt;
-  const char* env_no_cache = std::getenv("RENONFS_ANALYZE_NO_CACHE");
-  if (env_no_cache != nullptr && std::strcmp(env_no_cache, "1") == 0) {
-    opt.use_cache = false;
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--self-test") {
@@ -550,12 +214,6 @@ int Main(int argc, char** argv) {
       opt.verbose = true;
     } else if (arg == "--stats") {
       opt.stats = true;
-    } else if (arg == "--no-cache") {
-      opt.use_cache = false;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opt.jobs = std::max(1, std::atoi(argv[++i]));
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      opt.cache_dir = argv[++i];
     } else if (arg == "--allowlist" && i + 1 < argc) {
       opt.allowlist = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {

@@ -578,24 +578,4 @@ FileSummary ExtractSummary(const LexedFile& file) {
   return out;
 }
 
-uint64_t Fnv1aMix(uint64_t h, const std::string& bytes) {
-  for (const char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t Fnv1aMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  return Fnv1aMix(0xcbf29ce484222325ULL, bytes);
-}
-
 }  // namespace renonfs::analyze

@@ -21,7 +21,6 @@
 #ifndef RENONFS_TOOLS_ANALYZE_SYMTAB_H_
 #define RENONFS_TOOLS_ANALYZE_SYMTAB_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,7 +114,7 @@ std::vector<std::pair<size_t, size_t>> LambdaBodyRanges(
     const Body& body);
 
 // ---------------------------------------------------------------------------
-// Per-function and per-file summaries (the unit the cache stores).
+// Per-function and per-file summaries.
 // ---------------------------------------------------------------------------
 
 struct FunctionSummary {
@@ -137,7 +136,6 @@ struct FunctionSummary {
 
 struct FileSummary {
   std::string path;
-  uint64_t content_hash = 0;
   std::vector<FunctionSummary> functions;
   std::vector<std::string> virtual_decls;   // names declared `virtual` here
   std::vector<std::string> indirect_names;  // std::function-typed variable names
@@ -151,11 +149,6 @@ struct FileSummary {
 // are omitted from callee lists (the annotation is the documented escape
 // hatch for indirect/virtual calls known not to suspend — DESIGN §16).
 FileSummary ExtractSummary(const LexedFile& file);
-
-// FNV-1a over a byte string (the content hash the cache is keyed by).
-uint64_t Fnv1a(const std::string& bytes);
-uint64_t Fnv1aMix(uint64_t h, const std::string& bytes);
-uint64_t Fnv1aMix(uint64_t h, uint64_t v);
 
 }  // namespace renonfs::analyze
 
