@@ -115,6 +115,17 @@ fi
 # every op and zero collector pool spills.
 ./build/bench/bench_breakdown --quick --check
 
+# Simulated-behaviour byte-identity gate (BENCH_scenarios.json): the full
+# 22-cell scenario matrix, every cell gated and replayed. Its JSON holds no
+# host timings, so it must equal the committed file byte for byte; any drift
+# in simulated behaviour fails the build here. A change that is meant to move
+# simulated behaviour refreshes the file by running `bench_scenarios` with no
+# flags from the repo root, and says so.
+SCEN_JSON="$(mktemp /tmp/renonfs_scenarios.XXXXXX.json)"
+./build/bench/bench_scenarios --check --out "${SCEN_JSON}" >/dev/null
+cmp "${SCEN_JSON}" BENCH_scenarios.json
+rm -f "${SCEN_JSON}"
+
 # Trace + timeline validation: a short chaos run must emit a well-formed
 # Chrome trace (monotonic per-track timestamps, balanced async spans, flow
 # steps tied to their starts, client/server span nesting) and a well-formed

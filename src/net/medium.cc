@@ -1,7 +1,6 @@
 #include "src/net/medium.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -14,6 +13,7 @@ void Medium::Attach(HostId node, Receiver receiver) {
 }
 
 bool Medium::Transmit(Frame frame) {
+  Reap();
   if (down_) {
     // A dead line gives the transmitter no feedback: the frame just never
     // arrives. Returning true keeps the sender's accounting identical to a
@@ -21,7 +21,7 @@ bool Medium::Transmit(Frame frame) {
     ++stats_.frames_dropped_down;
     return true;
   }
-  if (in_queue_ >= config_.queue_limit) {
+  if (pending_.size() >= config_.queue_limit) {
     ++stats_.frames_dropped_queue;
     // Collateral damage: overflow pressure sometimes costs a recently queued
     // frame as well (fragment interleaving on a real store-and-forward
@@ -31,9 +31,9 @@ bool Medium::Transmit(Frame frame) {
     // time but never arrives.
     if (!pending_.empty() && rng_.Bernoulli(0.4)) {
       const size_t tail_window = std::min<size_t>(pending_.size(), 4);
-      const size_t victim = pending_.size() - 1 - rng_.UniformUint64(tail_window);
-      if (*pending_[victim]) {
-        *pending_[victim] = false;
+      PendingFrame& victim = pending_[pending_.size() - 1 - rng_.UniformUint64(tail_window)];
+      if (victim.alive) {
+        victim.alive = false;
         ++stats_.frames_damaged;
       }
     }
@@ -44,7 +44,7 @@ bool Medium::Transmit(Frame frame) {
     // Lost on the wire: it still occupies the sender's bandwidth slot, but
     // never arrives. Model as a queued transmission with no delivery.
     ++stats_.frames_dropped_loss;
-    StartOrQueue(frame.WireBytes(config_.framing_bytes), []() {});
+    ClaimUndelivered(frame.WireBytes(config_.framing_bytes));
     return true;
   }
   SimTime extra_delay = 0;
@@ -98,36 +98,87 @@ bool Medium::Transmit(Frame frame) {
 }
 
 void Medium::Deliver(Frame frame, SimTime extra_delay) {
-  const size_t wire_bytes = frame.WireBytes(config_.framing_bytes);
-  auto shared = std::make_shared<Frame>(std::move(frame));
-  StartOrQueue(
-      wire_bytes,
-      [this, shared, wire_bytes]() {
-        auto tap = taps_.find(shared->link_next_hop);
-        if (tap == taps_.end()) {
-          // No such neighbor; the frame dies on the segment.
-          return;
-        }
-        ++stats_.frames_delivered;
-        if (tracer_ != nullptr) {
-          tracer_->Record(trace_track_, TraceEventKind::kMediumTraverse, 0, 0, wire_bytes);
-        }
-        tap->second(std::move(*shared));
-      },
-      extra_delay);
+  const SimTime arrival = Claim(frame.WireBytes(config_.framing_bytes), extra_delay);
+  auto arrive = [this, id = pending_.back().id, frame = std::move(frame)]() mutable {
+    auto entry = FindPending(id);
+    const bool alive = entry->alive;
+    pending_.erase(entry);
+    if (!alive) {
+      return;  // damaged in the queue
+    }
+    auto tap = taps_.find(frame.link_next_hop);
+    if (tap == taps_.end()) {
+      // No such neighbor; the frame dies on the segment.
+      return;
+    }
+    ++stats_.frames_delivered;
+    if (tracer_ != nullptr) {
+      tracer_->Record(trace_track_, TraceEventKind::kMediumTraverse, 0, 0,
+                      frame.WireBytes(config_.framing_bytes));
+    }
+    tap->second(std::move(frame));
+  };
+  // Runs once per delivered frame: it must fit the event node's inline
+  // storage, or every delivery would allocate.
+  static_assert(sizeof(arrive) <= Scheduler::EventCallable::kInlineBytes);
+  scheduler_.Schedule(arrival - scheduler_.now(), std::move(arrive));
 }
 
 void Medium::InjectBackground(size_t wire_bytes) {
+  Reap();
   if (down_) {
     ++stats_.frames_dropped_down;
     return;
   }
-  if (in_queue_ >= config_.queue_limit) {
+  if (pending_.size() >= config_.queue_limit) {
     ++stats_.frames_dropped_queue;
     return;
   }
   ++stats_.background_frames;
-  StartOrQueue(wire_bytes, []() {});
+  ClaimUndelivered(wire_bytes);
+}
+
+SimTime Medium::Claim(size_t wire_bytes, SimTime extra_delay) {
+  pending_.push_back(PendingFrame{next_frame_id_++});
+  const SimTime start = std::max(busy_until_, scheduler_.now());
+  busy_until_ = start + TransmissionTime(wire_bytes, config_.bits_per_sec);
+  stats_.bytes_on_wire += wire_bytes;
+  return busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay;
+}
+
+void Medium::ClaimUndelivered(size_t wire_bytes) {
+  const UndeliveredFrame frame{Claim(wire_bytes, 0), scheduler_.ReserveSeq(), pending_.back().id};
+  // Arrivals ascend unless a latency storm ended with frames still queued;
+  // then a later frame can arrive first. The reserved seq is the largest so
+  // far, so inserting after every equal arrival keeps (arrival, seq) order.
+  auto at = std::upper_bound(
+      undelivered_.begin(), undelivered_.end(), frame.arrival,
+      [](SimTime arrival, const UndeliveredFrame& queued) { return arrival < queued.arrival; });
+  undelivered_.insert(at, frame);
+}
+
+void Medium::Reap() {
+  // Events fire in (time, seq) order, so the ones below the running event's
+  // (time, seq) have fired; outside any callback current_seq() is the
+  // maximum and that means every arrival up to now().
+  const SimTime now = scheduler_.now();
+  const uint64_t seq = scheduler_.current_seq();
+  auto gone = undelivered_.begin();
+  while (gone != undelivered_.end() &&
+         (gone->arrival < now || (gone->arrival == now && gone->seq < seq))) {
+    pending_.erase(FindPending(gone->id));
+    ++gone;
+  }
+  undelivered_.erase(undelivered_.begin(), gone);
+}
+
+std::vector<Medium::PendingFrame>::iterator Medium::FindPending(uint64_t id) {
+  auto entry = std::lower_bound(
+      pending_.begin(), pending_.end(), id,
+      [](const PendingFrame& pending, uint64_t want) { return pending.id < want; });
+  CHECK(entry != pending_.end() && entry->id == id)
+      << config_.name << ": frame " << id << " not queued";
+  return entry;
 }
 
 }  // namespace renonfs

@@ -6,17 +6,20 @@
 // propagation delay. A finite queue produces tail drops under congestion,
 // and an optional random loss probability models noisy lines. Background
 // cross-traffic is injected as anonymous frames that occupy bandwidth and
-// queue slots (the paper's runs shared production networks).
+// queue slots (the paper's runs shared production networks). Nobody receives
+// a background frame, or a frame lost on the wire, so neither schedules an
+// event: each holds its slot until the (time, seq) its delivery event would
+// have had, and leaves the queue the next time the medium reads its
+// occupancy (DESIGN.md §14).
 #ifndef RENONFS_SRC_NET_MEDIUM_H_
 #define RENONFS_SRC_NET_MEDIUM_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/net/frame.h"
 #include "src/obs/trace.h"
@@ -172,35 +175,28 @@ class Medium {
   }
 
  private:
-  // Claims the line for `wire_bytes` of serialization time and schedules
-  // `on_delivered` at the arrival instant (unless the frame is damaged in
-  // the queue meanwhile). Runs on every frame, so the callable forwards
-  // straight into the scheduler's pooled inline storage — no std::function.
-  template <typename F>
-  void StartOrQueue(size_t wire_bytes, F&& on_delivered, SimTime extra_delay = 0) {
-    ++in_queue_;
-    auto alive = std::make_shared<bool>(true);
-    pending_.push_back(alive);
-    const SimTime serialization = TransmissionTime(wire_bytes, config_.bits_per_sec);
-    const SimTime start = std::max(busy_until_, scheduler_.now());
-    busy_until_ = start + serialization;
-    stats_.bytes_on_wire += wire_bytes;
-    const SimTime arrival =
-        busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay - scheduler_.now();
-    scheduler_.Schedule(arrival, [this, alive, done = std::forward<F>(on_delivered)]() mutable {
-      CHECK_GT(in_queue_, 0u);
-      --in_queue_;
-      for (size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i] == alive) {
-          pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-          break;
-        }
-      }
-      if (*alive) {
-        done();
-      }
-    });
-  }
+  // A frame holding a queue slot, in transmit order; ids only grow.
+  struct PendingFrame {
+    uint64_t id = 0;
+    bool alive = true;  // cleared when collateral damage hits the frame
+  };
+  // A frame nobody receives: where and when its delivery event would have
+  // fired had it been scheduled.
+  struct UndeliveredFrame {
+    SimTime arrival = 0;
+    uint64_t seq = 0;
+    uint64_t id = 0;
+  };
+
+  // Claims a queue slot and `wire_bytes` of line time for a new frame.
+  // Returns the instant it reaches the far end.
+  SimTime Claim(size_t wire_bytes, SimTime extra_delay);
+  // Claims a slot and line time for a frame that is never delivered.
+  void ClaimUndelivered(size_t wire_bytes);
+  // Frees the slot of every undelivered frame whose delivery event would
+  // already have fired. Runs before every read of the queue.
+  void Reap();
+  std::vector<PendingFrame>::iterator FindPending(uint64_t id);
   // Queues one (possibly damaged) copy of the frame for delivery.
   void Deliver(Frame frame, SimTime extra_delay);
 
@@ -210,15 +206,17 @@ class Medium {
   MediumStats stats_;
   std::unordered_map<HostId, Receiver> taps_;
   SimTime busy_until_ = 0;
-  size_t in_queue_ = 0;
   bool down_ = false;
   Tracer* tracer_ = nullptr;
   uint16_t trace_track_ = 0;
   double transient_loss_ = 0.0;
   SimTime extra_latency_ = 0;
   CorruptionConfig corruption_;
-  // Alive flags for queued/in-flight frames; damaged frames are flipped off.
-  std::vector<std::shared_ptr<bool>> pending_;
+  uint64_t next_frame_id_ = 0;
+  // Queued and in-flight frames; the queue occupancy is its size.
+  std::vector<PendingFrame> pending_;
+  // Sorted by (arrival, seq).
+  std::vector<UndeliveredFrame> undelivered_;
 };
 
 }  // namespace renonfs

@@ -207,7 +207,9 @@ size_t Scheduler::FireCurrentTick() {
       // inside its own callback, and a Cancel from the callback must be a
       // harmless no-op.
       node->cancelled = true;
+      current_seq_ = node->seq;
       node->fn.Invoke();
+      current_seq_ = std::numeric_limits<uint64_t>::max();
       node->fn.Destroy();
       RecycleNode(node);
       ++executed;

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -68,10 +69,10 @@ class Scheduler {
   };
 
   // Type-erased callable storage sized for the real datapath captures — the
-  // fattest in-tree event today is Medium's delivery closure wrapping a
-  // UDP datagram handler (64 bytes). Anything larger spills to one heap
-  // block, counted in PoolStats::callable_heap_allocs; the nfsstat pool
-  // table surfaces the count, and it should stay zero in normal runs.
+  // fattest in-tree event today is Medium's delivery closure holding the
+  // Frame itself (64 bytes). Anything larger spills to one heap block,
+  // counted in PoolStats::callable_heap_allocs; the nfsstat pool table
+  // surfaces the count, and it should stay zero in normal runs.
   class EventCallable {
    public:
     static constexpr size_t kInlineBytes = 80;
@@ -152,6 +153,15 @@ class Scheduler {
   }
   void Cancel(EventHandle& handle);
 
+  // Takes the sequence number the next Schedule would have taken, and
+  // schedules nothing. An event with no work to do can be left unscheduled:
+  // its owner keeps the (time, seq) it would have had and compares it with
+  // (now(), current_seq()) to learn whether it would already have fired.
+  uint64_t ReserveSeq() { return next_seq_++; }
+  // The seq of the event whose callback is running. Outside any callback it
+  // is the maximum: every event at or before now() has fired.
+  uint64_t current_seq() const { return current_seq_; }
+
   // Fast path for restartable timers: if `handle` is a live, slot-linked
   // event, move its node to `delay` after now in place — unlink, restamp
   // (fresh seq, so ordering matches a cancel+reschedule), relink — keeping
@@ -223,6 +233,7 @@ class Scheduler {
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
+  uint64_t current_seq_ = std::numeric_limits<uint64_t>::max();
   size_t events_executed_ = 0;
 
   // Wheel cursor: <= every pending event's time. Advances past now_ only

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +162,189 @@ TEST(MediumTest, BackgroundTrafficOccupiesBandwidth) {
   EXPECT_GT(arrival, Milliseconds(8));  // queued behind the background frame
 }
 
+// --- queue occupancy at shared instants ---------------------------------------
+// A frame nobody receives (background, or lost on the wire) holds its queue
+// slot until the instant it would have arrived. These cases pin which side of
+// that instant an occupancy check at the very same nanosecond lands on.
+
+// 8 Mbit/s puts one byte on the wire per microsecond, and that serialization
+// time is exact in floating point, so frames sized in multiples of 50 bytes
+// arrive on a 50 us grid.
+constexpr SimTime kGrid = Microseconds(50);
+constexpr size_t kGridFraming = 10;
+
+MediumConfig GridConfig() {
+  MediumConfig config;
+  config.name = "grid";
+  config.bits_per_sec = 8e6;
+  config.propagation_delay = 2 * kGrid;
+  config.framing_bytes = kGridFraming;
+  return config;
+}
+
+Frame GridFrame(HostId to, uint32_t id, size_t wire_bytes) {
+  Frame f;
+  f.src = 1;
+  f.dst = to;
+  f.link_next_hop = to;
+  f.datagram_id = id;
+  f.payload = MbufChain::FromString(std::string(wire_bytes - kIpHeaderBytes - kGridFraming, 'x'));
+  return f;
+}
+
+TEST(MediumTest, BackgroundFrameLeavesAfterEarlierSeqAtItsArrival) {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 1;
+  Medium medium(sched, config, Rng(1));
+  int delivered = 0;
+  medium.Attach(2, [&](Frame) { ++delivered; });
+  const SimTime arrival = 20 * kGrid + config.propagation_delay;  // 1000 bytes
+  std::optional<bool> before;
+  std::optional<bool> after;
+  // Same instant as the background frame's arrival, scheduled before it was
+  // injected: the frame still holds the only slot.
+  sched.Schedule(arrival, [&]() { before = medium.Transmit(GridFrame(2, 1, 50)); });
+  medium.InjectBackground(1000);
+  // Same instant, scheduled after the injection: the slot is free again.
+  sched.Schedule(arrival, [&]() { after = medium.Transmit(GridFrame(2, 2, 50)); });
+  sched.Run();
+  ASSERT_TRUE(before.has_value() && after.has_value());
+  EXPECT_FALSE(*before);
+  EXPECT_TRUE(*after);
+  EXPECT_EQ(medium.stats().frames_dropped_queue, 1u);
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST(MediumTest, LatencyStormEndingLetsLaterBackgroundFramesLeaveFirst) {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 2;
+  Medium medium(sched, config, Rng(1));
+  medium.Attach(2, [](Frame) {});
+  medium.SetExtraLatency(Milliseconds(5));
+  medium.InjectBackground(1000);  // on the wire until 1 ms, arrives at 6.1 ms
+  medium.SetExtraLatency(0);
+  medium.InjectBackground(1000);  // on the wire until 2 ms, arrives at 2.1 ms
+  sched.RunUntil(Milliseconds(3));
+  // The second frame has left; the storm-delayed first one still holds the
+  // other slot.
+  EXPECT_TRUE(medium.Transmit(GridFrame(2, 1, 50)));
+  medium.InjectBackground(50);
+  EXPECT_EQ(medium.stats().frames_dropped_queue, 1u);
+  sched.RunUntil(Milliseconds(7));
+  EXPECT_TRUE(medium.Transmit(GridFrame(2, 2, 50)));
+  EXPECT_TRUE(medium.Transmit(GridFrame(2, 3, 50)));
+  sched.Run();
+  EXPECT_EQ(medium.stats().frames_delivered, 3u);
+  EXPECT_EQ(medium.stats().background_frames, 2u);
+}
+
+// One seeded script over a single medium, logged entry by entry: each
+// Transmit's accept/drop, each InjectBackground's effect on the counters,
+// each delivery's (host, frame, time), then the final MediumStats. Actions
+// run both between RunFor calls and from scheduled events, all on the grid
+// the frames arrive on, so actions and arrivals share instants in both seq
+// orders. The queue is small and lossy, a latency storm rises and falls
+// every 20 rounds while frames are queued, a corruption storm duplicates and
+// reorders frames, and host 2 forwards every third frame to host 3, so
+// transmits also happen inside delivery callbacks.
+std::vector<std::array<uint64_t, 4>> RunMediumScript() {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 4;
+  config.loss_probability = 0.2;
+  Medium medium(sched, config, Rng(5));
+  Rng rng(11);
+  std::vector<std::array<uint64_t, 4>> log;
+  uint32_t next_id = 0;
+  constexpr size_t kSizes[] = {50, 300, 1000};
+  auto now = [&]() { return static_cast<uint64_t>(sched.now()); };
+  auto transmit = [&](HostId to) {
+    const uint32_t id = next_id++;
+    const bool accepted = medium.Transmit(GridFrame(to, id, kSizes[rng.UniformUint64(3)]));
+    log.push_back({1, id, accepted ? 1u : 0u, now()});
+  };
+  auto inject = [&]() {
+    medium.InjectBackground(kSizes[rng.UniformUint64(3)]);
+    const MediumStats& stats = medium.stats();
+    log.push_back({2, stats.background_frames, stats.frames_dropped_queue, now()});
+  };
+  medium.Attach(2, [&](Frame frame) {
+    log.push_back({3, 2, frame.datagram_id, now()});
+    if (frame.datagram_id % 3 == 0) {
+      transmit(3);
+    }
+  });
+  medium.Attach(3, [&](Frame frame) { log.push_back({3, 3, frame.datagram_id, now()}); });
+  for (int round = 0; round < 300; ++round) {
+    const uint64_t actions = 1 + rng.UniformUint64(3);
+    for (uint64_t i = 0; i < actions; ++i) {
+      const uint64_t pick = rng.UniformUint64(4);
+      if (pick == 0) {
+        inject();
+      } else if (pick == 1) {
+        transmit(2);
+      } else {
+        const SimTime delay = kGrid * static_cast<SimTime>(rng.UniformUint64(40));
+        if (pick == 2) {
+          sched.Schedule(delay, [&]() { inject(); });
+        } else {
+          sched.Schedule(delay, [&]() { transmit(2); });
+        }
+      }
+    }
+    if (round % 20 == 5) {
+      medium.SetExtraLatency(Milliseconds(2));
+    } else if (round % 20 == 10) {
+      medium.SetExtraLatency(0);
+    }
+    if (round == 150) {
+      medium.SetCorruption(CorruptionConfig{.duplicate = 0.2, .reorder = 0.2});
+    } else if (round == 200) {
+      medium.SetCorruption(CorruptionConfig{});
+    }
+    sched.RunFor(kGrid * static_cast<SimTime>(rng.UniformUint64(40)));
+  }
+  sched.Run();
+  const MediumStats& s = medium.stats();
+  log.push_back({4, s.frames_delivered, s.frames_dropped_queue, s.frames_dropped_loss});
+  log.push_back({4, s.frames_damaged, s.frames_dropped_down, s.bytes_on_wire});
+  log.push_back({4, s.background_frames, s.frames_bit_flipped, s.frames_truncated});
+  log.push_back({4, s.frames_duplicated, s.frames_reordered, 0});
+  return log;
+}
+
+TEST(MediumTest, SeededScriptMatchesPinnedLog) {
+  // Pinned from the medium that scheduled one delivery event per frame,
+  // background and wire-lost frames included: a frame nobody receives must
+  // keep holding its queue slot and line time exactly that long.
+  const auto log = RunMediumScript();
+  uint64_t digest = 14695981039346656037ull;
+  for (const auto& entry : log) {
+    for (const uint64_t word : entry) {
+      digest = (digest ^ word) * 1099511628211ull;
+    }
+  }
+  std::set<uint64_t> arrivals;
+  for (const auto& entry : log) {
+    if (entry[0] == 3) {
+      arrivals.insert(entry[3]);
+    }
+  }
+  size_t shared_instants = 0;
+  for (const auto& entry : log) {
+    shared_instants += (entry[0] == 1 || entry[0] == 2) && arrivals.contains(entry[3]) ? 1 : 0;
+  }
+  EXPECT_GT(shared_instants, 0u);  // actions really do land on arrival instants
+  const auto& stats = log[log.size() - 4];
+  EXPECT_GT(stats[2], 0u);  // queue drops
+  EXPECT_GT(stats[3], 0u);  // wire losses
+  EXPECT_GT(log[log.size() - 3][1], 0u);  // collateral damage
+  EXPECT_EQ(log.size(), 836u);
+  EXPECT_EQ(digest, 0x2cb4d477c9bbff20ull);
+}
+
 struct RoutedPath {
   explicit RoutedPath(TopologyKind kind, TopologyOptions options = TopologyOptions::Quiet()) {
     topo = BuildTopology(kind, options);
@@ -196,6 +382,18 @@ TEST_P(TopologyTest, RoundTripAcrossPath) {
 INSTANTIATE_TEST_SUITE_P(AllTopologies, TopologyTest,
                          ::testing::Values(TopologyKind::kSameLan, TopologyKind::kTokenRingPath,
                                            TopologyKind::kSlowLinkPath));
+
+TEST(TopologyTest, BackgroundTrafficSchedulesOnlyBurstTimers) {
+  // Nobody receives a background frame, so it schedules no event; only the
+  // burst timers do, and a burst averages 8 frames.
+  Topology topo = BuildTopology(TopologyKind::kTokenRingPath);
+  topo.scheduler().RunFor(Seconds(10));
+  uint64_t background_frames = 0;
+  for (const auto& medium : topo.network->media()) {
+    background_frames += medium->stats().background_frames;
+  }
+  EXPECT_LT(topo.scheduler().events_executed() * 4, background_frames);
+}
 
 TEST(TopologyLatencyTest, SlowLinkMuchSlowerThanLan) {
   auto rtt_of = [](TopologyKind kind) {

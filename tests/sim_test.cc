@@ -343,6 +343,23 @@ TEST(SchedulerWheelTest, SameTickFifoAcrossWheelLevels) {
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
+TEST(SchedulerWheelTest, ReservedSeqKeepsSameInstantOrder) {
+  Scheduler sched;
+  constexpr uint64_t kOutside = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(sched.current_seq(), kOutside);
+  std::vector<std::pair<int, uint64_t>> fired;  // (id, current_seq inside)
+  sched.Schedule(Milliseconds(1), [&]() { fired.emplace_back(0, sched.current_seq()); });
+  // A reserved seq is one no event takes: the event scheduled next for the
+  // same instant still fires after every event scheduled before it.
+  const uint64_t reserved = sched.ReserveSeq();
+  sched.Schedule(Milliseconds(1), [&]() { fired.emplace_back(1, sched.current_seq()); });
+  sched.Run();
+  EXPECT_EQ(reserved, 1u);
+  EXPECT_EQ(fired, (std::vector<std::pair<int, uint64_t>>{{0, 0}, {1, 2}}));
+  EXPECT_EQ(sched.current_seq(), kOutside);
+  EXPECT_EQ(sched.events_executed(), 2u);
+}
+
 TEST(SchedulerWheelTest, FarFutureOverflowCascades) {
   Scheduler sched;
   std::vector<SimTime> fired_at;
