@@ -1,6 +1,8 @@
 #include "src/mbuf/mbuf.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "src/util/logging.h"
 #include "src/util/pool.h"
@@ -384,40 +386,83 @@ MbufChain MbufChain::SplitOff(size_t at) {
   return rest;
 }
 
-void MbufChain::ForEachSegment(const std::function<void(const uint8_t*, size_t)>& fn) const {
-  for (const Mbuf* m = head_.get(); m != nullptr; m = m->next()) {
-    if (m->length() > 0) {
-      fn(m->data(), m->length());
-    }
+namespace {
+
+// Sums n bytes as host-order 16-bit words, a lone last byte padded with a
+// zero byte. Each 64-bit load is added as its two 32-bit halves; since
+// 2^32 == 2^16 == 1 (mod 0xffff), the result is congruent to the 16-bit
+// word sum, and neither accumulator can overflow below 32 GB. memcpy keeps
+// loads at unaligned cluster offsets defined.
+uint64_t HostOrderWordSum(const uint8_t* p, size_t n) {
+  uint64_t sum0 = 0;
+  uint64_t sum1 = 0;
+  for (; n >= 16; p += 16, n -= 16) {
+    uint64_t w0;
+    uint64_t w1;
+    std::memcpy(&w0, p, 8);
+    std::memcpy(&w1, p + 8, 8);
+    sum0 += (w0 & 0xffffffff) + (w0 >> 32);
+    sum1 += (w1 & 0xffffffff) + (w1 >> 32);
   }
+  uint64_t sum = sum0 + sum1;
+  if (n >= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    sum += (w & 0xffffffff) + (w >> 32);
+    p += 8;
+    n -= 8;
+  }
+  if (n >= 4) {
+    uint32_t w;
+    std::memcpy(&w, p, 4);
+    sum += w;
+    p += 4;
+    n -= 4;
+  }
+  if (n >= 2) {
+    uint16_t w;
+    std::memcpy(&w, p, 2);
+    sum += w;
+    p += 2;
+    n -= 2;
+  }
+  if (n == 1) {
+    uint16_t w = 0;
+    std::memcpy(&w, p, 1);
+    sum += w;
+  }
+  return sum;
 }
 
-uint16_t MbufChain::InternetChecksum() const {
-  uint64_t sum = 0;
-  bool odd = false;
-  uint8_t pending = 0;
-  ForEachSegment([&](const uint8_t* p, size_t n) {
-    size_t i = 0;
-    if (odd && n > 0) {
-      sum += static_cast<uint64_t>(pending) << 8 | p[0];
-      i = 1;
-      odd = false;
-    }
-    for (; i + 1 < n; i += 2) {
-      sum += static_cast<uint64_t>(p[i]) << 8 | p[i + 1];
-    }
-    if (i < n) {
-      pending = p[i];
-      odd = true;
-    }
-  });
-  if (odd) {
-    sum += static_cast<uint64_t>(pending) << 8;
-  }
-  while (sum >> 16) {
+// End-around-carry fold to 16 bits. Only a zero sum folds to 0.
+uint16_t FoldOnesComplement(uint64_t sum) {
+  while ((sum >> 16) != 0) {
     sum = (sum & 0xffff) + (sum >> 16);
   }
-  return static_cast<uint16_t>(~sum & 0xffff);
+  return static_cast<uint16_t>(sum);
+}
+
+uint16_t ByteSwap16(uint16_t v) { return static_cast<uint16_t>(v << 8 | v >> 8); }
+
+}  // namespace
+
+uint16_t MbufChain::InternetChecksum() const {
+  // RFC 1071 §2, as 4.3BSD's in_cksum() sums an mbuf chain: each mbuf is
+  // summed in host order, and a segment that starts at an odd chain offset
+  // has its bytes in the other halves of the network-order words, so its
+  // folded sum is byte-swapped (§2(B)) before it joins the total.
+  uint64_t sum = 0;
+  size_t offset = 0;
+  for (const Mbuf* m = head_.get(); m != nullptr; m = m->next()) {
+    const uint16_t folded = FoldOnesComplement(HostOrderWordSum(m->data(), m->length()));
+    sum += (offset & 1) != 0 ? ByteSwap16(folded) : folded;
+    offset += m->length();
+  }
+  uint16_t total = FoldOnesComplement(sum);
+  if constexpr (std::endian::native == std::endian::little) {
+    total = ByteSwap16(total);  // host-order words to network order
+  }
+  return static_cast<uint16_t>(~total);
 }
 
 }  // namespace renonfs

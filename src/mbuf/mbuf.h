@@ -207,10 +207,13 @@ class MbufChain {
   // Splits this chain at `at`; this keeps [0, at), the remainder is returned.
   MbufChain SplitOff(size_t at);
 
-  // Invokes fn(ptr, len) for each non-empty segment in order.
-  void ForEachSegment(const std::function<void(const uint8_t*, size_t)>& fn) const;
-
-  // Internet checksum (RFC 1071 16-bit one's complement) over the contents.
+  // Internet checksum (RFC 1071 16-bit one's complement) of the contents
+  // read as network-order (big-endian) 16-bit words. Like 4.3BSD's
+  // in_cksum(), it sums each mbuf in place, 64 bits at a time in host order,
+  // and byte-swaps the partial sum of an mbuf that starts at an odd chain
+  // offset. Only all-zero data sums to 0, so the result is 0xffff only then.
+  // This is host work only: the simulated CPU cost of checksumming is charged
+  // separately by the transports, through CostProfile::checksum_per_byte.
   uint16_t InternetChecksum() const;
 
   Mbuf* head() { return head_.get(); }

@@ -142,13 +142,16 @@ void Node::TransmitFrame(Medium* medium, Frame frame) {
     cpu_.ChargeBackground(profile_.nic_tx_interrupt, CostCategory::kIfOutput);
   }
   cpu_.ChargeBackground(copy_cost, CostCategory::kCopy);
-  auto shared = std::make_shared<Frame>(std::move(frame));
-  cpu_.Charge(cost, CostCategory::kIfOutput, [this, medium, shared]() {
+  auto transmit = [this, medium, frame = std::move(frame)]() mutable {
     ++stats_.frames_sent;
-    if (!medium->Transmit(std::move(*shared))) {
+    if (!medium->Transmit(std::move(frame))) {
       ++stats_.send_drops_queue;
     }
-  });
+  };
+  // Runs once per frame per hop: it must fit the event node's inline
+  // storage, or every transmit would allocate.
+  static_assert(sizeof(transmit) <= Scheduler::EventCallable::kInlineBytes);
+  cpu_.Charge(cost, CostCategory::kIfOutput, std::move(transmit));
 }
 
 void Node::OnFrameReceived(Medium* medium, Frame frame) {
@@ -170,9 +173,10 @@ void Node::OnFrameReceived(Medium* medium, Frame frame) {
   cpu_.ChargeBackground(
       profile_.copy_per_byte * static_cast<SimTime>(frame.payload.Length() + kIpHeaderBytes),
       CostCategory::kCopy);
-  auto shared = std::make_shared<Frame>(std::move(frame));
-  cpu_.Charge(profile_.ip_input_per_packet, CostCategory::kIp,
-              [this, shared]() { ProcessFrame(std::move(*shared)); });
+  auto input = [this, frame = std::move(frame)]() mutable { ProcessFrame(std::move(frame)); };
+  // Runs once per frame per hop, like the transmit closure above.
+  static_assert(sizeof(input) <= Scheduler::EventCallable::kInlineBytes);
+  cpu_.Charge(profile_.ip_input_per_packet, CostCategory::kIp, std::move(input));
 }
 
 void Node::ProcessFrame(Frame frame) {

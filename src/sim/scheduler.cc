@@ -110,57 +110,51 @@ bool Scheduler::FindNextTick(SimTime cap) {
     if (wheel_size_ == 0) {
       return false;
     }
-    // The earliest candidate across levels: for level 0 the slot start IS the
-    // event time; higher levels give a lower bound (their slots are wider).
-    // Ties prefer the higher level so a far slot whose span begins exactly at
-    // a due tick is cascaded before that tick fires — its events may carry
-    // earlier sequence numbers.
-    int best_level = -1;
-    int best_index = 0;
-    SimTime best_time = 0;
-    for (int level = 0; level < kLevels; ++level) {
-      if (occupied_[level] == 0) {
-        continue;
-      }
-      const int cursor = static_cast<int>(
-          (static_cast<uint64_t>(cur_tick_) >> (level * kLevelBits)) &
-          (kSlotsPerLevel - 1));
-      // Pending events never sit below the cursor digit at their level.
-      const uint64_t mask = occupied_[level] >> cursor;
-      CHECK(mask != 0) << "timing wheel: occupied slot behind the cursor";
-      const int index = cursor + std::countr_zero(mask);
-      const int base_shift = (level + 1) * kLevelBits;
-      const uint64_t base =
-          base_shift >= 64
-              ? 0
-              : static_cast<uint64_t>(cur_tick_) &
-                    ~((uint64_t{1} << base_shift) - 1);
-      const uint64_t slot_start =
-          base | (static_cast<uint64_t>(index) << (level * kLevelBits));
-      const SimTime t = std::max(static_cast<SimTime>(slot_start), cur_tick_);
-      if (best_level < 0 || t < best_time ||
-          (t == best_time && level > best_level)) {
-        best_time = t;
-        best_level = level;
-        best_index = index;
-      }
+    // A node sits at the level of the highest digit where its time differs
+    // from the cursor, so a node at level L lies past the cursor's whole
+    // level-L block, which holds every node at a lower level. The lowest
+    // occupied level therefore holds the earliest event, and its first
+    // occupied slot at or after the cursor digit holds it.
+    int level = 0;
+    while (occupied_[level] == 0) {
+      ++level;
+      CHECK_LT(level, kLevels);
     }
-    CHECK_GE(best_level, 0);
-    if (best_time > cap) {
+    const int shift = level * kLevelBits;
+    const int cursor = static_cast<int>(
+        (static_cast<uint64_t>(cur_tick_) >> shift) & (kSlotsPerLevel - 1));
+    const uint64_t mask = occupied_[level] >> cursor;
+    CHECK(mask != 0) << "timing wheel: occupied slot behind the cursor";
+    const int index = cursor + std::countr_zero(mask);
+    const int base_shift = shift + kLevelBits;
+    const uint64_t base =
+        base_shift >= 64
+            ? 0
+            : static_cast<uint64_t>(cur_tick_) & ~((uint64_t{1} << base_shift) - 1);
+    const SimTime slot_start =
+        static_cast<SimTime>(base | (static_cast<uint64_t>(index) << shift));
+    if (slot_start > cap) {
       return false;
     }
-    cur_tick_ = best_time;
-    if (best_level == 0) {
+    if (level == 0) {
+      cur_tick_ = slot_start;  // a level-0 slot is one instant
       return true;
     }
-    // Cascade: deal the slot's nodes down relative to the advanced cursor.
-    // Each node lands at a strictly lower level (its level-`best_level` digit
-    // now matches the cursor's), so this terminates.
-    Slot& slot = slots_[best_level][best_index];
+    // Jump inside the slot: the cursor moves to its earliest event (slot
+    // lists are in insertion order, so walk it), or to the cap if that comes
+    // first. The jump stays inside this slot's span, so every other node keeps
+    // its level; the slot's own nodes are re-dealt below it, the earliest
+    // onto level 0 unless the cap stopped the cursor short.
+    Slot& slot = slots_[level][index];
+    SimTime earliest = std::numeric_limits<SimTime>::max();
+    for (const EventNode* node = slot.head; node != nullptr; node = node->next) {
+      earliest = std::min(earliest, node->at);
+    }
+    cur_tick_ = std::min(earliest, cap);
     EventNode* node = slot.head;
     slot.head = nullptr;
     slot.tail = nullptr;
-    occupied_[best_level] &= ~(uint64_t{1} << best_index);
+    occupied_[level] &= ~(uint64_t{1} << index);
     while (node != nullptr) {
       EventNode* next = node->next;
       // Cancelled nodes never sit in slots (Cancel unlinks them eagerly), so

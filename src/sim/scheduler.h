@@ -9,9 +9,11 @@
 // The implementation is a hierarchical timing wheel: 11 levels of 64 slots,
 // 6 bits of the absolute nanosecond tick per level, a uint64 occupancy bitmap
 // per level. Insertion is O(1) (the level is the highest 6-bit digit where
-// the event time differs from the wheel cursor), firing scans bitmaps with
-// countr_zero and lazily cascades far-future slots toward level 0 as the
-// cursor advances. Events are fixed-size pooled nodes with small-buffer
+// the event time differs from the wheel cursor). That placement makes the
+// lowest occupied level hold the earliest event, so finding the next tick
+// scans the bitmaps upward with countr_zero; a far-future slot found there is
+// re-dealt once the cursor has jumped to its earliest event, which lands
+// that event on level 0. Events are fixed-size pooled nodes with small-buffer
 // callable storage, so the steady state allocates nothing; slots are doubly
 // linked, so Cancel unlinks and recycles the node in O(1) (the 4.3BSD callout
 // wheel's untimeout() move) instead of leaving a tombstone to cascade and
@@ -69,10 +71,12 @@ class Scheduler {
   };
 
   // Type-erased callable storage sized for the real datapath captures — the
-  // fattest in-tree event today is Medium's delivery closure holding the
-  // Frame itself (64 bytes). Anything larger spills to one heap block,
-  // counted in PoolStats::callable_heap_allocs; the nfsstat pool table
-  // surfaces the count, and it should stay zero in normal runs.
+  // fattest in-tree events today hold a Frame itself: Medium's delivery
+  // closure and Node's NIC transmit closure (64 bytes each) and its IP-input
+  // closure (56 bytes), each pinned by a static_assert where it is built.
+  // Anything larger spills to one heap block, counted in
+  // PoolStats::callable_heap_allocs; the nfsstat pool table surfaces the
+  // count, and it should stay zero in normal runs.
   class EventCallable {
    public:
     static constexpr size_t kInlineBytes = 80;
@@ -222,9 +226,9 @@ class Scheduler {
   // Removes a slot-linked node from its slot (O(1) via the prev link),
   // clearing the occupancy bit if the slot empties. Does not recycle.
   void UnlinkNode(EventNode* node);
-  // Advances cur_tick_ (cascading far slots down) to the earliest pending
-  // tick <= cap. Returns false when the wheel is empty or the earliest
-  // possible event lies beyond cap; cur_tick_ never passes cap.
+  // Advances cur_tick_ to the earliest pending tick <= cap, re-dealing the
+  // far slot that holds it. Returns false when the wheel is empty or the
+  // earliest event lies beyond cap; cur_tick_ never passes cap.
   bool FindNextTick(SimTime cap);
   // Fires every live event in the level-0 slot at cur_tick_ (in seq order,
   // re-draining for same-tick events scheduled by callbacks). Returns the
@@ -237,8 +241,9 @@ class Scheduler {
   size_t events_executed_ = 0;
 
   // Wheel cursor: <= every pending event's time. Advances past now_ only
-  // transiently inside RunUntil (to slot starts while cascading, never past
-  // the deadline), so Schedule always inserts at times >= cur_tick_.
+  // transiently inside RunUntil (to a far slot's earliest event while
+  // re-dealing it, never past the deadline), so Schedule always inserts at
+  // times >= cur_tick_.
   SimTime cur_tick_ = 0;
   size_t wheel_size_ = 0;  // nodes in slots, cancelled included
   std::array<uint64_t, kLevels> occupied_{};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -187,21 +188,104 @@ TEST_F(MbufTest, AppendZeros) {
   EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; }));
 }
 
-TEST_F(MbufTest, InternetChecksumMatchesReference) {
-  // RFC 1071 example-style check against a straightforward reference.
-  const auto data = Pattern(1999);
-  MbufChain chain;
-  chain.Append(data.data(), data.size());
-
+// RFC 1071's definition, one network-order byte pair at a time over
+// contiguous bytes: an independent reference for the chain's word-at-a-time
+// sum.
+uint16_t ReferenceChecksum(const std::vector<uint8_t>& data) {
   uint64_t sum = 0;
   for (size_t i = 0; i + 1 < data.size(); i += 2) {
     sum += static_cast<uint64_t>(data[i]) << 8 | data[i + 1];
   }
-  sum += static_cast<uint64_t>(data.back()) << 8;
+  if (data.size() % 2 != 0) {
+    sum += static_cast<uint64_t>(data.back()) << 8;
+  }
   while (sum >> 16) {
     sum = (sum & 0xffff) + (sum >> 16);
   }
-  EXPECT_EQ(chain.InternetChecksum(), static_cast<uint16_t>(~sum & 0xffff));
+  return static_cast<uint16_t>(~sum & 0xffff);
+}
+
+// Builds `data` behind `lead` bytes that are then trimmed off the front, as
+// pieces of 1..max_piece bytes. Each piece is a CopyRange of one contiguous
+// chain, so a cluster-backed piece keeps its source offset inside the
+// cluster; with an odd `lead`, the head starts at an odd address and the
+// source's cluster boundaries fall at odd chain offsets.
+MbufChain BuildChain(const std::vector<uint8_t>& data, size_t lead, size_t max_piece, Rng& rng) {
+  std::vector<uint8_t> bytes(lead, 0xa5);
+  bytes.insert(bytes.end(), data.begin(), data.end());
+  const MbufChain whole = MbufChain::FromBytes(bytes.data(), bytes.size());
+  MbufChain chain;
+  for (size_t off = 0; off < bytes.size();) {
+    const size_t n = std::min<size_t>(bytes.size() - off, 1 + rng.UniformUint64(max_piece));
+    chain.Concat(whole.CopyRange(off, n));
+    off += n;
+  }
+  chain.TrimFront(lead);
+  return chain;
+}
+
+TEST_F(MbufTest, InternetChecksumMatchesReference) {
+  // Seeded sweep over lengths, contents and mbuf layouts. The chain sums
+  // each mbuf a word at a time and byte-swaps segments that start at odd
+  // chain offsets; every layout of the same bytes must give the reference's
+  // value, so the checksum cannot depend on how the bytes are fragmented.
+  // Every combination runs up to 40 bytes; longer chains, up to 9000 bytes
+  // with the cluster-size edges among them, each draw one combination.
+  constexpr int kFills[] = {-1, 0x00, 0xff};  // random, all-zero, all-0xff
+  constexpr size_t kOnePiece = size_t{1} << 20;  // the source chain's own layout
+  constexpr size_t kMaxPieces[] = {3, 2100, kOnePiece};
+  struct Case {
+    size_t length;
+    int fill;
+    size_t max_piece;
+    size_t lead;
+  };
+  Rng rng(1071);
+  std::vector<Case> cases;
+  for (size_t length = 0; length <= 40; ++length) {
+    for (const int fill : kFills) {
+      for (const size_t max_piece : kMaxPieces) {
+        for (size_t lead = 0; lead < 4; ++lead) {
+          cases.push_back({length, fill, max_piece, lead});
+        }
+      }
+    }
+  }
+  std::vector<size_t> long_lengths = {2047, 2048, 2049, 4095, 4097, 8191, 8192, 8193, 9000};
+  for (int i = 0; i < 300; ++i) {
+    long_lengths.push_back(41 + rng.UniformUint64(9000 - 40));
+  }
+  for (const size_t length : long_lengths) {
+    cases.push_back({length, kFills[rng.UniformUint64(3)], kMaxPieces[rng.UniformUint64(3)],
+                     rng.UniformUint64(4)});
+  }
+  size_t odd_lengths = 0;
+  size_t odd_offset_segments = 0;
+  for (const Case& c : cases) {
+    odd_lengths += c.length % 2;
+    std::vector<uint8_t> data(c.length, static_cast<uint8_t>(c.fill));
+    if (c.fill < 0) {
+      for (uint8_t& b : data) {
+        b = static_cast<uint8_t>(rng.UniformUint64(256));
+      }
+    }
+    const uint16_t expected = ReferenceChecksum(data);
+    if (c.fill == 0x00) {
+      EXPECT_EQ(expected, 0xffff);  // one's-complement zero: only all-zero data
+    }
+    const MbufChain chain = BuildChain(data, c.lead, c.max_piece, rng);
+    ASSERT_EQ(chain.Length(), c.length);
+    EXPECT_EQ(chain.InternetChecksum(), expected)
+        << "length " << c.length << " fill " << c.fill << " max_piece " << c.max_piece
+        << " lead " << c.lead;
+    size_t offset = 0;
+    for (const Mbuf* m = chain.head(); m != nullptr; m = m->next()) {
+      odd_offset_segments += offset % 2;
+      offset += m->length();
+    }
+  }
+  EXPECT_GT(odd_lengths, 0u);
+  EXPECT_GT(odd_offset_segments, 0u);
 }
 
 TEST_F(MbufTest, ChecksumInvariantUnderFragmentationLayout) {
@@ -221,18 +305,30 @@ TEST_F(MbufTest, ChecksumInvariantUnderFragmentationLayout) {
   EXPECT_EQ(pieces.InternetChecksum(), whole.InternetChecksum());
 }
 
-TEST_F(MbufTest, ForEachSegmentCoversAllBytes) {
-  MbufChain chain;
-  const auto data = Pattern(3333);
-  chain.Append(data.data(), data.size());
-  size_t total = 0;
-  std::vector<uint8_t> gathered;
-  chain.ForEachSegment([&](const uint8_t* p, size_t n) {
-    total += n;
-    gathered.insert(gathered.end(), p, p + n);
-  });
-  EXPECT_EQ(total, data.size());
-  EXPECT_EQ(gathered, data);
+TEST_F(MbufTest, InternetChecksumDetectsEverySingleBitFlip) {
+  // A one-bit flip moves the one's-complement sum by 2^k (mod 0xffff), which
+  // is never 0, so the checksum must change for every bit of the chain.
+  Rng rng(8192);
+  std::vector<uint8_t> data(8192);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.UniformUint64(256));
+  }
+  MbufChain chain = BuildChain(data, 1, 2100, rng);
+  const uint16_t original = chain.InternetChecksum();
+  ASSERT_EQ(original, ReferenceChecksum(data));
+  size_t flips = 0;
+  for (Mbuf* m = chain.head(); m != nullptr; m = m->next()) {
+    for (size_t i = 0; i < m->length(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        m->data()[i] ^= static_cast<uint8_t>(1u << bit);
+        ASSERT_NE(chain.InternetChecksum(), original) << "byte " << i << " bit " << bit;
+        m->data()[i] ^= static_cast<uint8_t>(1u << bit);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(flips, data.size() * 8);
+  EXPECT_EQ(chain.InternetChecksum(), original);
 }
 
 // Property-style sweep: random op sequences preserve a byte-accurate model.

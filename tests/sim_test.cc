@@ -391,6 +391,22 @@ TEST(SchedulerWheelTest, RunUntilDeadlineMidSlot) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(SchedulerWheelTest, RunUntilCapInsideWideSlot) {
+  Scheduler sched;
+  std::vector<std::pair<char, SimTime>> fired;
+  // A sits in a wide slot whose span holds the deadline. The cursor may jump
+  // into that slot only as far as the deadline; had it jumped on to A, B
+  // (scheduled after the deadline, before A) would land behind it.
+  sched.Schedule(Seconds(1), [&]() { fired.emplace_back('A', sched.now()); });
+  sched.RunUntil(Milliseconds(999));
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sched.now(), Milliseconds(999));
+  sched.Schedule(Microseconds(500), [&]() { fired.emplace_back('B', sched.now()); });
+  sched.Run();
+  EXPECT_EQ(fired, (std::vector<std::pair<char, SimTime>>{
+                       {'B', Milliseconds(999) + Microseconds(500)}, {'A', Seconds(1)}}));
+}
+
 TEST(SchedulerWheelTest, CancelledTailThenRescheduleEarlier) {
   Scheduler sched;
   auto handle = sched.Schedule(Seconds(10), []() {});
@@ -441,12 +457,10 @@ class ReferenceQueue {
 };
 
 // One seeded script of bursts, cancels, and bounded drains; returns the
-// (id, fire-time) log. Delays are uniform over [0, 2 ms) on a `grid`: on a
-// 50 us grid a burst often puts several events on one instant, so the
-// (time, seq) tie rule is exercised under random cancels and cascades, not
-// only on hand-built ties.
-template <typename Queue>
-std::vector<std::pair<int, SimTime>> RunSeededScript(Queue& queue, SimTime grid) {
+// (id, fire-time) log. `delay(rng)` draws each event's delay and `drain(rng)`
+// each RunFor span.
+template <typename Queue, typename DelayDraw, typename DrainDraw>
+std::vector<std::pair<int, SimTime>> RunScript(Queue& queue, DelayDraw delay, DrainDraw drain) {
   Rng rng(42);
   std::vector<std::pair<int, SimTime>> log;
   std::vector<typename Queue::EventHandle> handles;
@@ -455,19 +469,41 @@ std::vector<std::pair<int, SimTime>> RunSeededScript(Queue& queue, SimTime grid)
     const uint64_t burst = 1 + rng.UniformUint64(8);
     for (uint64_t i = 0; i < burst; ++i) {
       const int id = next_id++;
-      const SimTime delay =
-          static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(2) / grid))) *
-          grid;
       handles.push_back(
-          queue.Schedule(delay, [&log, &queue, id]() { log.emplace_back(id, queue.now()); }));
+          queue.Schedule(delay(rng), [&log, &queue, id]() { log.emplace_back(id, queue.now()); }));
     }
     if (rng.Bernoulli(0.3)) {
       queue.Cancel(handles[rng.UniformUint64(handles.size())]);
     }
-    queue.RunFor(static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(1)))));
+    queue.RunFor(drain(rng));
   }
   queue.Run();
   return log;
+}
+
+// Delays are uniform over [0, 2 ms) on a `grid` and drains over [0, 1 ms):
+// on a 50 us grid a burst often puts several events on one instant, so the
+// (time, seq) tie rule is exercised under random cancels and cascades, not
+// only on hand-built ties.
+template <typename Queue>
+std::vector<std::pair<int, SimTime>> RunSeededScript(Queue& queue, SimTime grid) {
+  return RunScript(
+      queue,
+      [grid](Rng& rng) {
+        return static_cast<SimTime>(
+                   rng.UniformUint64(static_cast<uint64_t>(Milliseconds(2) / grid))) *
+               grid;
+      },
+      [](Rng& rng) {
+        return static_cast<SimTime>(rng.UniformUint64(static_cast<uint64_t>(Milliseconds(1))));
+      });
+}
+
+// Log-uniform over [1, 2^max_log2) ns: a power of two, then a uniform
+// offset below it.
+SimTime LogUniform(Rng& rng, uint64_t max_log2) {
+  const uint64_t octave = uint64_t{1} << rng.UniformUint64(max_log2);
+  return static_cast<SimTime>(octave + rng.UniformUint64(octave));
 }
 
 TEST(SchedulerWheelTest, MatchesReferenceQueueOnSeededRandomSchedule) {
@@ -485,6 +521,23 @@ TEST(SchedulerWheelTest, MatchesReferenceQueueOnSeededRandomSchedule) {
     same_instant += wheel_log[i].second == wheel_log[i - 1].second ? 1 : 0;
   }
   EXPECT_GT(same_instant, 0u);  // the script really does produce ties
+}
+
+TEST(SchedulerWheelTest, MatchesReferenceQueueOnEveryWheelLevel) {
+  // The same comparison with log-uniform draws. Delays reach 2^61 ns, so
+  // events sit on all 11 levels at once (level 10 starts at 2^60); drains
+  // reach 2^40 ns, so RunFor deadlines fall inside wide slots, where the
+  // cursor must stop at the deadline, and later cancels hit nodes that the
+  // stop just re-dealt.
+  const auto delay = [](Rng& rng) { return LogUniform(rng, 61); };
+  const auto drain = [](Rng& rng) { return LogUniform(rng, 40); };
+  Scheduler wheel;
+  ReferenceQueue reference;
+  const auto wheel_log = RunScript(wheel, delay, drain);
+  const auto reference_log = RunScript(reference, delay, drain);
+  EXPECT_EQ(wheel_log, reference_log);
+  ASSERT_FALSE(wheel_log.empty());
+  EXPECT_GE(wheel_log.back().second, SimTime{1} << 60);  // the top level fired too
 }
 
 TEST(SchedulerWheelTest, MatchesLegacyHeapOnSeededRandomSchedule) {
