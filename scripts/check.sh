@@ -126,14 +126,16 @@ SCEN_JSON="$(mktemp /tmp/renonfs_scenarios.XXXXXX.json)"
 cmp "${SCEN_JSON}" BENCH_scenarios.json
 rm -f "${SCEN_JSON}"
 
-# Trace + timeline validation: a short chaos run must emit a well-formed
-# Chrome trace (monotonic per-track timestamps, balanced async spans, flow
-# steps tied to their starts, client/server span nesting) and a well-formed
+# Trace + timeline validation: a chaos run must emit a well-formed Chrome
+# trace (monotonic per-track timestamps, balanced async spans, flow steps
+# tied to their starts, client/server span nesting) and a well-formed
 # flight-recorder timeline (JSONL delta frames, strictly increasing
-# timestamps). The validator fails the build on any violation.
+# timestamps). The validator fails the build on any violation. At 20
+# simulated seconds the recorder captures 372 frames, so its 240-frame ring
+# has wrapped and the timeline checked is one exported after eviction.
 TRACE_TMP="$(mktemp /tmp/renonfs_trace.XXXXXX.json)"
 TIMELINE_TMP="$(mktemp /tmp/renonfs_timeline.XXXXXX.jsonl)"
-./build/examples/nfsstat --seconds 5 --chaos --breakdown --trace "${TRACE_TMP}" \
+./build/examples/nfsstat --seconds 20 --chaos --breakdown --trace "${TRACE_TMP}" \
   --timeline "${TIMELINE_TMP}" >/dev/null
 python3 scripts/validate_trace.py "${TRACE_TMP}"
 python3 scripts/validate_trace.py --timeline "${TIMELINE_TMP}"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/util/logging.h"
+
 namespace renonfs {
 
 namespace {
@@ -49,8 +51,10 @@ void FlightRecorder::Start() {
     return;
   }
   running_ = true;
-  last_ = registry_.Snapshot(scheduler_.now());
-  have_last_ = true;
+  last_at_ = scheduler_.now();
+  last_.resize(registry_.counter_count());
+  registry_.ReadCounters(last_.data());
+  now_.resize(last_.size());
   timer_.Start(options_.interval);
 }
 
@@ -60,18 +64,25 @@ void FlightRecorder::Stop() {
 }
 
 void FlightRecorder::Tick() {
-  const MetricsSnapshot snapshot = registry_.Snapshot(scheduler_.now());
-  Frame frame;
-  frame.at = scheduler_.now();
-  frame.delta = have_last_ ? snapshot.DeltaSince(last_) : snapshot;
-  last_ = snapshot;
-  have_last_ = true;
+  CHECK(registry_.counter_count() == last_.size())
+      << "flight: counter registered after Start(): " << registry_.counter_count()
+      << " counters, " << last_.size() << " at Start()";
+  registry_.ReadCounters(now_.data());
+  StoredFrame* frame;
   if (ring_.size() < options_.capacity) {
-    ring_.push_back(std::move(frame));
+    frame = &ring_.emplace_back();
   } else {
-    ring_[next_] = std::move(frame);  // overwrite the oldest
+    frame = &ring_[next_];  // overwrite the oldest, reusing its vector
     next_ = (next_ + 1) % options_.capacity;
   }
+  frame->at = scheduler_.now();
+  frame->window = frame->at - last_at_;
+  frame->deltas.resize(now_.size());
+  for (size_t i = 0; i < now_.size(); ++i) {
+    frame->deltas[i] = now_[i] - last_[i];
+  }
+  last_.swap(now_);
+  last_at_ = frame->at;
   ++captured_;
   if (running_) {
     timer_.Start(options_.interval);
@@ -81,29 +92,38 @@ void FlightRecorder::Tick() {
 size_t FlightRecorder::size() const { return ring_.size(); }
 
 std::vector<FlightRecorder::Frame> FlightRecorder::Frames() const {
-  std::vector<Frame> frames;
-  frames.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    frames.push_back(ring_[(next_ + i) % ring_.size()]);
+  std::vector<Frame> frames(ring_.size());
+  for (size_t k = 0; k < ring_.size(); ++k) {
+    const StoredFrame& stored = Stored(k);
+    frames[k].at = stored.at;
+    frames[k].delta.at = stored.window;
+    frames[k].delta.counters.reserve(stored.deltas.size());
+    for (size_t i = 0; i < stored.deltas.size(); ++i) {
+      frames[k].delta.counters.emplace_back(registry_.counter_name(i), stored.deltas[i]);
+    }
   }
   return frames;
 }
 
 std::string FlightRecorder::ToJsonl() const {
+  std::vector<std::string> names(registry_.counter_count());
+  for (size_t i = 0; i < names.size(); ++i) {
+    names[i] = JsonEscape(registry_.counter_name(i));
+  }
   std::string out;
   char buf[192];
-  for (const Frame& f : Frames()) {
+  for (size_t k = 0; k < ring_.size(); ++k) {
+    const StoredFrame& f = Stored(k);
     std::snprintf(buf, sizeof(buf), "{\"at_ms\":%.3f,\"window_ms\":%.3f,\"counters\":{",
-                  static_cast<double>(f.at) / 1e6,
-                  static_cast<double>(f.delta.at) / 1e6);
+                  static_cast<double>(f.at) / 1e6, static_cast<double>(f.window) / 1e6);
     out += buf;
     bool first = true;
-    for (const auto& [name, value] : f.delta.counters) {
-      if (value == 0) {
+    for (size_t i = 0; i < f.deltas.size(); ++i) {
+      if (f.deltas[i] == 0) {
         continue;  // quiet counters stay out of the timeline
       }
-      std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", first ? "" : ",",
-                    JsonEscape(name).c_str(), static_cast<unsigned long long>(value));
+      std::snprintf(buf, sizeof(buf), "%s\"%s\":%llu", first ? "" : ",", names[i].c_str(),
+                    static_cast<unsigned long long>(f.deltas[i]));
       out += buf;
       first = false;
     }
@@ -115,14 +135,15 @@ std::string FlightRecorder::ToJsonl() const {
 std::string FlightRecorder::ToCsv() const {
   std::string out = "at_ms,name,delta\n";
   char buf[192];
-  for (const Frame& f : Frames()) {
-    for (const auto& [name, value] : f.delta.counters) {
-      if (value == 0) {
+  for (size_t k = 0; k < ring_.size(); ++k) {
+    const StoredFrame& f = Stored(k);
+    for (size_t i = 0; i < f.deltas.size(); ++i) {
+      if (f.deltas[i] == 0) {
         continue;
       }
-      std::snprintf(buf, sizeof(buf), "%.3f,%s,%llu\n",
-                    static_cast<double>(f.at) / 1e6, name.c_str(),
-                    static_cast<unsigned long long>(value));
+      std::snprintf(buf, sizeof(buf), "%.3f,%s,%llu\n", static_cast<double>(f.at) / 1e6,
+                    registry_.counter_name(i).c_str(),
+                    static_cast<unsigned long long>(f.deltas[i]));
       out += buf;
     }
   }
@@ -130,27 +151,27 @@ std::string FlightRecorder::ToCsv() const {
 }
 
 std::string FlightRecorder::Tail(size_t n) const {
-  const std::vector<Frame> frames = Frames();
-  const size_t start = frames.size() > n ? frames.size() - n : 0;
+  const size_t start = ring_.size() > n ? ring_.size() - n : 0;
   std::string out;
   char buf[160];
-  for (size_t i = start; i < frames.size(); ++i) {
-    const Frame& f = frames[i];
+  std::vector<size_t> top;
+  for (size_t k = start; k < ring_.size(); ++k) {
+    const StoredFrame& f = Stored(k);
     // The few biggest movers of the window, largest delta first.
-    std::vector<const std::pair<std::string, uint64_t>*> top;
-    for (const auto& c : f.delta.counters) {
-      if (c.second != 0) {
-        top.push_back(&c);
+    top.clear();
+    for (size_t i = 0; i < f.deltas.size(); ++i) {
+      if (f.deltas[i] != 0) {
+        top.push_back(i);
       }
     }
     std::sort(top.begin(), top.end(),
-              [](const auto* a, const auto* b) { return a->second > b->second; });
+              [&f](size_t a, size_t b) { return f.deltas[a] > f.deltas[b]; });
     std::snprintf(buf, sizeof(buf), "[%12.3f ms]", static_cast<double>(f.at) / 1e6);
     out += buf;
     const size_t shown = std::min<size_t>(top.size(), 5);
-    for (size_t k = 0; k < shown; ++k) {
-      std::snprintf(buf, sizeof(buf), " %s=+%llu", top[k]->first.c_str(),
-                    static_cast<unsigned long long>(top[k]->second));
+    for (size_t j = 0; j < shown; ++j) {
+      std::snprintf(buf, sizeof(buf), " %s=+%llu", registry_.counter_name(top[j]).c_str(),
+                    static_cast<unsigned long long>(f.deltas[top[j]]));
       out += buf;
     }
     if (top.size() > shown) {

@@ -1,13 +1,19 @@
 // Time-series flight recorder.
 //
 // Final counters say *that* a soak went bad; the flight recorder says
-// *when*. A FlightRecorder ticks on a fixed simulated-time cadence, captures
-// a MetricsRegistry snapshot at each tick, and keeps the per-tick delta
-// (DeltaSince the previous tick) in a bounded ring — old frames are evicted,
-// so a recorder can stay attached to an arbitrarily long run and still hold
-// the recent window when something fails. Chaos/fault failure dumps include
-// the timeline next to the profile, trace tail, and metrics they already
-// print.
+// *when*. A FlightRecorder ticks on a fixed simulated-time cadence, reads
+// every MetricsRegistry counter, and keeps the per-tick delta against the
+// previous tick in a bounded ring — old frames are evicted, so a recorder
+// can stay attached to an arbitrarily long run and still hold the recent
+// window when something fails. Chaos/fault failure dumps include the
+// timeline next to the profile, trace tail, and metrics they already print.
+//
+// A stored frame is a vector of deltas in the registry's counter name
+// order; names are joined only when a frame is exported. A tick copies no
+// string, sorts nothing and searches nothing, and once the ring is full it
+// reuses the evicted frame's vector, so it allocates nothing. Because frames
+// index the registry's name order, every counter must be registered before
+// Start(): Tick() CHECKs that the count has not changed.
 //
 // The recorder is observation-only: its tick reads counters and writes its
 // own ring, never simulation state, so enabling it does not change what the
@@ -47,7 +53,8 @@ class FlightRecorder {
   void Stop();
 
   // One frame: the counter deltas accumulated over the tick window ending
-  // at `at` (delta.at holds the window length, as DeltaSince defines it).
+  // at `at`, in name order. delta.at holds the window length; frames carry
+  // no diagnostics.
   struct Frame {
     SimTime at = 0;
     MetricsSnapshot delta;
@@ -58,7 +65,7 @@ class FlightRecorder {
   uint64_t frames_captured() const { return captured_; }
   uint64_t frames_evicted() const { return captured_ - size(); }
 
-  // Buffered frames, oldest first.
+  // Buffered frames, oldest first, built with their names on each call.
   std::vector<Frame> Frames() const;
 
   std::string ToJsonl() const;
@@ -67,16 +74,26 @@ class FlightRecorder {
   std::string Tail(size_t n) const;
 
  private:
+  // deltas[i] belongs to the registry's i-th counter in name order.
+  struct StoredFrame {
+    SimTime at = 0;
+    SimTime window = 0;
+    std::vector<uint64_t> deltas;
+  };
+
   void Tick();
+  // The i-th buffered frame, oldest first.
+  const StoredFrame& Stored(size_t i) const { return ring_[(next_ + i) % ring_.size()]; }
 
   Scheduler& scheduler_;
   const MetricsRegistry& registry_;
   FlightOptions options_;
   Timer timer_;
   bool running_ = false;
-  MetricsSnapshot last_;
-  bool have_last_ = false;
-  std::vector<Frame> ring_;
+  SimTime last_at_ = 0;
+  std::vector<uint64_t> last_;  // counter values at the previous tick
+  std::vector<uint64_t> now_;   // this tick's values; swapped into last_
+  std::vector<StoredFrame> ring_;
   size_t next_ = 0;  // ring write position once full
   uint64_t captured_ = 0;
 };

@@ -130,19 +130,6 @@ uint64_t MetricsSnapshot::Hash() const {
   return h;
 }
 
-MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot delta;
-  delta.at = at - earlier.at;
-  delta.counters.reserve(counters.size());
-  for (const auto& [name, value] : counters) {
-    delta.counters.emplace_back(name, value - earlier.Value(name));
-  }
-  // Diagnostics are gauges (occupancy, high-water), not cumulative counters;
-  // differencing them is meaningless, so the later sample passes through.
-  delta.diagnostics = diagnostics;
-  return delta;
-}
-
 std::string MetricsSnapshot::ToText() const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "# counters @ %.3f ms\n", static_cast<double>(at) / 1e6);
@@ -194,24 +181,43 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
+std::vector<uint32_t>::const_iterator MetricsRegistry::Kind::LowerBound(
+    const std::string& name) const {
+  return std::lower_bound(by_name.begin(), by_name.end(), name,
+                          [this](uint32_t i, const std::string& key) {
+                            return sources[i].first < key;
+                          });
+}
+
+bool MetricsRegistry::Kind::Has(const std::string& name) const {
+  const auto it = LowerBound(name);
+  return it != by_name.end() && sources[*it].first == name;
+}
+
+void MetricsRegistry::Kind::Add(std::string name, Source source) {
+  by_name.insert(LowerBound(name), static_cast<uint32_t>(sources.size()));
+  sources.emplace_back(std::move(name), std::move(source));
+}
+
+std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::Kind::Read() const {
+  std::vector<std::pair<std::string, uint64_t>> entries;
+  entries.reserve(by_name.size());
+  for (uint32_t i : by_name) {
+    entries.emplace_back(sources[i].first, sources[i].second());
+  }
+  return entries;
+}
+
 void MetricsRegistry::RegisterCounter(std::string name, Source source) {
-  for (const auto& [existing, unused] : counters_) {
-    CHECK(existing != name) << "metrics: counter registered twice: " << name;
-  }
-  for (const auto& [existing, unused] : diagnostics_) {
-    CHECK(existing != name) << "metrics: name registered twice: " << name;
-  }
-  counters_.emplace_back(std::move(name), std::move(source));
+  CHECK(!counters_.Has(name)) << "metrics: counter registered twice: " << name;
+  CHECK(!diagnostics_.Has(name)) << "metrics: name registered twice: " << name;
+  counters_.Add(std::move(name), std::move(source));
 }
 
 void MetricsRegistry::RegisterDiagnostic(std::string name, Source source) {
-  for (const auto& [existing, unused] : counters_) {
-    CHECK(existing != name) << "metrics: name registered twice: " << name;
-  }
-  for (const auto& [existing, unused] : diagnostics_) {
-    CHECK(existing != name) << "metrics: diagnostic registered twice: " << name;
-  }
-  diagnostics_.emplace_back(std::move(name), std::move(source));
+  CHECK(!counters_.Has(name)) << "metrics: name registered twice: " << name;
+  CHECK(!diagnostics_.Has(name)) << "metrics: diagnostic registered twice: " << name;
+  diagnostics_.Add(std::move(name), std::move(source));
 }
 
 const Log2Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
@@ -222,17 +228,15 @@ const Log2Histogram* MetricsRegistry::FindHistogram(const std::string& name) con
 MetricsSnapshot MetricsRegistry::Snapshot(SimTime now) const {
   MetricsSnapshot snapshot;
   snapshot.at = now;
-  snapshot.counters.reserve(counters_.size());
-  for (const auto& [name, source] : counters_) {
-    snapshot.counters.emplace_back(name, source());
-  }
-  std::sort(snapshot.counters.begin(), snapshot.counters.end());
-  snapshot.diagnostics.reserve(diagnostics_.size());
-  for (const auto& [name, source] : diagnostics_) {
-    snapshot.diagnostics.emplace_back(name, source());
-  }
-  std::sort(snapshot.diagnostics.begin(), snapshot.diagnostics.end());
+  snapshot.counters = counters_.Read();
+  snapshot.diagnostics = diagnostics_.Read();
   return snapshot;
+}
+
+void MetricsRegistry::ReadCounters(uint64_t* out) const {
+  for (uint32_t i : counters_.by_name) {
+    *out++ = counters_.sources[i].second();
+  }
 }
 
 std::string MetricsRegistry::DumpText(SimTime now) const {

@@ -15,6 +15,11 @@
 // Latency histograms are push-model (log2 buckets, microsecond samples) and
 // live in the registry under the same naming scheme
 // ("client.nfs.lat_us.read"), giving p50/p95/p99 per NFS procedure.
+//
+// Each kind of metric keeps its sources in registration order plus an index
+// of them in name order, so a snapshot walks the index instead of sorting,
+// and the flight recorder (src/obs/flight.h) can read every counter value
+// into a plain vector by position and join the names only when it exports.
 #ifndef RENONFS_SRC_OBS_METRICS_H_
 #define RENONFS_SRC_OBS_METRICS_H_
 
@@ -80,9 +85,6 @@ struct MetricsSnapshot {
   // deterministic runs of the same scenario must produce equal hashes; the
   // replay path (src/scenario) compares these to detect divergence.
   uint64_t Hash() const;
-  // Counter-wise difference (this - earlier); names absent earlier count
-  // from 0. `at` becomes the window length.
-  MetricsSnapshot DeltaSince(const MetricsSnapshot& earlier) const;
 
   std::string ToText() const;
   std::string ToJson() const;
@@ -109,15 +111,37 @@ class MetricsRegistry {
   const Log2Histogram* FindHistogram(const std::string& name) const;
   const std::map<std::string, Log2Histogram>& histograms() const { return histograms_; }
 
+  // Counters and diagnostics, each in name order.
   MetricsSnapshot Snapshot(SimTime now) const;
+
+  // Counters by position in name order: counter_name(i) names the value
+  // ReadCounters writes to out[i]. `out` holds counter_count() values.
+  size_t counter_count() const { return counters_.by_name.size(); }
+  const std::string& counter_name(size_t i) const {
+    return counters_.sources[counters_.by_name[i]].first;
+  }
+  void ReadCounters(uint64_t* out) const;
 
   // Counters and histograms, text and JSON.
   std::string DumpText(SimTime now) const;
   std::string DumpJson(SimTime now) const;
 
  private:
-  std::vector<std::pair<std::string, Source>> counters_;
-  std::vector<std::pair<std::string, Source>> diagnostics_;
+  // One kind of metric: its sources in registration order, and their
+  // positions in `sources` sorted by name.
+  struct Kind {
+    std::vector<std::pair<std::string, Source>> sources;
+    std::vector<uint32_t> by_name;
+
+    std::vector<uint32_t>::const_iterator LowerBound(const std::string& name) const;
+    bool Has(const std::string& name) const;
+    void Add(std::string name, Source source);
+    // (name, value) pairs in name order.
+    std::vector<std::pair<std::string, uint64_t>> Read() const;
+  };
+
+  Kind counters_;
+  Kind diagnostics_;
   std::map<std::string, Log2Histogram> histograms_;
 };
 

@@ -118,7 +118,7 @@ std::vector<TraceEvent> Tracer::Events() const {
   std::vector<TraceEvent> events;
   events.reserve(ring_.size());
   for (size_t i = 0; i < ring_.size(); ++i) {
-    events.push_back(ring_[(next_ + i) % ring_.size()]);
+    events.push_back(Event(i));
   }
   return events;
 }
@@ -272,12 +272,11 @@ std::string Tracer::ToJsonl() const {
 }
 
 std::string Tracer::Tail(size_t n) const {
-  const std::vector<TraceEvent> events = Events();
-  const size_t start = events.size() > n ? events.size() - n : 0;
+  const size_t start = ring_.size() > n ? ring_.size() - n : 0;
   std::string out;
   char buf[192];
-  for (size_t i = start; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
+  for (size_t i = start; i < ring_.size(); ++i) {
+    const TraceEvent& e = Event(i);
     std::snprintf(buf, sizeof(buf), "[%12.3f ms] %-16s %-16s xid=0x%06x proc=%s arg=%llu\n",
                   static_cast<double>(e.at) / 1e6, tracks_[e.track].c_str(),
                   TraceEventKindName(e.kind), e.xid, ProcName(e.proc).c_str(),

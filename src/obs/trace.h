@@ -106,6 +106,8 @@ class Tracer {
   std::string Tail(size_t n) const;
 
  private:
+  // The i-th buffered event, oldest first.
+  const TraceEvent& Event(size_t i) const { return ring_[(next_ + i) % ring_.size()]; }
   std::string ProcName(uint32_t proc) const;
 
   Scheduler& scheduler_;

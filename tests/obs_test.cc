@@ -4,6 +4,7 @@
 // loaning).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -124,13 +125,86 @@ TEST(ObsTest, RegistrySnapshotIsDeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(snaps[0].counters, snaps[1].counters);
   EXPECT_EQ(traces[0], traces[1]);
 
-  // Delta against itself is all zeros; ToText/ToJson don't crash.
-  const MetricsSnapshot delta = snaps[0].DeltaSince(snaps[1]);
-  for (const auto& [name, value] : delta.counters) {
-    EXPECT_EQ(value, 0u) << name;
-  }
+  // ToText/ToJson don't crash.
   EXPECT_FALSE(snaps[0].ToText().empty());
   EXPECT_FALSE(snaps[0].ToJson().empty());
+}
+
+// A snapshot lists each kind in name order whatever order the layers
+// registered in, so the replay hash does not depend on registration order.
+// The positional accessors the flight recorder reads follow the same order.
+TEST(ObsTest, RegistrationOrderDoesNotChangeSnapshot) {
+  const std::vector<std::string> names = {"server.rpc.requests", "client.rpc.calls",
+                                          "fs.disk.ops", "client.rpc.retransmits", "mbuf.copies"};
+  const uint64_t values[] = {7, 3, 11, 0, 5};
+  MetricsRegistry forward;
+  MetricsRegistry backward;
+  for (size_t i = 0; i < names.size(); ++i) {
+    const size_t j = names.size() - 1 - i;
+    forward.RegisterCounter(names[i], &values[i]);
+    backward.RegisterCounter(names[j], &values[j]);
+  }
+  for (const char* diagnostic : {"sim.pool.live", "obs.flight.frames"}) {
+    forward.RegisterDiagnostic(diagnostic, [] { return uint64_t{1}; });
+  }
+  for (const char* diagnostic : {"obs.flight.frames", "sim.pool.live"}) {
+    backward.RegisterDiagnostic(diagnostic, [] { return uint64_t{1}; });
+  }
+
+  const MetricsSnapshot a = forward.Snapshot(Milliseconds(5));
+  const MetricsSnapshot b = backward.Snapshot(Milliseconds(5));
+  ASSERT_EQ(a.counters.size(), names.size());
+  EXPECT_TRUE(std::is_sorted(a.counters.begin(), a.counters.end()));
+  EXPECT_TRUE(std::is_sorted(a.diagnostics.begin(), a.diagnostics.end()));
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.diagnostics, b.diagnostics);
+  EXPECT_EQ(a.Hash(), b.Hash());
+
+  ASSERT_EQ(forward.counter_count(), names.size());
+  std::vector<uint64_t> read(names.size());
+  forward.ReadCounters(read.data());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(forward.counter_name(i), a.counters[i].first) << i;
+    EXPECT_EQ(read[i], a.counters[i].second) << i;
+  }
+}
+
+// Counters and diagnostics share one namespace: a name registered twice,
+// as the same kind or as both kinds in either order, aborts.
+TEST(ObsDeathTest, NameRegisteredTwiceDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const uint64_t value = 0;
+  const MetricsRegistry::Source zero = [] { return uint64_t{0}; };
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.RegisterCounter("a.b", &value);
+        registry.RegisterDiagnostic("a.b", zero);
+      },
+      "name registered twice: a.b");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.RegisterDiagnostic("a.b", zero);
+        registry.RegisterCounter("a.b", &value);
+      },
+      "name registered twice: a.b");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.RegisterCounter("a.b", &value);
+        registry.RegisterCounter("a.a", &value);
+        registry.RegisterCounter("a.b", &value);
+      },
+      "counter registered twice: a.b");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.RegisterDiagnostic("a.b", zero);
+        registry.RegisterDiagnostic("a.c", zero);
+        registry.RegisterDiagnostic("a.b", zero);
+      },
+      "diagnostic registered twice: a.b");
 }
 
 TEST(ObsTest, RegistryCountersMirrorSourceStats) {

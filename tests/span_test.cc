@@ -174,6 +174,115 @@ TEST(SpanTest, FlightRecorderRingEvictsOldestFrames) {
   EXPECT_EQ(flight.frames_captured(), captured);
 }
 
+// Every export of a ring that has wrapped, byte for byte. The counters are
+// registered out of name order, one name needs JSON escaping, window 7 moves
+// nothing, window 8 moves six counters (two by the same amount), and the
+// diagnostic moves every window but appears in no export.
+TEST(SpanTest, FlightRecorderExportsArePinned) {
+  constexpr size_t kCounters = 7;
+  const char* const kNames[kCounters] = {
+      "client.rpc.calls",   "client.rpc.retransmits", "fs.disk.ops",        "idle.never",
+      "quote\"and\\slash", "server.rpc.replies",     "server.rpc.requests",
+  };
+  // Per-window increments, in name order.
+  const uint64_t kSteps[9][kCounters] = {
+      {5, 0, 1, 0, 1, 5, 5}, {7, 1, 2, 0, 0, 7, 8},  {3, 0, 0, 0, 2, 3, 3},
+      {0, 0, 0, 0, 0, 0, 0}, {9, 2, 4, 0, 1, 9, 11}, {4, 0, 1, 0, 0, 4, 4},
+      {0, 0, 0, 0, 0, 0, 0}, {6, 3, 2, 0, 6, 5, 9},  {2, 0, 0, 0, 1, 2, 2},
+  };
+  Scheduler sched;
+  MetricsRegistry registry;
+  uint64_t values[kCounters] = {};
+  for (size_t i : {6, 4, 1, 3, 0, 5, 2}) {
+    registry.RegisterCounter(kNames[i], &values[i]);
+  }
+  uint64_t live = 0;
+  registry.RegisterDiagnostic("pool.live", [&live] { return live; });
+
+  FlightOptions options;
+  options.interval = Milliseconds(10);
+  options.capacity = 4;
+  FlightRecorder flight(sched, registry, options);
+  flight.Start();
+  // Registry snapshots at the start and at every tick instant.
+  std::vector<MetricsSnapshot> at_tick = {registry.Snapshot(sched.now())};
+  for (size_t w = 0; w < 9; ++w) {
+    for (size_t i = 0; i < kCounters; ++i) {
+      values[i] += kSteps[w][i];
+    }
+    live = 100 + w;
+    sched.RunUntil(Milliseconds(10 * static_cast<int64_t>(w + 1)));
+    at_tick.push_back(registry.Snapshot(sched.now()));
+  }
+  flight.Stop();
+  ASSERT_EQ(flight.frames_captured(), 9u);
+  ASSERT_EQ(flight.size(), 4u);
+
+  EXPECT_EQ(flight.ToJsonl(),
+            R"json({"at_ms":60.000,"window_ms":10.000,"counters":{"client.rpc.calls":4,"fs.disk.ops":1,"server.rpc.replies":4,"server.rpc.requests":4}}
+{"at_ms":70.000,"window_ms":10.000,"counters":{}}
+{"at_ms":80.000,"window_ms":10.000,"counters":{"client.rpc.calls":6,"client.rpc.retransmits":3,"fs.disk.ops":2,"quote\"and\\slash":6,"server.rpc.replies":5,"server.rpc.requests":9}}
+{"at_ms":90.000,"window_ms":10.000,"counters":{"client.rpc.calls":2,"quote\"and\\slash":1,"server.rpc.replies":2,"server.rpc.requests":2}}
+)json");
+  EXPECT_EQ(flight.ToCsv(), R"csv(at_ms,name,delta
+60.000,client.rpc.calls,4
+60.000,fs.disk.ops,1
+60.000,server.rpc.replies,4
+60.000,server.rpc.requests,4
+80.000,client.rpc.calls,6
+80.000,client.rpc.retransmits,3
+80.000,fs.disk.ops,2
+80.000,quote"and\slash,6
+80.000,server.rpc.replies,5
+80.000,server.rpc.requests,9
+90.000,client.rpc.calls,2
+90.000,quote"and\slash,1
+90.000,server.rpc.replies,2
+90.000,server.rpc.requests,2
+)csv");
+  EXPECT_EQ(flight.Tail(2),
+            "[      80.000 ms] server.rpc.requests=+9 client.rpc.calls=+6 "
+            "quote\"and\\slash=+6 server.rpc.replies=+5 client.rpc.retransmits=+3 (+1 more)\n"
+            "[      90.000 ms] client.rpc.calls=+2 server.rpc.replies=+2 "
+            "server.rpc.requests=+2 quote\"and\\slash=+1\n");
+
+  // Each kept frame is the by-name difference of the snapshots at its two
+  // tick instants, and carries no diagnostics.
+  const std::vector<FlightRecorder::Frame> frames = flight.Frames();
+  ASSERT_EQ(frames.size(), 4u);
+  for (size_t k = 0; k < frames.size(); ++k) {
+    const MetricsSnapshot& earlier = at_tick[5 + k];
+    const MetricsSnapshot& later = at_tick[6 + k];
+    std::vector<std::pair<std::string, uint64_t>> expected;
+    for (const auto& [name, value] : later.counters) {
+      expected.emplace_back(name, value - earlier.Value(name));
+    }
+    EXPECT_EQ(frames[k].at, later.at) << k;
+    EXPECT_EQ(frames[k].delta.at, later.at - earlier.at) << k;
+    EXPECT_EQ(frames[k].delta.counters, expected) << k;
+    EXPECT_TRUE(frames[k].delta.diagnostics.empty()) << k;
+  }
+}
+
+// Frames index the registry's counter name order, so a counter registered
+// while a recorder runs aborts the recorder's next tick.
+TEST(SpanDeathTest, CounterRegisteredAfterStartDiesAtNextTick) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Scheduler sched;
+  MetricsRegistry registry;
+  const uint64_t early = 0;
+  const uint64_t late = 0;
+  registry.RegisterCounter("early", &early);
+  FlightOptions options;
+  options.interval = Milliseconds(10);
+  FlightRecorder flight(sched, registry, options);
+  flight.Start();
+  registry.RegisterCounter("late", &late);
+  sched.RunUntil(Milliseconds(9));  // no tick yet
+  EXPECT_EQ(flight.frames_captured(), 0u);
+  EXPECT_DEATH(sched.RunUntil(Milliseconds(10)), "counter registered after Start");
+}
+
 // Slow-op retention: at most top_k entries per proc, sorted slowest-first,
 // and each retained breakdown still satisfies the conservation invariant.
 TEST(SpanTest, TopKSlowOpRetention) {
