@@ -1,34 +1,18 @@
-// Scenario-matrix driver: the example-sized face of bench_scenarios.
+// Scenario-matrix browser: names and prints the cells bench_scenarios runs.
 //
-//   ./build/examples/scenario_matrix                 # run the quick matrix
-//   ./build/examples/scenario_matrix --full          # all cells
 //   ./build/examples/scenario_matrix list [--full]   # print cell names
 //   ./build/examples/scenario_matrix show <cell>     # print a cell's DSL
 //
 // `show` emits the cell as a scenario file — pipe it to a file, edit it, and
-// run it with `chaos_demo scenario <file>`. Running the matrix evaluates
-// every cell's gates; a failing cell writes a replayable trace artifact
-// (scenario_<name>.trace) for `chaos_demo --replay`.
+// run it with `chaos_demo scenario <file>`. Running the matrix itself, with
+// its gates, replays and failure artifacts, is `bench_scenarios`.
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "src/scenario/runner.h"
 
 using namespace renonfs;
-
-namespace {
-
-std::string ArtifactName(const std::string& cell) {
-  std::string name = "scenario_";
-  for (char c : cell) {
-    name += (c == '.') ? '_' : c;
-  }
-  return name + ".trace";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool full = false;
@@ -63,37 +47,6 @@ int main(int argc, char** argv) {
                  operand.c_str());
     return 2;
   }
-  if (!command.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s [--full] [list | show <cell>]\n", argv[0]);
-    return 2;
-  }
-
-  const std::vector<Scenario> matrix = DefaultScenarioMatrix(!full);
-  size_t failed = 0;
-  for (const Scenario& cell : matrix) {
-    auto outcome_or = RunScenario(cell);
-    if (!outcome_or.ok()) {
-      std::fprintf(stderr, "%s: %s\n", cell.name.c_str(),
-                   outcome_or.status().ToString().c_str());
-      ++failed;
-      continue;
-    }
-    const ScenarioOutcome& outcome = outcome_or.value();
-    std::printf("%-45s seed=%llu %s\n", outcome.scenario.name.c_str(),
-                static_cast<unsigned long long>(outcome.scenario.seed),
-                outcome.passed() ? "pass" : "FAIL");
-    if (!outcome.passed()) {
-      ++failed;
-      for (const std::string& violation : outcome.gate_violations) {
-        std::printf("  gate: %s\n", violation.c_str());
-      }
-      const std::string path = ArtifactName(outcome.scenario.name);
-      if (WriteTraceFile(outcome.Trace(), path).ok()) {
-        std::printf("  trace: %s (replay with chaos_demo --replay)\n", path.c_str());
-      }
-    }
-  }
-  std::printf("%zu/%zu cells passed\n", matrix.size() - failed, matrix.size());
-  return failed == 0 ? 0 : 1;
+  std::fprintf(stderr, "usage: %s list [--full] | show <cell>\n", argv[0]);
+  return 2;
 }

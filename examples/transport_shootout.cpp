@@ -16,17 +16,17 @@ int main() {
   TextTable table("Lookup RPCs across the 56 Kbps path (3 IP routers), 4 ops/sec offered");
   table.SetHeader({"transport", "avg RTT (ms)", "p95-ish max (ms)", "retry %", "achieved/s"});
 
-  for (TransportChoice choice : {TransportChoice::kUdpFixedRto,
-                                 TransportChoice::kUdpDynamicRto, TransportChoice::kTcp}) {
+  for (NfsTransportKind kind : {NfsTransportKind::kUdpFixedRto,
+                                NfsTransportKind::kUdpDynamicRto, NfsTransportKind::kTcp}) {
     ExperimentPoint point;
     point.topology = TopologyKind::kSlowLinkPath;
-    point.transport = choice;
+    point.transport = kind;
     point.mix = NhfsstoneMix::PureLookup();
     point.load_ops_per_sec = 4;
     point.duration = Seconds(120);
     point.seed = 5;
     ExperimentMeasurement m = RunNhfsstonePoint(point);
-    table.AddRow({TransportChoiceName(choice), TextTable::Num(m.nhfsstone.rtt_ms.mean(), 1),
+    table.AddRow({TransportKindName(kind), TextTable::Num(m.nhfsstone.rtt_ms.mean(), 1),
                   TextTable::Num(m.nhfsstone.rtt_ms.max(), 1),
                   TextTable::Num(100 * m.nhfsstone.retry_fraction, 2),
                   TextTable::Num(m.nhfsstone.achieved_ops_per_sec, 2)});

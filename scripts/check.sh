@@ -126,6 +126,17 @@ SCEN_JSON="$(mktemp /tmp/renonfs_scenarios.XXXXXX.json)"
 cmp "${SCEN_JSON}" BENCH_scenarios.json
 rm -f "${SCEN_JSON}"
 
+# Paper-output byte-identity gate (BENCH_paper.txt): every paper graph,
+# table and ablation cell of bench_paper, run in table order (about 13 s).
+# Its stdout holds no host timings, so it must equal the committed file byte
+# for byte. A change that is meant to move a paper number refreshes the file
+# with `./build/bench/bench_paper > BENCH_paper.txt` from the repo root, with
+# RENONFS_SEED unset, and says so.
+PAPER_TXT="$(mktemp /tmp/renonfs_paper.XXXXXX.txt)"
+env -u RENONFS_SEED ./build/bench/bench_paper >"${PAPER_TXT}"
+cmp "${PAPER_TXT}" BENCH_paper.txt
+rm -f "${PAPER_TXT}"
+
 # Trace + timeline validation: a chaos run must emit a well-formed Chrome
 # trace (monotonic per-track timestamps, balanced async spans, flow steps
 # tied to their starts, client/server span nesting) and a well-formed

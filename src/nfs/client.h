@@ -41,7 +41,12 @@
 
 namespace renonfs {
 
-enum class NfsTransportKind { kUdpFixedRto, kUdpDynamicRto, kTcp };
+// The three transports compared throughout Section 4.
+enum class NfsTransportKind {
+  kUdpFixedRto,    // the classic NFS transport: constant RTO, no cwnd
+  kUdpDynamicRto,  // per-class A+kD estimation + congestion window
+  kTcp,            // NFS over a TCP connection
+};
 
 enum class WritePolicy { kWriteThrough, kAsync, kDelayed };
 

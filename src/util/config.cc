@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace renonfs {
 namespace {
@@ -199,23 +200,27 @@ StatusOr<SimTime> ParseDuration(std::string_view text) {
                   "duration: bad number in '" + std::string(text) + "'");
   }
   const std::string_view unit = text.substr(digits);
-  if (unit.empty()) {
-    return Nanoseconds(magnitude);
+  SimTime scale = 0;
+  if (unit.empty() || unit == "ns") {
+    scale = Nanoseconds(1);
+  } else if (unit == "us") {
+    scale = Microseconds(1);
+  } else if (unit == "ms") {
+    scale = Milliseconds(1);
+  } else if (unit == "s") {
+    scale = Seconds(1);
+  } else {
+    return Status(ErrorCode::kInvalidArgument,
+                  "duration: unknown unit '" + std::string(unit) + "'");
   }
-  if (unit == "ns") {
-    return Nanoseconds(magnitude);
+  // The text comes from scenario, fault and trace files: a magnitude whose
+  // nanosecond count does not fit a SimTime is an error, not a wrapped value.
+  if (magnitude > std::numeric_limits<SimTime>::max() / scale ||
+      magnitude < std::numeric_limits<SimTime>::min() / scale) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "duration: out of range in '" + std::string(text) + "'");
   }
-  if (unit == "us") {
-    return Microseconds(magnitude);
-  }
-  if (unit == "ms") {
-    return Milliseconds(magnitude);
-  }
-  if (unit == "s") {
-    return Seconds(magnitude);
-  }
-  return Status(ErrorCode::kInvalidArgument,
-                "duration: unknown unit '" + std::string(unit) + "'");
+  return magnitude * scale;
 }
 
 std::string FormatDuration(SimTime t) {

@@ -2,33 +2,33 @@
 
 namespace renonfs {
 
-const char* TransportChoiceName(TransportChoice choice) {
-  switch (choice) {
-    case TransportChoice::kUdpFixedRto:
+const char* TransportKindName(NfsTransportKind kind) {
+  switch (kind) {
+    case NfsTransportKind::kUdpFixedRto:
       return "UDP rto=1s";
-    case TransportChoice::kUdpDynamicRto:
+    case NfsTransportKind::kUdpDynamicRto:
       return "UDP rto=A+4D";
-    case TransportChoice::kTcp:
+    case NfsTransportKind::kTcp:
       return "TCP";
   }
   return "?";
 }
 
-std::unique_ptr<RpcClientTransport> MakeRawTransport(World& world, TransportChoice choice,
+std::unique_ptr<RpcClientTransport> MakeRawTransport(World& world, NfsTransportKind kind,
                                                      const ExperimentPoint& point) {
   const SockAddr server{world.server_node()->id(), kNfsPort};
-  switch (choice) {
-    case TransportChoice::kUdpFixedRto: {
+  switch (kind) {
+    case NfsTransportKind::kUdpFixedRto: {
       UdpRpcOptions options = UdpRpcOptions::FixedRto(Seconds(1));
       return std::make_unique<UdpRpcTransport>(world.client_udp(0), 951, server, options);
     }
-    case TransportChoice::kUdpDynamicRto: {
+    case NfsTransportKind::kUdpDynamicRto: {
       UdpRpcOptions options = UdpRpcOptions::DynamicRto(Seconds(1));
       options.rto.big_deviation_multiplier = point.big_rto_multiplier;
       options.cwnd.slow_start = point.cwnd_slow_start;
       return std::make_unique<UdpRpcTransport>(world.client_udp(0), 951, server, options);
     }
-    case TransportChoice::kTcp: {
+    case NfsTransportKind::kTcp: {
       TcpRpcOptions options;
       options.tcp.mss = point.topology == TopologyKind::kSameLan ? 1460 : 966;
       return std::make_unique<TcpRpcTransport>(world.client_tcp(0), 951, server, options);

@@ -14,17 +14,16 @@
 
 namespace renonfs {
 
-// The three transport configurations compared throughout Section 4.
-enum class TransportChoice {
-  kUdpFixedRto,    // the classic NFS transport: constant RTO, no cwnd
-  kUdpDynamicRto,  // per-class A+kD estimation + congestion window
-  kTcp,            // NFS over a TCP connection
-};
-const char* TransportChoiceName(TransportChoice choice);
+// The old name of NfsTransportKind, kept only because perfbench/cells.cc
+// still spells it; new code names NfsTransportKind.
+using TransportChoice = NfsTransportKind;
+
+// The column label the paper's graphs and tables give each transport.
+const char* TransportKindName(NfsTransportKind kind);
 
 struct ExperimentPoint {
   TopologyKind topology = TopologyKind::kSameLan;
-  TransportChoice transport = TransportChoice::kUdpFixedRto;
+  NfsTransportKind transport = NfsTransportKind::kUdpFixedRto;
   NhfsstoneMix mix = NhfsstoneMix::PureLookup();
   double load_ops_per_sec = 10;
   int children = 0;  // 0: choose from the load
@@ -46,9 +45,9 @@ struct ExperimentMeasurement {
 // Builds the world, preloads the Nhfsstone subtree, runs warmup+measurement.
 ExperimentMeasurement RunNhfsstonePoint(const ExperimentPoint& point);
 
-// Creates the raw RPC transport for a choice (used by RunNhfsstonePoint and
+// Creates the raw RPC transport of a kind (used by RunNhfsstonePoint and
 // directly by the trace benches).
-std::unique_ptr<RpcClientTransport> MakeRawTransport(World& world, TransportChoice choice,
+std::unique_ptr<RpcClientTransport> MakeRawTransport(World& world, NfsTransportKind kind,
                                                      const ExperimentPoint& point);
 
 }  // namespace renonfs

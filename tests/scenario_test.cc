@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "src/scenario/scenario.h"
 #include "src/scenario/trace.h"
 #include "src/util/config.h"
+#include "src/util/fuzz.h"
+#include "src/util/seed.h"
 
 namespace renonfs {
 namespace {
@@ -100,6 +103,15 @@ TEST(DurationTest, ParseAndFormatAllUnits) {
   EXPECT_EQ(ParseDuration("2s").value(), Seconds(2));
   EXPECT_EQ(ParseDuration("1234").value(), 1234);  // bare nanoseconds
   EXPECT_FALSE(ParseDuration("fast").ok());
+  // The largest magnitude of each unit that fits an int64 nanosecond count
+  // parses; one more is out of range rather than a wrapped value.
+  EXPECT_EQ(ParseDuration("9223372036s").value(), Seconds(9223372036));
+  EXPECT_EQ(ParseDuration("9223372036854ms").value(), Milliseconds(9223372036854));
+  EXPECT_EQ(ParseDuration("9223372036854775807").value(), INT64_MAX);
+  EXPECT_FALSE(ParseDuration("9223372037s").ok());
+  EXPECT_FALSE(ParseDuration("9223372036855ms").ok());
+  EXPECT_FALSE(ParseDuration("9223372036854776us").ok());
+  EXPECT_FALSE(ParseDuration("-9223372037s").ok());
   // Canonical rendering re-parses to the same value.
   for (SimTime t : {SimTime{250}, Microseconds(10), Milliseconds(8), Seconds(2)}) {
     EXPECT_EQ(ParseDuration(FormatDuration(t)).value(), t);
@@ -190,6 +202,7 @@ TEST(ScenarioTest, FaultSpecStringRoundTrips) {
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=4294967297").ok());
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=2147483648").ok());
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=-1").ok());
+  EXPECT_FALSE(FaultSpecFromString("crash at=10000000000s dur=1s").ok());
 }
 
 TEST(ScenarioTest, DefaultMatrixShapesAndRoundTrips) {
@@ -215,6 +228,57 @@ TEST(ScenarioTest, DefaultMatrixShapesAndRoundTrips) {
   for (const Scenario& cell : quick) {
     EXPECT_EQ(cell.name.rfind("quick.", 0), 0u) << cell.name;
   }
+}
+
+// Scenario and trace files are read from disk, so both parsers must survive
+// damaged text: a mutant of a valid file is either rejected, or it parses to
+// a value whose serialization is a fixed point of parse-then-serialize.
+TEST(ScenarioTest, ParsersSurviveMutatedText) {
+  std::vector<std::vector<uint8_t>> corpus;
+  for (bool quick : {false, true}) {
+    for (const Scenario& cell : DefaultScenarioMatrix(quick)) {
+      TraceRecord record;
+      record.scenario = cell;
+      record.fault_events = {"[1.000s] server crash (server)",
+                             "[3.000s] server restart (server)"};
+      record.ops = {"opmix[c0] write mix_c0_1@0 = ok", "opmix[c1] read mix_c0_1 = STALE"};
+      record.workload_status = "ok";
+      record.integrity_ok = false;
+      record.integrity_error = "chaos: mix_c0_1 differs: first divergence at byte 9";
+      record.snapshot_hash = 0xdeadbeefcafef00dULL;
+      record.summary = "chaos: seed=" + std::to_string(cell.seed) + " status=ok";
+      for (const std::string& text : {cell.Serialize(), record.Serialize()}) {
+        corpus.emplace_back(text.begin(), text.end());
+      }
+    }
+  }
+  ASSERT_EQ(corpus.size(), 50u);  // 22 full + 3 quick cells, each twice
+
+  // Fixed default so a failure replays exactly; RENONFS_FUZZ_SEED explores.
+  FuzzMutator mutator(EffectiveSeed("RENONFS_FUZZ_SEED", 0x5eed4f2c0ffeeULL));
+  size_t scenarios_accepted = 0;
+  size_t traces_accepted = 0;
+  for (size_t i = 0; i < 10000; ++i) {
+    const std::vector<uint8_t> bytes = mutator.Mutate(corpus[i % corpus.size()]);
+    const std::string text(bytes.begin(), bytes.end());
+    if (auto scenario_or = Scenario::Parse(text); scenario_or.ok()) {
+      ++scenarios_accepted;
+      const std::string once = scenario_or.value().Serialize();
+      auto again_or = Scenario::Parse(once);
+      ASSERT_TRUE(again_or.ok()) << "mutation " << i << ": " << again_or.status();
+      ASSERT_EQ(again_or.value().Serialize(), once) << "mutation " << i;
+    }
+    if (auto trace_or = TraceRecord::Parse(text); trace_or.ok()) {
+      ++traces_accepted;
+      const std::string once = trace_or.value().Serialize();
+      auto again_or = TraceRecord::Parse(once);
+      ASSERT_TRUE(again_or.ok()) << "mutation " << i << ": " << again_or.status();
+      ASSERT_EQ(again_or.value().Serialize(), once) << "mutation " << i;
+    }
+  }
+  // Some mutants must survive, or the fixed-point check never ran.
+  EXPECT_GT(scenarios_accepted, 0u);
+  EXPECT_GT(traces_accepted, 0u);
 }
 
 // --- metrics snapshot hash ----------------------------------------------------
