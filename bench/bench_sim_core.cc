@@ -14,11 +14,10 @@
 //   mbuf_churn       mbuf chain build / zero-copy share / teardown — pure
 //                    FixedPool recycling, no scheduler.
 //
-// Flags: --quick shrinks every mix for CI smoke; --json FILE writes the
-// measured numbers in BENCH_simcore.json form (regression floors =
-// measured/8); --check exits 1 if timer_churn runs under 2x
-// kLegacyHeapTimerChurnEps or any mix lands under its floor in the baseline
-// file (--baseline FILE, default BENCH_simcore.json).
+// Flags: --json FILE writes the measured numbers in BENCH_simcore.json form
+// (regression floors = measured/8); --check exits 1 if timer_churn runs
+// under 2x kLegacyHeapTimerChurnEps, if BENCH_simcore.json is missing or
+// unreadable, or if any mix lands under the floor it records.
 //
 // Wall-clock timing deliberately uses std::chrono::steady_clock: this bench
 // measures the simulator's own speed, not simulated behaviour, and nothing
@@ -48,7 +47,6 @@ namespace {
 // when that backend was deleted. The wheel's >= 2x gate compares against it.
 constexpr double kLegacyHeapTimerChurnEps = 1'508'223;
 
-bool g_quick = false;
 int g_failures = 0;
 
 void Check(bool ok, const char* what) {
@@ -184,38 +182,26 @@ bool BaselineFloor(const std::string& json, const std::string& mix, double* floo
 int main(int argc, char** argv) {
   bool check = false;
   std::string json_file;
-  std::string baseline_file = "BENCH_simcore.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      g_quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
+    if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_file = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_file = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--check] [--baseline FILE] [--json FILE]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--check] [--json FILE]\n", argv[0]);
       return 2;
     }
   }
 
-  const size_t fire_n = g_quick ? 200'000 : 2'000'000;
-  const size_t cancel_n = g_quick ? 200'000 : 2'000'000;
-  const size_t churn_n = g_quick ? 100'000 : 1'000'000;
-  const size_t mbuf_n = g_quick ? 20'000 : 200'000;
-
   const std::vector<MixResult> results = {
-      {"schedule_fire", RunScheduleFire(fire_n)},
-      {"schedule_cancel", RunScheduleCancel(cancel_n)},
-      {"timer_churn", RunTimerChurn(churn_n)},
-      {"mbuf_churn", RunMbufChurn(mbuf_n)},
+      {"schedule_fire", RunScheduleFire(2'000'000)},
+      {"schedule_cancel", RunScheduleCancel(2'000'000)},
+      {"timer_churn", RunTimerChurn(1'000'000)},
+      {"mbuf_churn", RunMbufChurn(200'000)},
   };
   const double timer_churn_speedup = results[2].eps / kLegacyHeapTimerChurnEps;  // timer_churn
 
-  TextTable table(std::string("sim-core events/sec (") + (g_quick ? "quick" : "full") + ")");
+  TextTable table("sim-core events/sec");
   table.SetHeader({"mix", "ev/s"});
   for (const MixResult& r : results) {
     table.AddRow({r.name, TextTable::Num(r.eps, 0)});
@@ -227,7 +213,7 @@ int main(int argc, char** argv) {
   if (!json_file.empty()) {
     std::ofstream out(json_file);
     out << "{\n  \"bench\": \"sim_core\",\n";
-    out << "  \"mode\": \"" << (g_quick ? "quick" : "full") << "\",\n";
+    out << "  \"mode\": \"full\",\n";
     out << "  \"mixes\": {\n";
     for (size_t i = 0; i < results.size(); ++i) {
       const MixResult& r = results[i];
@@ -246,10 +232,9 @@ int main(int argc, char** argv) {
   if (check) {
     Check(timer_churn_speedup >= 2.0,
           "timer_churn: wheel must be >= 2x the frozen legacy heap rate");
-    std::ifstream in(baseline_file);
+    std::ifstream in("BENCH_simcore.json");
     if (!in) {
-      std::fprintf(stderr, "bench_sim_core: no baseline %s; floors not checked\n",
-                   baseline_file.c_str());
+      Check(false, "BENCH_simcore.json is missing or unreadable; floors not checked");
     } else {
       std::ostringstream buffer;
       buffer << in.rdbuf();

@@ -87,33 +87,16 @@ if [[ -n "${CLANG_TIDY}" ]]; then
   fi
 fi
 
-# Bench smoke: the datapath-tuning ablations in quick mode. --check turns an
-# ablation inversion (feature on losing to feature off) or a copied data
-# byte on the loaning read-reply path into a hard failure; the micro bench
-# just has to run.
-./build/bench/bench_datapath_tuning --quick --check
+# Micro-bench smoke: the datapath micro bench just has to run.
 ./build/bench/bench_micro_datapath --benchmark_min_time=0.05 >/dev/null
-
-# Lease envelope gate (BENCH_leases.json): the lease mount must keep landing
-# between the push-on-close baseline and the no-consistency bound on both the
-# Andrew run and the 100 KB create-delete cycle, with READ RPCs reduced —
-# --check fails the build if leases regress outside the Section 5 envelope.
-./build/bench/bench_leases --quick --check
 
 # Sim-core events/sec gate (BENCH_simcore.json): the timing-wheel scheduler
 # must stay >= 2x the legacy heap's frozen timer-churn rate (the last one
 # BENCH_simcore.json recorded before that backend was deleted), and no mix
 # may land under its recorded regression floor (floor = captured full-run
 # rate / 8, generous enough for CI noise but not for an O(1)->O(log n)
-# backslide).
-./build/bench/bench_sim_core --quick --check --baseline BENCH_simcore.json
-
-# Latency-attribution gate (BENCH_breakdown.json in full mode): the span
-# collector's critical-path breakdown must track the injected bottleneck —
-# a sustained loss storm comes out backoff/network-dominated, a slow disk
-# disk/server-queue-dominated — with the conservation invariant exact on
-# every op and zero collector pool spills.
-./build/bench/bench_breakdown --quick --check
+# backslide). A missing or unreadable BENCH_simcore.json fails the gate.
+./build/bench/bench_sim_core --check
 
 # Simulated-behaviour byte-identity gate (BENCH_scenarios.json): the full
 # 22-cell scenario matrix, every cell gated and replayed. Its JSON holds no
@@ -127,10 +110,17 @@ cmp "${SCEN_JSON}" BENCH_scenarios.json
 rm -f "${SCEN_JSON}"
 
 # Paper-output byte-identity gate (BENCH_paper.txt): every paper graph,
-# table and ablation cell of bench_paper, run in table order (about 13 s).
-# Its stdout holds no host timings, so it must equal the committed file byte
-# for byte. A change that is meant to move a paper number refreshes the file
-# with `./build/bench/bench_paper > BENCH_paper.txt` from the repo root, with
+# table and ablation cell of bench_paper, then the follow-on cells, run in
+# table order (about 13 s). Its stdout holds no host timings, so it must
+# equal the committed file byte for byte. The follow-on cells also check
+# their results and make bench_paper exit 1 on any failed check: datapath
+# (no ablation inverts; loaned READ replies copy no data byte), leases (the
+# lease mount stays between push-on-close and the no-consistency bound on
+# Andrew and the 100 KB create-delete cycle, with fewer READ RPCs) and
+# breakdown (a loss storm comes out backoff/network-dominated, a slow disk
+# disk/server-queue-dominated, span conservation exact, zero pool spills).
+# A change that is meant to move a paper number refreshes the file with
+# `./build/bench/bench_paper > BENCH_paper.txt` from the repo root, with
 # RENONFS_SEED unset, and says so.
 PAPER_TXT="$(mktemp /tmp/renonfs_paper.XXXXXX.txt)"
 env -u RENONFS_SEED ./build/bench/bench_paper >"${PAPER_TXT}"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -46,6 +47,12 @@ constexpr FaultKindEntry kFaultKindNames[] = {
     {FaultKind::kSabotage, "sabotage"},
     {FaultKind::kGarbageDatagrams, "garbage_datagrams"},
 };
+
+// Ceiling on a disk_slow magnitude. DiskModel::OpLatency multiplies each
+// op's nominal latency by it, and no disk op's latency may overflow a
+// SimTime: at 1000x an op would need a nominal latency above 106 days to
+// overflow. The largest factor in the tree is 140.
+constexpr double kMaxDiskSlowFactor = 1000.0;
 
 // Fault lines are the scenario DSL's `fault = ...` values, so their parse
 // errors carry the DSL's prefix.
@@ -181,7 +188,7 @@ StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
     auto double_field = [&](double* out) -> Status {
       char* end = nullptr;
       *out = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
+      if (end == value.c_str() || *end != '\0' || !std::isfinite(*out)) {
         return BadField("fault '" + line + "': bad number '" + value + "'");
       }
       return Status::Ok();
@@ -217,6 +224,11 @@ StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
       status = uint_field(&spec.offset);
     } else if (key == "mag") {
       status = double_field(&spec.magnitude);
+      if (status.ok() && spec.kind == FaultKind::kDiskSlow &&
+          spec.magnitude > kMaxDiskSlowFactor) {
+        status = BadField("fault '" + line + "': disk_slow magnitude '" + value +
+                          "' above the ceiling " + FormatDouble(kMaxDiskSlowFactor));
+      }
     } else if (key == "flip") {
       status = double_field(&spec.corruption.bit_flip);
     } else if (key == "trunc") {

@@ -10,6 +10,12 @@
 namespace renonfs {
 
 namespace {
+
+// Delayed writes are pushed every 30 seconds by the sync daemon whether or
+// not consistency is enabled (Section 1: "pushed every 30sec for most Unix
+// implementations").
+constexpr SimTime kSyncInterval = Seconds(30);
+
 NfsFh FhFromKey(uint64_t key) {
   return NfsFh::Make(static_cast<uint32_t>(key >> 32), static_cast<Ino>(key & 0xffffffffu));
 }
@@ -73,12 +79,6 @@ NfsClient::NfsClient(Node* node, UdpStack* udp, TcpStack* tcp, SockAddr server, 
         nc.enabled = options.name_cache;
         return nc;
       }()),
-      attr_cache_([&options] {
-        AttrCacheOptions ac;
-        ac.enabled = options.attr_cache;
-        ac.ttl = options.attr_ttl;
-        return ac;
-      }()),
       cache_([&options] {
         BufCacheOptions bc;
         bc.block_size = kNfsMaxData;
@@ -89,15 +89,13 @@ NfsClient::NfsClient(Node* node, UdpStack* udp, TcpStack* tcp, SockAddr server, 
       biods_(std::max<size_t>(options.biods, 1)),
       sync_timer_(node->scheduler(), [this]() {
         SyncDaemonPass().Detach();
-        sync_timer_.Start(options_.sync_interval);
+        sync_timer_.Start(kSyncInterval);
       }),
       lease_timer_(node->scheduler(), [this]() {
         LeaseRenewalPass().Detach();
         lease_timer_.Start(options_.lease_term / 4);
       }) {
-  if (options_.sync_interval > 0) {
-    sync_timer_.Start(options_.sync_interval);
-  }
+  sync_timer_.Start(kSyncInterval);
   if (options_.leases && udp != nullptr && options_.transport != NfsTransportKind::kTcp) {
     // The recall callback channel: bare datagrams from the server, well away
     // from the RPC port range. Well-known offset so the server can compute

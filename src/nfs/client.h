@@ -77,14 +77,8 @@ struct NfsMountOptions {
 
   bool push_on_close = true;          // close/open consistency
   bool push_dirty_before_read = true; // Reno's conservative rule (Section 5)
-  // Delayed writes are pushed every 30 seconds by the sync daemon whether or
-  // not consistency is enabled (Section 1: "pushed every 30sec for most
-  // Unix implementations").
-  SimTime sync_interval = Seconds(30);
   bool open_consistency = true;       // revalidate attributes at open
   bool name_cache = true;
-  bool attr_cache = true;
-  SimTime attr_ttl = Seconds(5);
   bool dirty_region_bufs = true;  // false: partial writes pre-read the block
   // Reference-port asynchronous policy: every write syscall starts the push
   // of the touched block immediately (not only full blocks), so repeated
@@ -333,7 +327,7 @@ class NfsClient {
   NfsMountOptions options_;
   std::unique_ptr<RpcClientTransport> transport_;
   NameCache name_cache_;
-  AttrCache attr_cache_;
+  AttrCache attr_cache_;  // AttrCacheOptions defaults: on, 5 s TTL
   BufCache cache_;
   Semaphore biods_;
   NfsClientStats stats_;

@@ -11,6 +11,21 @@ namespace {
 // Approximate on-disk size of a directory entry (UFS direct struct).
 constexpr size_t kDirEntryBytes = 16;
 
+// Concurrent nfsd daemons.
+constexpr size_t kNfsdThreads = 4;
+
+// Write gathering: a gather window lasts at least kGatherWindow and re-arms
+// while new writes keep joining, up to kGatherMaxRounds rounds.
+constexpr SimTime kGatherWindow = Milliseconds(8);
+constexpr size_t kGatherMaxRounds = 8;
+// Hard cap on one round's wait. The queue_clears_at() extension is unbounded
+// by itself: under a DiskSlow storm the queue horizon can sit minutes out,
+// and a gather lead that sleeps until then would park its nfsd slot and
+// every gathered WRITE's reply behind the whole backlog instead of just the
+// next drain. One round never waits longer than this, slow disk or not.
+constexpr SimTime kMaxGatherWindow = Milliseconds(250);
+static_assert(kMaxGatherWindow >= kGatherWindow);
+
 size_t DirBlocks(size_t entries) {
   return std::max<size_t>(1, (entries * kDirEntryBytes + kFsBlockSize - 1) / kFsBlockSize);
 }
@@ -31,7 +46,7 @@ NfsServer::NfsServer(Node* node, LocalFs* fs, NfsServerOptions options)
                     RpcServerOptions rpc_options;
                     rpc_options.prog = kNfsProgram;
                     rpc_options.vers = kNfsVersion;
-                    rpc_options.server_threads = options.nfsd_threads;
+                    rpc_options.server_threads = kNfsdThreads;
                     rpc_options.dup_cache_entries = options.dup_cache_entries;
                     for (uint32_t proc = 0; proc < kNfsProcCount; ++proc) {
                       if (IsNonIdempotent(proc)) {
@@ -248,7 +263,7 @@ CoTask<void> NfsServer::CommitWrite(uint32_t xid, Ino ino, uint32_t first_block,
   // Become the gather leader: open the window and let the other in-flight
   // WRITEs (and any that arrive while we wait) pile onto the batch. The
   // window re-arms while the batch keeps growing, bounded by
-  // gather_max_rounds so a sustained stream cannot starve the commit.
+  // kGatherMaxRounds so a sustained stream cannot starve the commit.
   auto batch = std::make_shared<GatherBatch>();
   for (uint32_t block = first_block; block <= last_block; ++block) {
     batch->blocks.insert(block);
@@ -263,10 +278,10 @@ CoTask<void> NfsServer::CommitWrite(uint32_t xid, Ino ino, uint32_t first_block,
 
   size_t seen_calls = 0;
   size_t rounds = 0;
-  while (batch->calls > seen_calls && rounds < options_.gather_max_rounds && !crashed_) {
+  while (batch->calls > seen_calls && rounds < kGatherMaxRounds && !crashed_) {
     seen_calls = batch->calls;
     ++rounds;
-    // The window is at least gather_window, and extends while the disk is
+    // The window is at least kGatherWindow, and extends while the disk is
     // busy with earlier work: our commit could not start before the queue
     // ahead of it drains, so that wait is free gathering time. On an idle
     // disk this degenerates to the small fixed delay; behind a slow or
@@ -275,12 +290,9 @@ CoTask<void> NfsServer::CommitWrite(uint32_t xid, Ino ino, uint32_t first_block,
     // gathering pays.
     const SimTime now = node_->scheduler().now();
     const SimTime disk_ready = node_->disk().queue_clears_at();
-    // Clamped: a DiskSlow storm can push queue_clears_at() minutes out, and
-    // an unbounded wait would park this nfsd (and every gathered WRITE's
-    // reply) behind the whole backlog instead of just the next drain.
     const SimTime wait =
-        std::min(std::max(options_.gather_window, disk_ready > now ? disk_ready - now : 0),
-                 std::max(options_.gather_window, options_.max_gather_window));
+        std::min(std::max(kGatherWindow, disk_ready > now ? disk_ready - now : 0),
+                 kMaxGatherWindow);
     co_await node_->scheduler().Delay(wait);
   }
 

@@ -50,7 +50,6 @@ struct NfsServerOptions {
   bool layered_xdr = false;        // reference port: XDR through a buffer
   size_t cache_blocks = 256;       // server buffer cache (identically sized
                                    // caches were used for the comparison)
-  size_t nfsd_threads = 4;
   size_t dup_cache_entries = 128;
 
   // Datapath tuning (this library's follow-on work; both predate neither
@@ -63,21 +62,12 @@ struct NfsServerOptions {
   // write_gathering: an nfsd that sees another WRITE in flight for the same
   // file opens a gather window instead of committing alone; WRITEs landing
   // while it is open pile onto the batch, which ends in one clustered data
-  // commit + one inode write and a burst of replies. The window lasts at
-  // least gather_window and extends while the disk queue ahead of the
-  // commit drains (the commit could not have started earlier anyway), so
-  // gathering self-scales with disk pressure and costs almost nothing when
-  // the device is idle.
+  // commit + one inode write and a burst of replies. The window's timing is
+  // fixed in server.cc: it extends while the disk queue ahead of the commit
+  // drains (the commit could not have started earlier anyway), so gathering
+  // self-scales with disk pressure and costs almost nothing when the device
+  // is idle.
   bool write_gathering = true;
-  SimTime gather_window = Milliseconds(8);
-  // Window re-arms while new writes keep joining, up to this many rounds.
-  size_t gather_max_rounds = 8;
-  // Hard cap on one round's wait. The queue_clears_at() extension is
-  // unbounded by itself: under a DiskSlow storm the queue horizon can sit
-  // minutes out, and a gather lead that sleeps until then holds its nfsd
-  // slot and every gathered WRITE's reply hostage. One round never waits
-  // longer than this, slow disk or not.
-  SimTime max_gather_window = Milliseconds(250);
 
   // NQNFS-style leases [Gray89]. When enabled the server grants per-file
   // read/write leases (LEASE proc), recalls them on conflicting operations

@@ -1014,10 +1014,10 @@ TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
 // Regression for the gather-window clamp: with the disk queue backlogged far
 // into the future, a gather leader must not sleep out the unclamped
 // `queue_clears_at() - now` before committing — one round waits at most
-// max_gather_window. Observable: the leader bumps gather_batches and queues
-// its commit within seconds of the flush (the stat is counted at submit,
-// before the disk await), while unclamped code would still be parked inside
-// its first window round until the backlog horizon.
+// kMaxGatherWindow (server.cc). Observable: the leader bumps gather_batches
+// and queues its commit within seconds of the flush (the stat is counted at
+// submit, before the disk await), while unclamped code would still be parked
+// inside its first window round until the backlog horizon.
 TEST(FaultTest, GatherWindowClampedUnderDiskBacklog) {
   World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
   DumpOnFailure dump_on_failure(world);
@@ -1053,7 +1053,7 @@ TEST(FaultTest, GatherWindowClampedUnderDiskBacklog) {
 
   EXPECT_GE(world.server().stats().gathered_writes, 2u);
   // Clamped: the batch had committed to the queue by the 5s sample — at most
-  // gather_max_rounds * max_gather_window = 2s of window waiting. Unclamped,
+  // kGatherMaxRounds * kMaxGatherWindow = 2s of window waiting. Unclamped,
   // the leader would still be asleep and the batch not yet submitted.
   EXPECT_GE(batches_at_sample, 1u);
   EXPECT_GT(horizon_at_sample, h0);

@@ -203,6 +203,17 @@ TEST(ScenarioTest, FaultSpecStringRoundTrips) {
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=2147483648").ok());
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=-1").ok());
   EXPECT_FALSE(FaultSpecFromString("crash at=10000000000s dur=1s").ok());
+  // A non-finite number is a bad number in every field, and a disk_slow
+  // factor above the ceiling would overflow a disk op's SimTime latency.
+  for (const char* line : {
+           "disk_slow at=2s dur=20s mag=nan",
+           "disk_slow at=2s dur=20s mag=inf",
+           "disk_slow at=2s dur=20s mag=1e300",
+           "loss_storm at=6s dur=6s mag=nan",
+           "corruption_storm at=4s dur=10s flip=nan",
+       }) {
+    EXPECT_FALSE(FaultSpecFromString(line).ok()) << line;
+  }
 }
 
 TEST(ScenarioTest, DefaultMatrixShapesAndRoundTrips) {
