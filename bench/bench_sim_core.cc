@@ -43,8 +43,8 @@ using namespace renonfs;
 namespace {
 
 // The std::priority_queue scheduler's timer_churn rate from its last
-// full-mode capture ("legacy_events_per_sec" in BENCH_simcore.json), frozen
-// when that backend was deleted. The wheel's >= 2x gate compares against it.
+// full-mode capture, frozen here when that backend was deleted (CHANGES.md,
+// PR 14). The wheel's >= 2x gate compares against it.
 constexpr double kLegacyHeapTimerChurnEps = 1'508'223;
 
 int g_failures = 0;

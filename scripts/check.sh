@@ -91,11 +91,12 @@ fi
 ./build/bench/bench_micro_datapath --benchmark_min_time=0.05 >/dev/null
 
 # Sim-core events/sec gate (BENCH_simcore.json): the timing-wheel scheduler
-# must stay >= 2x the legacy heap's frozen timer-churn rate (the last one
-# BENCH_simcore.json recorded before that backend was deleted), and no mix
-# may land under its recorded regression floor (floor = captured full-run
-# rate / 8, generous enough for CI noise but not for an O(1)->O(log n)
-# backslide). A missing or unreadable BENCH_simcore.json fails the gate.
+# must stay >= 2x the legacy heap's timer-churn rate (kLegacyHeapTimerChurnEps
+# in bench/bench_sim_core.cc, the heap's last capture before that backend was
+# deleted; CHANGES.md, PR 14), and no mix may land under its recorded
+# regression floor (floor = captured full-run rate / 8, generous enough for
+# CI noise but not for an O(1)->O(log n) backslide). A missing or unreadable
+# BENCH_simcore.json fails the gate.
 ./build/bench/bench_sim_core --check
 
 # Simulated-behaviour byte-identity gate (BENCH_scenarios.json): the full
@@ -142,12 +143,26 @@ python3 scripts/validate_trace.py "${TRACE_TMP}"
 python3 scripts/validate_trace.py --timeline "${TIMELINE_TMP}"
 rm -f "${TRACE_TMP}" "${TIMELINE_TMP}"
 
-# Chaos demo smoke: every fixed fault mode on its defaults (slow link,
-# create-delete). chaos_demo exits non-zero when the integrity audit fails
-# (or, in lease mode, on a stale-lease write), which fails the build here.
-for mode in hard soft intr tcp lease corrupt; do
-  ./build/examples/chaos_demo "${mode}" >/dev/null
-done
+# Example-output byte-identity gate (EXAMPLES.txt): the four example
+# programs, then chaos_demo in every fixed fault mode on its defaults (slow
+# link, create-delete), about 0.3 s in all. Their stdout holds no host
+# timings, so it must equal the committed file byte for byte. chaos_demo
+# also exits non-zero when the integrity audit fails (or, in lease mode, on
+# a stale-lease write), which fails the build here. nfsstat stays out: it
+# prints allocator pool warmth. A change that is meant to move an example's
+# output refreshes the file by running this block from the repo root with
+# RENONFS_SEED unset and its output sent to EXAMPLES.txt, and says so.
+EXAMPLES_TXT="$(mktemp /tmp/renonfs_examples.XXXXXX.txt)"
+{
+  for example in quickstart caching_policies slow_link_tuning transport_shootout; do
+    env -u RENONFS_SEED "./build/examples/${example}"
+  done
+  for mode in hard soft intr tcp lease corrupt; do
+    env -u RENONFS_SEED ./build/examples/chaos_demo "${mode}"
+  done
+} >"${EXAMPLES_TXT}"
+cmp "${EXAMPLES_TXT}" EXAMPLES.txt
+rm -f "${EXAMPLES_TXT}"
 
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"

@@ -231,54 +231,43 @@ CoTask<StatusOr<MbufChain>> NfsClient::CallRpc(uint32_t proc, MbufChain args,
   co_return result;
 }
 
-Status NfsClient::CheckNfsStat(XdrDecoder& dec, std::string_view context) {
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    return stat_or.status();
+bool NfsClient::AbsorbRetryError(const StatusOr<MbufChain>& reply, const Status& status,
+                                 ErrorCode echo, const RpcCallInfo& info) {
+  if (!reply.ok() || status.code() != echo || info.transmissions <= 1) {
+    return false;
   }
-  return StatusFromNfsStat(stat_or.value(), context);
+  ++stats_.retry_errors_absorbed;
+  return true;
+}
+
+void NfsClient::DirChanged(NfsFh dir) {
+  name_cache_epoch_.erase(dir.Key());
+  dir_listings_.erase(dir.Key());
+  attr_cache_.Invalidate(dir.Key());
 }
 
 CoTask<StatusOr<FileAttr>> NfsClient::RpcGetattr(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await CallRpc(kNfsGetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsGetattr, std::move(args));
+  auto attr_or = DecodeReply(reply, "getattr", DecodeFattr);
+  if (attr_or.ok()) {
+    NoteAttrs(file, attr_or.value());
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "getattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (!attr_or.ok()) {
-    co_return attr_or.status();
-  }
-  NoteAttrs(file, attr_or.value());
-  co_return attr_or.value();
+  co_return attr_or;
 }
 
 CoTask<StatusOr<DirOpReply>> NfsClient::RpcLookup(NfsFh dir, const std::string& name) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await CallRpc(kNfsLookup, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsLookup, std::move(args));
+  auto lookup_or = DecodeReply(reply, "lookup", DecodeDirOpReply);
+  if (lookup_or.ok()) {
+    NoteAttrs(lookup_or->file, lookup_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "lookup");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteAttrs(reply_or->file, reply_or->attr);
-  co_return reply_or.value();
+  co_return lookup_or;
 }
 
 CoTask<StatusOr<ReadReply>> NfsClient::RpcRead(NfsFh file, uint32_t offset, uint32_t count) {
@@ -289,21 +278,12 @@ CoTask<StatusOr<ReadReply>> NfsClient::RpcRead(NfsFh file, uint32_t offset, uint
   read_args.offset = offset;
   read_args.count = count;
   EncodeReadArgs(enc, read_args);
-  auto body_or = co_await CallRpc(kNfsRead, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsRead, std::move(args));
+  auto read_or = DecodeReply(reply, "read", DecodeReadReply);
+  if (read_or.ok()) {
+    NoteAttrs(file, read_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "read");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReadReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteAttrs(file, reply_or->attr);
-  co_return std::move(reply_or).value();
+  co_return read_or;
 }
 
 CoTask<StatusOr<FileAttr>> NfsClient::RpcWrite(NfsFh file, uint32_t offset, MbufChain data) {
@@ -314,21 +294,12 @@ CoTask<StatusOr<FileAttr>> NfsClient::RpcWrite(NfsFh file, uint32_t offset, Mbuf
   write_args.offset = offset;
   write_args.data = std::move(data);
   EncodeWriteArgs(enc, std::move(write_args));
-  auto body_or = co_await CallRpc(kNfsWrite, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsWrite, std::move(args));
+  auto attr_or = DecodeReply(reply, "write", DecodeFattr);
+  if (attr_or.ok()) {
+    NoteAttrs(file, attr_or.value());
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "write");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (!attr_or.ok()) {
-    co_return attr_or.status();
-  }
-  NoteAttrs(file, attr_or.value());
-  co_return attr_or.value();
+  co_return attr_or;
 }
 
 // --- lease plumbing ----------------------------------------------------------
@@ -451,22 +422,13 @@ CoTask<StatusOr<LeaseReply>> NfsClient::RpcLease(NfsFh file, uint32_t kind, bool
   // Snapshot before the call: the expiry must be pessimistic by the full
   // round trip (see NoteLeaseReply).
   const SimTime sent_at = node_->scheduler().now();
-  auto body_or = co_await CallRpc(kNfsLease, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsLease, std::move(args));
+  auto lease_or = DecodeReply(reply, "lease", DecodeLeaseReply);
+  if (lease_or.ok()) {
+    NoteLeaseReply(file.Key(), lease_or.value(), sent_at);
+    NoteAttrs(file, lease_or->attr);
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "lease");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeLeaseReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  NoteLeaseReply(file.Key(), reply_or.value(), sent_at);
-  NoteAttrs(file, reply_or->attr);
-  co_return reply_or.value();
+  co_return lease_or;
 }
 
 CoTask<void> NfsClient::MaybeAcquireLease(NfsFh file, uint32_t kind) {
@@ -774,82 +736,37 @@ CoTask<Status> NfsClient::Setattr(NfsFh file, SetAttrRequest request) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeSetattrArgs(enc, SetattrArgs{file, request});
-  auto body_or = co_await CallRpc(kNfsSetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "setattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  if (attr_or.ok()) {
-    NoteAttrs(file, attr_or.value());
-    if (request.size.has_value()) {
-      // Truncation changes the data; drop cached blocks (dirty data below
-      // the cut was already pushed by the caller or is being discarded with
-      // the truncation, matching local-file semantics).
-      cache_.InvalidateFile(file.Key());
-      FileState& state = StateFor(file);
-      state.data_mtime = std::max(state.data_mtime, attr_or->mtime);
-      state.local_size = *request.size;
+  auto reply = co_await CallRpc(kNfsSetattr, std::move(args));
+  // The call succeeded once the nfsstat says so; attributes that fail to
+  // decode are simply not cached.
+  co_return DecodeReply(reply, "setattr", [&](XdrDecoder& dec) {
+    auto attr_or = DecodeFattr(dec);
+    if (attr_or.ok()) {
+      NoteAttrs(file, attr_or.value());
+      if (request.size.has_value()) {
+        // Truncation changes the data; drop cached blocks (dirty data below
+        // the cut was already pushed by the caller or is being discarded
+        // with the truncation, matching local-file semantics).
+        cache_.InvalidateFile(file.Key());
+        FileState& state = StateFor(file);
+        state.data_mtime = std::max(state.data_mtime, attr_or->mtime);
+        state.local_size = *request.size;
+      }
     }
-  }
-  co_return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 CoTask<StatusOr<NfsFh>> NfsClient::Create(NfsFh dir, std::string name, uint32_t mode) {
-  node_->cpu().ChargeBackground(node_->profile().syscall_overhead, CostCategory::kNfsProc);
-  MbufChain args;
-  XdrEncoder enc(&args);
-  CreateArgs create_args;
-  create_args.dir = dir;
-  create_args.name = name;
-  create_args.attrs.mode = mode;
-  EncodeCreateArgs(enc, create_args);
-  RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsCreate, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "create");
-  DirOpReply reply;
-  if (status.ok()) {
-    auto reply_or = DecodeDirOpReply(dec);
-    if (!reply_or.ok()) {
-      co_return reply_or.status();
-    }
-    reply = reply_or.value();
-  } else if (status.code() == ErrorCode::kExist && info.transmissions > 1) {
-    // EEXIST on a retransmitted CREATE: an earlier transmission did the work
-    // and the server forgot (dup cache lost across a reboot, or an evicted
-    // entry). The file existing is what we asked for — look it up and
-    // proceed, the 4.3BSD client's absorption of retried non-idempotent
-    // procedures.
-    ++stats_.retry_errors_absorbed;
-    auto lookup_or = co_await RpcLookup(dir, name);
-    if (!lookup_or.ok()) {
-      co_return status;  // the original EEXIST stands
-    }
-    reply = lookup_or.value();
-  } else {
-    co_return status;
-  }
-  NoteAttrs(reply.file, reply.attr);
-  StateFor(reply.file).data_mtime = reply.attr.mtime;
-  // The directory changed: purge its cached names (the BSD cache_purge on a
-  // modified directory), then enter the newly created entry.
-  name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
-  name_cache_.Enter(dir.Key(), name, reply.file.Key());
-  co_return reply.file;
+  return MakeNode(kNfsCreate, dir, std::move(name), mode);
 }
 
 CoTask<StatusOr<NfsFh>> NfsClient::Mkdir(NfsFh dir, std::string name, uint32_t mode) {
+  return MakeNode(kNfsMkdir, dir, std::move(name), mode);
+}
+
+CoTask<StatusOr<NfsFh>> NfsClient::MakeNode(uint32_t proc, NfsFh dir, std::string name,
+                                            uint32_t mode) {
   node_->cpu().ChargeBackground(node_->profile().syscall_overhead, CostCategory::kNfsProc);
   MbufChain args;
   XdrEncoder enc(&args);
@@ -859,37 +776,30 @@ CoTask<StatusOr<NfsFh>> NfsClient::Mkdir(NfsFh dir, std::string name, uint32_t m
   create_args.attrs.mode = mode;
   EncodeCreateArgs(enc, create_args);
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsMkdir, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "mkdir");
-  DirOpReply reply;
-  if (status.ok()) {
-    auto reply_or = DecodeDirOpReply(dec);
-    if (!reply_or.ok()) {
-      co_return reply_or.status();
+  auto reply = co_await CallRpc(proc, std::move(args), &info);
+  auto made_or = DecodeReply(reply, NfsProcName(proc), DecodeDirOpReply);
+  if (!made_or.ok()) {
+    if (!AbsorbRetryError(reply, made_or.status(), ErrorCode::kExist, info)) {
+      co_return made_or.status();
     }
-    reply = reply_or.value();
-  } else if (status.code() == ErrorCode::kExist && info.transmissions > 1) {
-    // See Create: EEXIST echoing our own retransmitted MKDIR is absorbed.
-    ++stats_.retry_errors_absorbed;
+    // The name existing is what we asked for: look the node up and proceed.
     auto lookup_or = co_await RpcLookup(dir, name);
     if (!lookup_or.ok()) {
-      co_return status;
+      co_return made_or.status();  // the original EEXIST stands
     }
-    reply = lookup_or.value();
-  } else {
-    co_return status;
+    made_or = std::move(lookup_or);
   }
-  NoteAttrs(reply.file, reply.attr);
+  const DirOpReply& made = made_or.value();
+  NoteAttrs(made.file, made.attr);
+  if (proc == kNfsCreate) {
+    StateFor(made.file).data_mtime = made.attr.mtime;
+  }
+  // The directory changed: purge its cached names (the BSD cache_purge on a
+  // modified directory), then enter the new entry.
   name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
-  name_cache_.Enter(dir.Key(), name, reply.file.Key());
-  co_return reply.file;
+  DirChanged(dir);
+  name_cache_.Enter(dir.Key(), name, made.file.Key());
+  co_return made.file;
 }
 
 CoTask<Status> NfsClient::Remove(NfsFh dir, std::string name) {
@@ -913,24 +823,13 @@ CoTask<Status> NfsClient::Remove(NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRemove, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "remove");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    // ENOENT on a retransmitted REMOVE: an earlier transmission unlinked the
-    // file and the reply was lost. The name being gone is success.
-    ++stats_.retry_errors_absorbed;
+  auto reply = co_await CallRpc(kNfsRemove, std::move(args), &info);
+  Status status = DecodeReply(reply, "remove");
+  if (!status.ok() && !AbsorbRetryError(reply, status, ErrorCode::kNoEnt, info)) {
+    co_return status;
   }
   name_cache_.InvalidateDir(dir.Key());
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  DirChanged(dir);
   if (victim.has_value()) {
     if (options_.leases) {
       // Hand the lease back before forgetting the file so the server does
@@ -952,22 +851,13 @@ CoTask<Status> NfsClient::Rmdir(NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRmdir, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "rmdir");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission removed it
+  auto reply = co_await CallRpc(kNfsRmdir, std::move(args), &info);
+  Status status = DecodeReply(reply, "rmdir");
+  if (!status.ok() && !AbsorbRetryError(reply, status, ErrorCode::kNoEnt, info)) {
+    co_return status;
   }
   name_cache_.Invalidate(dir.Key(), name);
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  DirChanged(dir);
   co_return Status::Ok();
 }
 
@@ -978,26 +868,13 @@ CoTask<Status> NfsClient::Rename(NfsFh from_dir, std::string from_name, NfsFh to
   XdrEncoder enc(&args);
   EncodeRenameArgs(enc, RenameArgs{from_dir, from_name, to_dir, to_name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsRename, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsRename, std::move(args), &info);
+  Status status = DecodeReply(reply, "rename");
+  if (!status.ok() && !AbsorbRetryError(reply, status, ErrorCode::kNoEnt, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "rename");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kNoEnt && info.transmissions > 1)) {
-      co_return status;
-    }
-    // ENOENT on a retransmitted RENAME: the earlier transmission moved the
-    // source, so the retry found it gone. The historical BSD client treats
-    // this as success — the rename happened.
-    ++stats_.retry_errors_absorbed;
-  }
-  for (NfsFh dir : {from_dir, to_dir}) {
-    name_cache_epoch_.erase(dir.Key());
-    dir_listings_.erase(dir.Key());
-    attr_cache_.Invalidate(dir.Key());
-  }
+  DirChanged(from_dir);
+  DirChanged(to_dir);
   name_cache_.Invalidate(from_dir.Key(), from_name);
   name_cache_.Invalidate(to_dir.Key(), to_name);
   co_return Status::Ok();
@@ -1009,21 +886,12 @@ CoTask<Status> NfsClient::Link(NfsFh file, NfsFh dir, std::string name) {
   XdrEncoder enc(&args);
   EncodeLinkArgs(enc, LinkArgs{file, dir, name});
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsLink, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsLink, std::move(args), &info);
+  Status status = DecodeReply(reply, "link");
+  if (!status.ok() && !AbsorbRetryError(reply, status, ErrorCode::kExist, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "link");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kExist && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission made the link
-  }
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  DirChanged(dir);
   attr_cache_.Invalidate(file.Key());  // nlink changed
   co_return Status::Ok();
 }
@@ -1038,21 +906,12 @@ CoTask<Status> NfsClient::Symlink(NfsFh dir, std::string name, std::string targe
   symlink_args.target = target;
   EncodeSymlinkArgs(enc, symlink_args);
   RpcCallInfo info;
-  auto body_or = co_await CallRpc(kNfsSymlink, std::move(args), &info);
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsSymlink, std::move(args), &info);
+  Status status = DecodeReply(reply, "symlink");
+  if (!status.ok() && !AbsorbRetryError(reply, status, ErrorCode::kExist, info)) {
+    co_return status;
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "symlink");
-  if (!status.ok()) {
-    if (!(status.code() == ErrorCode::kExist && info.transmissions > 1)) {
-      co_return status;
-    }
-    ++stats_.retry_errors_absorbed;  // earlier transmission made the symlink
-  }
-  name_cache_epoch_.erase(dir.Key());
-  dir_listings_.erase(dir.Key());
-  attr_cache_.Invalidate(dir.Key());
+  DirChanged(dir);
   co_return Status::Ok();
 }
 
@@ -1061,17 +920,9 @@ CoTask<StatusOr<std::string>> NfsClient::Readlink(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await CallRpc(kNfsReadlink, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "readlink");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto target_or = dec.GetString(kMaxPathLen);
-  co_return target_or;
+  auto reply = co_await CallRpc(kNfsReadlink, std::move(args));
+  co_return DecodeReply(reply, "readlink",
+                        [](XdrDecoder& dec) { return dec.GetString(kMaxPathLen); });
 }
 
 CoTask<StatusOr<std::vector<ReaddirEntry>>> NfsClient::Readdir(NfsFh dir) {
@@ -1097,24 +948,16 @@ CoTask<StatusOr<std::vector<ReaddirEntry>>> NfsClient::Readdir(NfsFh dir) {
     readdir_args.cookie = cookie;
     readdir_args.count = static_cast<uint32_t>(options_.rsize);
     EncodeReaddirArgs(enc, readdir_args);
-    auto body_or = co_await CallRpc(kNfsReaddir, std::move(args));
-    if (!body_or.ok()) {
-      co_return body_or.status();
+    auto reply = co_await CallRpc(kNfsReaddir, std::move(args));
+    auto page_or = DecodeReply(reply, "readdir", DecodeReaddirReply);
+    if (!page_or.ok()) {
+      co_return page_or.status();
     }
-    XdrDecoder dec(&body_or.value());
-    Status status = CheckNfsStat(dec, "readdir");
-    if (!status.ok()) {
-      co_return status;
-    }
-    auto reply_or = DecodeReaddirReply(dec);
-    if (!reply_or.ok()) {
-      co_return reply_or.status();
-    }
-    for (ReaddirEntry& entry : reply_or->entries) {
+    for (ReaddirEntry& entry : page_or->entries) {
       cookie = entry.cookie;
       all.push_back(std::move(entry));
     }
-    if (reply_or->eof || reply_or->entries.empty()) {
+    if (page_or->eof || page_or->entries.empty()) {
       break;
     }
   }
@@ -1127,20 +970,12 @@ CoTask<StatusOr<FsStat>> NfsClient::Statfs() {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, root_);
-  auto body_or = co_await CallRpc(kNfsStatfs, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
+  auto reply = co_await CallRpc(kNfsStatfs, std::move(args));
+  auto statfs_or = DecodeReply(reply, "statfs", DecodeStatfsReply);
+  if (!statfs_or.ok()) {
+    co_return statfs_or.status();
   }
-  XdrDecoder dec(&body_or.value());
-  Status status = CheckNfsStat(dec, "statfs");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeStatfsReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  co_return reply_or->stat;
+  co_return statfs_or->stat;
 }
 
 // --- open-file I/O ----------------------------------------------------------

@@ -253,8 +253,15 @@ class NfsClient {
   // --- RPC plumbing -------------------------------------------------------
   CoTask<StatusOr<MbufChain>> CallRpc(uint32_t proc, MbufChain args,
                                       RpcCallInfo* info = nullptr);
-  // Decodes the nfsstat discriminator and maps errors to Status.
-  static Status CheckNfsStat(XdrDecoder& dec, std::string_view context);
+  // The 4.3BSD retry-error heuristic (DESIGN §8). When the server loses a
+  // duplicate-cache entry (a reboot, an eviction), a retransmitted
+  // non-idempotent call re-executes and answers EEXIST (CREATE, MKDIR, LINK,
+  // SYMLINK) or ENOENT (REMOVE, RMDIR, RENAME): the echo of an earlier
+  // transmission that did the work. True, and counted in
+  // retry_errors_absorbed, when `status` is that `echo` nfsstat on a call
+  // sent more than once; a transport error is never absorbed.
+  bool AbsorbRetryError(const StatusOr<MbufChain>& reply, const Status& status, ErrorCode echo,
+                        const RpcCallInfo& info);
 
   CoTask<StatusOr<FileAttr>> RpcGetattr(NfsFh file);
   CoTask<StatusOr<DirOpReply>> RpcLookup(NfsFh dir, const std::string& name);
@@ -267,6 +274,12 @@ class NfsClient {
   CoTask<StatusOr<FileAttr>> GetattrCached(NfsFh file);
   void NoteAttrs(NfsFh file, const FileAttr& attr);
   void DiscardFile(NfsFh file);  // drop data + attrs (file removed/stale)
+  // A call changed `dir`: forget its name-cache epoch, cached listing and
+  // cached attributes. Each caller purges the name cache itself, as far as
+  // its call requires.
+  void DirChanged(NfsFh dir);
+  // CREATE and MKDIR: one body, as on the server (NfsServer::DoCreate).
+  CoTask<StatusOr<NfsFh>> MakeNode(uint32_t proc, NfsFh dir, std::string name, uint32_t mode);
 
   // Reads `block` into the cache (read RPC of up to rsize), with read-ahead.
   CoTask<StatusOr<Buf*>> FetchBlock(NfsFh file, uint32_t block);

@@ -349,6 +349,10 @@ StatusOr<NfsStat> DecodeNfsStat(XdrDecoder& dec) {
   return static_cast<NfsStat>(raw);
 }
 
+Status DecodeReply(const StatusOr<MbufChain>& reply, std::string_view name) {
+  return DecodeReply(reply, name, [](XdrDecoder&) { return Status::Ok(); });
+}
+
 void EncodeDirOpArgs(XdrEncoder& enc, const DirOpArgs& args) {
   EncodeFh(enc, args.dir);
   enc.PutString(args.name);

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/fs/local_fs.h"
@@ -135,6 +137,31 @@ StatusOr<SetAttrRequest> DecodeSattr(XdrDecoder& dec);
 
 void EncodeNfsStat(XdrEncoder& enc, NfsStat stat);
 StatusOr<NfsStat> DecodeNfsStat(XdrDecoder& dec);
+
+// --- the client's reply path -------------------------------------------------
+// Every client call decodes its reply here, the counterpart of the server's
+// one reply encoder (NfsServer::Dispatch). `reply` is what the RPC transport
+// resolved the call with:
+//   * a transport error passes through unchanged;
+//   * a non-OK nfsstat becomes StatusFromNfsStat(stat, name), where `name` is
+//     the procedure's name ("lookup", "create", ...) that op logs and replay
+//     traces print;
+//   * otherwise `decode(XdrDecoder&)` reads the rest of the body.
+// The status-only form serves the procedures whose reply is a bare nfsstat
+// (REMOVE, RMDIR, RENAME, LINK, SYMLINK).
+Status DecodeReply(const StatusOr<MbufChain>& reply, std::string_view name);
+
+template <typename Decode>
+auto DecodeReply(const StatusOr<MbufChain>& reply, std::string_view name, Decode decode)
+    -> decltype(decode(std::declval<XdrDecoder&>())) {
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  XdrDecoder dec(&reply.value());
+  ASSIGN_OR_RETURN(const NfsStat stat, DecodeNfsStat(dec));
+  RETURN_IF_ERROR(StatusFromNfsStat(stat, name));
+  return decode(dec);
+}
 
 // --- procedure args/replies --------------------------------------------------
 // Each procedure gets an args struct and (where non-trivial) a reply struct,

@@ -9,6 +9,40 @@
 
 namespace renonfs {
 
+namespace {
+// The NFS clock: the UDP transport re-examines its retransmit timers on
+// every tick, and jitters each retransmit deadline by up to one tick.
+constexpr SimTime kNfsClockTick = Milliseconds(200);
+// Silence on an in-flight TCP call before the transport assumes the
+// connection is dead (a crashed server loses connections without sending
+// anything) and starts a reconnect cycle. TCP's own retransmissions ride out
+// shorter outages on the existing connection.
+constexpr SimTime kReplyTimeout = Seconds(20);
+constexpr SimTime kWatchdogInterval = Seconds(1);  // granularity of that check
+}  // namespace
+
+// --- RpcClientTransport -----------------------------------------------------
+
+void RpcClientTransport::OpenOutageEpisode(SimTime now) {
+  if (not_responding_) {
+    return;
+  }
+  not_responding_ = true;
+  outage_started_ = now;
+  ++recovery_.not_responding_events;
+}
+
+void RpcClientTransport::CloseOutageEpisode(SimTime now) {
+  if (!not_responding_) {
+    return;
+  }
+  not_responding_ = false;
+  const SimTime outage = now - outage_started_;
+  recovery_.last_outage = outage;
+  recovery_.longest_outage = std::max(recovery_.longest_outage, outage);
+  ++recovery_.server_ok_events;
+}
+
 // --- UdpRpcTransport --------------------------------------------------------
 
 UdpRpcTransport::UdpRpcTransport(UdpStack* udp, uint16_t local_port, SockAddr server,
@@ -25,7 +59,7 @@ UdpRpcTransport::UdpRpcTransport(UdpStack* udp, uint16_t local_port, SockAddr se
   udp_->Bind(local_port_, [this](SockAddr from, MbufChain payload) {
     OnDatagram(from, std::move(payload));
   });
-  tick_timer_.Start(options_.clock_tick);
+  tick_timer_.Start(kNfsClockTick);
 }
 
 UdpRpcTransport::~UdpRpcTransport() {
@@ -113,26 +147,6 @@ void UdpRpcTransport::ResolvePending(uint32_t xid, StatusOr<MbufChain> result) {
   pending.promise.Set(std::move(result));
 }
 
-void UdpRpcTransport::OpenOutageEpisode() {
-  if (not_responding_) {
-    return;
-  }
-  not_responding_ = true;
-  outage_started_ = udp_->node()->scheduler().now();
-  ++recovery_.not_responding_events;
-}
-
-void UdpRpcTransport::CloseOutageEpisode() {
-  if (!not_responding_) {
-    return;
-  }
-  not_responding_ = false;
-  const SimTime outage = udp_->node()->scheduler().now() - outage_started_;
-  recovery_.last_outage = outage;
-  recovery_.longest_outage = std::max(recovery_.longest_outage, outage);
-  ++recovery_.server_ok_events;
-}
-
 size_t UdpRpcTransport::Interrupt() {
   if (!options_.intr) {
     return 0;
@@ -179,7 +193,7 @@ void UdpRpcTransport::OnDatagram(SockAddr from, MbufChain payload) {
     rto_policy_.AddSample(pending.cls, rtt);
   }
   cwnd_.OnReply();
-  CloseOutageEpisode();
+  CloseOutageEpisode(now);
   ++stats_.replies;
   stats_.RttFor(pending.cls).Add(ToMilliseconds(rtt));
   if (rtt_probe_) {
@@ -199,7 +213,7 @@ void UdpRpcTransport::OnDatagram(SockAddr from, MbufChain payload) {
 }
 
 void UdpRpcTransport::OnClockTick() {
-  tick_timer_.Start(options_.clock_tick);
+  tick_timer_.Start(kNfsClockTick);
   const SimTime now = udp_->node()->scheduler().now();
   // The RTO is recomputed from the estimators *now*, on the tick, rather
   // than using a value snapshotted at transmission time.
@@ -210,7 +224,7 @@ void UdpRpcTransport::OnClockTick() {
     }
     const SimTime rto = rto_policy_.BackedOffRto(pending.cls, pending.tries - 1);
     const SimTime jitter =
-        static_cast<SimTime>(jitter_rng_.UniformUint64(static_cast<uint64_t>(options_.clock_tick)));
+        static_cast<SimTime>(jitter_rng_.UniformUint64(static_cast<uint64_t>(kNfsClockTick)));
     if (now - pending.last_sent < rto + jitter) {
       continue;
     }
@@ -222,7 +236,7 @@ void UdpRpcTransport::OnClockTick() {
       // Hard mount: the call has used up a soft mount's patience. Announce
       // the outage once and keep retrying — BackedOffRto is already capped
       // at max_rto, so the retry cadence settles there.
-      OpenOutageEpisode();
+      OpenOutageEpisode(now);
     }
     // Retransmit: back off, shrink the congestion window.
     pending.retransmitted = true;
@@ -233,7 +247,7 @@ void UdpRpcTransport::OnClockTick() {
   }
   for (uint32_t xid : expired) {
     ++stats_.soft_timeouts;
-    OpenOutageEpisode();  // soft mounts also print "not responding" as they give up
+    OpenOutageEpisode(now);  // soft mounts also print "not responding" as they give up
     Trace(TraceEventKind::kClientTimeout, xid, pending_[xid].proc);
     ResolvePending(xid, TimeoutError("rpc: request timed out"));
   }
@@ -266,7 +280,7 @@ TcpRpcTransport::TcpRpcTransport(TcpStack* tcp, uint16_t local_port, SockAddr se
   connection_ = tcp_->Connect(local_port, server_, []() {}, options_.tcp);
   connection_->set_data_handler([this](MbufChain data) { OnData(std::move(data)); });
   if (RecoveryEnabled()) {
-    watchdog_.Start(options_.probe_interval);
+    watchdog_.Start(kWatchdogInterval);
   }
 }
 
@@ -363,7 +377,7 @@ void TcpRpcTransport::OnData(MbufChain data) {
       ++stats_.corrupted_records;
       ++stats_.resync_hunts;
       hunting_ = true;
-      reconnect_timer_.Start(options_.reply_timeout);
+      reconnect_timer_.Start(kReplyTimeout);
       continue;
     }
     if (receive_buffer_.Length() < 4 + record_len) {
@@ -423,7 +437,7 @@ void TcpRpcTransport::ProcessRecord(MbufChain record) {
     return;
   }
   Pending& pending = it->second;
-  CloseOutageEpisode();
+  CloseOutageEpisode(tcp_->node()->scheduler().now());
   ++stats_.replies;
   // Karn: a call re-issued on a new connection has an ambiguous RTT — the
   // elapsed time since sent_at spans the whole outage (tens of seconds) and
@@ -460,28 +474,8 @@ void TcpRpcTransport::ResolvePending(uint32_t xid, StatusOr<MbufChain> result) {
   pending.promise.Set(std::move(result));
 }
 
-void TcpRpcTransport::OpenOutageEpisode() {
-  if (not_responding_) {
-    return;
-  }
-  not_responding_ = true;
-  outage_started_ = tcp_->node()->scheduler().now();
-  ++recovery_.not_responding_events;
-}
-
-void TcpRpcTransport::CloseOutageEpisode() {
-  if (!not_responding_) {
-    return;
-  }
-  not_responding_ = false;
-  const SimTime outage = tcp_->node()->scheduler().now() - outage_started_;
-  recovery_.last_outage = outage;
-  recovery_.longest_outage = std::max(recovery_.longest_outage, outage);
-  ++recovery_.server_ok_events;
-}
-
 void TcpRpcTransport::OnWatchdog() {
-  watchdog_.Start(options_.probe_interval);
+  watchdog_.Start(kWatchdogInterval);
   if (pending_.empty()) {
     return;
   }
@@ -493,10 +487,10 @@ void TcpRpcTransport::OnWatchdog() {
   for (const auto& [xid, pending] : pending_) {
     most_recent = std::max(most_recent, pending.last_sent);
   }
-  if (now - most_recent < options_.reply_timeout) {
+  if (now - most_recent < kReplyTimeout) {
     return;
   }
-  OpenOutageEpisode();
+  OpenOutageEpisode(now);
   // Soft mount: calls that have used up their transmissions resolve with
   // the mount's ETIMEDOUT instead of riding the next connection.
   if (options_.max_tries > 0) {

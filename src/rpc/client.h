@@ -126,6 +126,11 @@ class RpcClientTransport {
   const RpcRecoveryStats& recovery_stats() const { return recovery_; }
 
  protected:
+  // Outage episodes (RpcRecoveryStats): the first call to give up on the
+  // server opens one at `now`, and the next reply closes it.
+  void OpenOutageEpisode(SimTime now);
+  void CloseOutageEpisode(SimTime now);
+
   void Trace(TraceEventKind kind, uint32_t xid, uint32_t proc, uint64_t arg = 0) {
     if (tracer_ != nullptr) {
       tracer_->Record(trace_track_, kind, xid, proc, arg);
@@ -137,6 +142,10 @@ class RpcClientTransport {
   RttProbe rtt_probe_;
   Tracer* tracer_ = nullptr;
   uint16_t trace_track_ = 0;
+
+ private:
+  bool not_responding_ = false;  // an outage episode is open
+  SimTime outage_started_ = 0;
 };
 
 struct UdpRpcOptions {
@@ -148,7 +157,6 @@ struct UdpRpcOptions {
   int max_tries = 12;  // transmissions before a soft timeout / not-responding
   bool hard = false;   // hard mount: retry forever at the capped backoff
   bool intr = false;   // allow Interrupt() to cancel outstanding calls
-  SimTime clock_tick = Milliseconds(200);
 
   // The three transport personalities benchmarked in Section 4.
   static UdpRpcOptions FixedRto(SimTime timeo = Seconds(1)) {
@@ -201,8 +209,6 @@ class UdpRpcTransport : public RpcClientTransport {
   void OnClockTick();
   void DrainSendQueue();
   void ResolvePending(uint32_t xid, StatusOr<MbufChain> result);
-  void OpenOutageEpisode();
-  void CloseOutageEpisode();
 
   UdpStack* udp_;
   uint16_t local_port_;
@@ -215,8 +221,6 @@ class UdpRpcTransport : public RpcClientTransport {
   std::map<uint32_t, Pending> pending_;
   std::deque<uint32_t> send_queue_;
   Timer tick_timer_;
-  bool not_responding_ = false;  // an outage episode is open
-  SimTime outage_started_ = 0;
   // Jitter applied to retransmit deadlines: without it, two requests lost to
   // the same queue overflow retransmit in lockstep on the NFS clock tick and
   // their fragmented replies collide at the bottleneck queue indefinitely.
@@ -235,12 +239,6 @@ struct TcpRpcOptions {
   // send plus re-issues). 0 means wait forever — the historical behavior of
   // this transport, and the default.
   int max_tries = 0;
-  // Silence on an in-flight call before the transport assumes the
-  // connection is dead (a crashed server loses connections without sending
-  // anything) and starts a reconnect cycle. TCP's own retransmissions ride
-  // out shorter outages on the existing connection.
-  SimTime reply_timeout = Seconds(20);
-  SimTime probe_interval = Seconds(1);  // watchdog granularity
 };
 
 class TcpRpcTransport : public RpcClientTransport {
@@ -281,8 +279,6 @@ class TcpRpcTransport : public RpcClientTransport {
   void OnWatchdog();
   void Reconnect(SimTime now);
   void ResolvePending(uint32_t xid, StatusOr<MbufChain> result);
-  void OpenOutageEpisode();
-  void CloseOutageEpisode();
 
   TcpStack* tcp_;
   uint16_t local_port_;
@@ -303,8 +299,6 @@ class TcpRpcTransport : public RpcClientTransport {
   bool stream_corrupt_ = false;  // discard stream data until the cycle fires
   bool hunting_ = false;         // between a corrupt mark and resync/give-up
   int reconnects_ = 0;
-  bool not_responding_ = false;
-  SimTime outage_started_ = 0;
 };
 
 }  // namespace renonfs

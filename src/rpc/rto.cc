@@ -4,6 +4,12 @@
 
 namespace renonfs {
 
+namespace {
+constexpr SimTime kMinRto = Milliseconds(400);  // two NFS clock ticks
+constexpr int kSmallDeviationMultiplier = 2;    // A+2D for Getattr and Lookup
+constexpr int64_t kMaxWindow = 32;              // requests
+}  // namespace
+
 void RttEstimator::AddSample(SimTime rtt) {
   if (samples_ == 0) {
     srtt_ = rtt;
@@ -38,8 +44,8 @@ SimTime RtoPolicy::CurrentRto(RpcTimerClass cls) const {
     return options_.constant_timeout;
   }
   const int multiplier =
-      IsBigClass(cls) ? options_.big_deviation_multiplier : options_.small_deviation_multiplier;
-  return est.Rto(multiplier, options_.min_rto, options_.max_rto);
+      IsBigClass(cls) ? options_.big_deviation_multiplier : kSmallDeviationMultiplier;
+  return est.Rto(multiplier, kMinRto, options_.max_rto);
 }
 
 SimTime RtoPolicy::BackedOffRto(RpcTimerClass cls, int tries) const {
@@ -61,7 +67,7 @@ void RpcCongestionWindow::OnReply() {
   if (!options_.enabled) {
     return;
   }
-  const int64_t max_eighths = static_cast<int64_t>(options_.max_window) * 8;
+  const int64_t max_eighths = kMaxWindow * 8;
   if (options_.slow_start && cwnd_eighths_ < ssthresh_eighths_) {
     cwnd_eighths_ += 8;  // exponential: +1 request per reply
   } else {

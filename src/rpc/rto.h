@@ -57,11 +57,9 @@ class RttEstimator {
 
 struct RtoPolicyOptions {
   SimTime constant_timeout = Seconds(1);  // the mount's "timeo"
-  SimTime min_rto = Milliseconds(400);  // two NFS clock ticks
   SimTime max_rto = Seconds(30);
-  int big_deviation_multiplier = 4;    // A+4D (the paper's fix; ablation: 2)
-  int small_deviation_multiplier = 2;  // A+2D
-  bool dynamic = false;                // false == the old fixed-RTO transport
+  int big_deviation_multiplier = 4;  // A+4D (the paper's fix; ablation: 2)
+  bool dynamic = false;              // false == the old fixed-RTO transport
 };
 
 // Per-class RTO policy for a mount.
@@ -95,7 +93,6 @@ class RpcCongestionWindow {
   struct Options {
     bool enabled = false;
     bool slow_start = false;  // the paper removed this; ablation keeps it
-    size_t max_window = 32;   // requests
   };
 
   explicit RpcCongestionWindow(Options options) : options_(options) {}

@@ -6,53 +6,39 @@
 
 namespace renonfs {
 
-// --- RawNfsCaller -------------------------------------------------------------
+namespace {
+constexpr SimTime kWarmup = Seconds(5);       // run before the measurement window
+constexpr uint32_t kReadBytes = kNfsMaxData;  // full 8 KB reads and writes
+constexpr size_t kFilesPerDirectory = 12;
 
-CoTask<StatusOr<MbufChain>> RawNfsCaller::Call(uint32_t proc, MbufChain args) {
-  auto result = co_await transport_->Call(proc, TimerClassForProc(proc), std::move(args));
-  co_return result;
+std::string FileName(size_t index) {
+  std::string name = "nhfsstone_test_file_" + std::to_string(index);
+  // Pad past the 31-character name-cache limit (Appendix caveat 1).
+  while (name.size() < 40) {
+    name += 'x';
+  }
+  return name;
 }
+}  // namespace
+
+// --- RawNfsCaller -------------------------------------------------------------
 
 CoTask<StatusOr<FileAttr>> RawNfsCaller::Getattr(NfsFh file) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeFh(enc, file);
-  auto body_or = co_await Call(kNfsGetattr, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "getattr");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  co_return attr_or;
+  auto reply =
+      co_await transport_->Call(kNfsGetattr, TimerClassForProc(kNfsGetattr), std::move(args));
+  co_return DecodeReply(reply, "getattr", DecodeFattr);
 }
 
 CoTask<StatusOr<DirOpReply>> RawNfsCaller::Lookup(NfsFh dir, std::string name) {
   MbufChain args;
   XdrEncoder enc(&args);
   EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await Call(kNfsLookup, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "lookup");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  co_return reply_or;
+  auto reply =
+      co_await transport_->Call(kNfsLookup, TimerClassForProc(kNfsLookup), std::move(args));
+  co_return DecodeReply(reply, "lookup", DecodeDirOpReply);
 }
 
 CoTask<StatusOr<size_t>> RawNfsCaller::Read(NfsFh file, uint32_t offset, uint32_t count) {
@@ -63,24 +49,11 @@ CoTask<StatusOr<size_t>> RawNfsCaller::Read(NfsFh file, uint32_t offset, uint32_
   read_args.offset = offset;
   read_args.count = count;
   EncodeReadArgs(enc, read_args);
-  auto body_or = co_await Call(kNfsRead, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "read");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReadReply(dec);
-  if (!reply_or.ok()) {
-    co_return reply_or.status();
-  }
-  co_return reply_or->data.Length();
+  auto reply = co_await transport_->Call(kNfsRead, TimerClassForProc(kNfsRead), std::move(args));
+  co_return DecodeReply(reply, "read", [](XdrDecoder& dec) -> StatusOr<size_t> {
+    ASSIGN_OR_RETURN(const ReadReply read, DecodeReadReply(dec));
+    return read.data.Length();
+  });
 }
 
 CoTask<StatusOr<FileAttr>> RawNfsCaller::Write(NfsFh file, uint32_t offset,
@@ -92,62 +65,8 @@ CoTask<StatusOr<FileAttr>> RawNfsCaller::Write(NfsFh file, uint32_t offset,
   write_args.offset = offset;
   write_args.data.Append(data.data(), data.size());
   EncodeWriteArgs(enc, std::move(write_args));
-  auto body_or = co_await Call(kNfsWrite, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "write");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto attr_or = DecodeFattr(dec);
-  co_return attr_or;
-}
-
-CoTask<StatusOr<DirOpReply>> RawNfsCaller::Create(NfsFh dir, std::string name) {
-  MbufChain args;
-  XdrEncoder enc(&args);
-  CreateArgs create_args;
-  create_args.dir = dir;
-  create_args.name = name;
-  create_args.attrs.mode = 0644;
-  EncodeCreateArgs(enc, create_args);
-  auto body_or = co_await Call(kNfsCreate, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "create");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeDirOpReply(dec);
-  co_return reply_or;
-}
-
-CoTask<Status> RawNfsCaller::Remove(NfsFh dir, std::string name) {
-  MbufChain args;
-  XdrEncoder enc(&args);
-  EncodeDirOpArgs(enc, DirOpArgs{dir, name});
-  auto body_or = co_await Call(kNfsRemove, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  co_return StatusFromNfsStat(stat_or.value(), "remove");
+  auto reply = co_await transport_->Call(kNfsWrite, TimerClassForProc(kNfsWrite), std::move(args));
+  co_return DecodeReply(reply, "write", DecodeFattr);
 }
 
 CoTask<StatusOr<ReaddirReply>> RawNfsCaller::Readdir(NfsFh dir, uint32_t cookie, uint32_t count) {
@@ -158,35 +77,12 @@ CoTask<StatusOr<ReaddirReply>> RawNfsCaller::Readdir(NfsFh dir, uint32_t cookie,
   readdir_args.cookie = cookie;
   readdir_args.count = count;
   EncodeReaddirArgs(enc, readdir_args);
-  auto body_or = co_await Call(kNfsReaddir, std::move(args));
-  if (!body_or.ok()) {
-    co_return body_or.status();
-  }
-  XdrDecoder dec(&body_or.value());
-  auto stat_or = DecodeNfsStat(dec);
-  if (!stat_or.ok()) {
-    co_return stat_or.status();
-  }
-  Status status = StatusFromNfsStat(stat_or.value(), "readdir");
-  if (!status.ok()) {
-    co_return status;
-  }
-  auto reply_or = DecodeReaddirReply(dec);
-  co_return reply_or;
+  auto reply =
+      co_await transport_->Call(kNfsReaddir, TimerClassForProc(kNfsReaddir), std::move(args));
+  co_return DecodeReply(reply, "readdir", DecodeReaddirReply);
 }
 
 // --- Nhfsstone ------------------------------------------------------------------
-
-std::string Nhfsstone::FileName(size_t index) const {
-  std::string name = "nhfsstone_test_file_" + std::to_string(index);
-  if (options_.long_names) {
-    // Pad past the 31-character name-cache limit (Appendix caveat 1).
-    while (name.size() < 40) {
-      name += 'x';
-    }
-  }
-  return name;
-}
 
 void Nhfsstone::PreloadTree() {
   LocalFs& fs = world_.fs();
@@ -204,7 +100,7 @@ void Nhfsstone::PreloadTree() {
     CHECK(dir_ino.ok()) << dir_ino.status();
     const NfsFh dir_fh = NfsFh::Make(1, dir_ino.value());
     dir_fhs_.push_back(dir_fh);
-    for (size_t f = 0; f < options_.files_per_directory; ++f) {
+    for (size_t f = 0; f < kFilesPerDirectory; ++f) {
       const std::string name = FileName(file_index++);
       auto ino = fs.Create(dir_ino.value(), name, 0644);
       if (!ino.ok() && ino.status().code() == ErrorCode::kExist) {
@@ -239,19 +135,18 @@ CoTask<Status> Nhfsstone::OneOperation(Rng& rng) {
   } else if ((roll -= mix.read) < 0) {
     is_read = true;
     const uint32_t max_offset = static_cast<uint32_t>(
-        options_.file_bytes > options_.read_bytes ? options_.file_bytes - options_.read_bytes
-                                                  : 0);
+        options_.file_bytes > kReadBytes ? options_.file_bytes - kReadBytes : 0);
     const uint32_t offset =
         max_offset == 0
             ? 0
             : static_cast<uint32_t>(rng.UniformUint64(max_offset / 512 + 1)) * 512;
-    auto reply = co_await caller_.Read(file_fh, offset, options_.read_bytes);
+    auto reply = co_await caller_.Read(file_fh, offset, kReadBytes);
     status = reply.status();
   } else if ((roll -= mix.getattr) < 0) {
     auto reply = co_await caller_.Getattr(file_fh);
     status = reply.status();
   } else if ((roll -= mix.write) < 0) {
-    std::vector<uint8_t> data(options_.read_bytes);
+    std::vector<uint8_t> data(kReadBytes);
     auto reply = co_await caller_.Write(file_fh, 0, std::move(data));
     status = reply.status();
   } else {
@@ -302,7 +197,7 @@ NhfsstoneResult Nhfsstone::Run() {
   }
 
   Scheduler& sched = world_.scheduler();
-  sched.RunFor(options_.warmup);
+  sched.RunFor(kWarmup);
 
   const uint64_t calls_before = caller_.transport()->stats().calls;
   const uint64_t retrans_before = caller_.transport()->stats().retransmits;

@@ -4,10 +4,10 @@
 // with a controlled mix of NFS RPCs at a target aggregate rate, bypassing
 // client caching: operations are generated directly at the RPC layer by a
 // RawNfsCaller, and — per the first Appendix caveat — file names are long
-// enough (> 31 characters) to defeat name caching on both ends, unless the
-// short_names ablation is selected. Per the second caveat, the test subtree
-// is preloaded with identical non-empty files before each run so read RPCs
-// move real data rather than hitting empty files.
+// enough (> 31 characters) to defeat name caching on both ends. Per the
+// second caveat, the test subtree is preloaded with identical non-empty
+// files before each run so read RPCs move real data rather than hitting
+// empty files.
 //
 // Several child processes issue requests in a paced closed loop (sleep
 // drawn from an exponential with the child's share of the target rate, then
@@ -39,14 +39,11 @@ class RawNfsCaller {
   // Returns bytes received.
   CoTask<StatusOr<size_t>> Read(NfsFh file, uint32_t offset, uint32_t count);
   CoTask<StatusOr<FileAttr>> Write(NfsFh file, uint32_t offset, std::vector<uint8_t> data);
-  CoTask<StatusOr<DirOpReply>> Create(NfsFh dir, std::string name);
-  CoTask<Status> Remove(NfsFh dir, std::string name);
   CoTask<StatusOr<ReaddirReply>> Readdir(NfsFh dir, uint32_t cookie, uint32_t count);
 
   RpcClientTransport* transport() { return transport_; }
 
  private:
-  CoTask<StatusOr<MbufChain>> Call(uint32_t proc, MbufChain args);
   RpcClientTransport* transport_;
 };
 
@@ -82,14 +79,10 @@ struct NhfsstoneOptions {
   double target_ops_per_sec = 10.0;
   NhfsstoneMix mix = NhfsstoneMix::PureLookup();
   int children = 4;
-  SimTime warmup = Seconds(5);
-  SimTime duration = Seconds(60);
-  uint32_t read_bytes = kNfsMaxData;  // full 8 KB reads, the default
+  SimTime duration = Seconds(60);  // measured, after a fixed warmup
   // Test subtree shape (preloaded before the run).
   size_t directories = 4;
-  size_t files_per_directory = 12;
   size_t file_bytes = 16384;
-  bool long_names = true;  // > 31 chars: defeats name caches (caveat 1)
   uint64_t seed = 1;
 };
 
@@ -128,7 +121,6 @@ class Nhfsstone {
  private:
   CoTask<void> Child(int index);
   CoTask<Status> OneOperation(Rng& rng);
-  std::string FileName(size_t index) const;
 
   World& world_;
   RawNfsCaller& caller_;

@@ -346,6 +346,95 @@ TEST(FaultTest, DuplicatedCreateInReorderWindowIsAbsorbedTcp) {
   EXPECT_EQ(world.client().stats().retry_errors_absorbed, 0u);
 }
 
+// The 4.3BSD retry-error heuristic, one instance per non-idempotent
+// procedure the client absorbs it for. Replies are dropped for 4 s and the
+// server reboots at 1 s, emptying its duplicate cache, so a retransmission
+// after the reboot re-executes the op into EEXIST or ENOENT. The client must
+// recognise the echo of its own earlier transmission, count it once, and
+// report success.
+struct AbsorbCase {
+  uint32_t proc;
+};
+
+void PrintTo(const AbsorbCase& absorb, std::ostream* os) { *os << NfsProcName(absorb.proc); }
+
+class RetryErrorAbsorptionTest : public ::testing::TestWithParam<AbsorbCase> {};
+
+// Runs the case's op on names the test prepared: "victim" exists beforehand
+// for REMOVE, RMDIR, RENAME and LINK (whose `file` it is), and "made" is what
+// CREATE, MKDIR, RENAME, LINK and SYMLINK leave behind.
+CoTask<Status> RunAbsorbedOp(NfsClient& client, uint32_t proc, NfsFh file) {
+  const NfsFh root = client.root();
+  switch (proc) {
+    case kNfsCreate: {
+      auto fh_or = co_await client.Create(root, "made");
+      co_return fh_or.status();
+    }
+    case kNfsMkdir: {
+      auto fh_or = co_await client.Mkdir(root, "made");
+      co_return fh_or.status();
+    }
+    case kNfsRemove:
+      co_return co_await client.Remove(root, "victim");
+    case kNfsRmdir:
+      co_return co_await client.Rmdir(root, "victim");
+    case kNfsRename:
+      co_return co_await client.Rename(root, "victim", root, "made");
+    case kNfsLink:
+      co_return co_await client.Link(file, root, "made");
+    case kNfsSymlink:
+      co_return co_await client.Symlink(root, "made", "victim");
+    default:
+      co_return InvalidArgumentError("no absorption case for this procedure");
+  }
+}
+
+TEST_P(RetryErrorAbsorptionTest, RetriedOpEchoIsAbsorbedOnce) {
+  const uint32_t proc = GetParam().proc;
+  NfsMountOptions mount = NfsMountOptions::RenoUdpFixed();
+  mount.timeo = Milliseconds(500);
+  mount.hard = true;
+  World world(QuietWorld(1, mount));
+  DumpOnFailure dump_on_failure(world);
+  LocalFs& fs = world.fs();
+  NfsFh victim_fh;
+  if (proc == kNfsRmdir) {
+    ASSERT_TRUE(fs.Mkdir(fs.root(), "victim", 0755).ok());
+  } else if (proc == kNfsRemove || proc == kNfsRename || proc == kNfsLink) {
+    auto ino_or = fs.Create(fs.root(), "victim", 0644);
+    ASSERT_TRUE(ino_or.ok()) << ino_or.status();
+    victim_fh = NfsFh::Make(1, ino_or.value());
+  }
+  FaultInjector injector(world.scheduler());
+  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
+                       /*at=*/0, /*duration=*/Seconds(4));
+  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Seconds(1),
+                                /*downtime=*/Milliseconds(500));
+
+  auto task = RunAbsorbedOp(world.client(), proc, victim_fh);
+  Status status = world.Run(task);
+
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(world.client().stats().retry_errors_absorbed, 1u);
+  // Executed once before the reboot and again after it.
+  EXPECT_GE(world.server().stats().proc_counts[proc], 2u);
+  const bool made = proc != kNfsRemove && proc != kNfsRmdir;
+  const bool victim_gone = proc == kNfsRemove || proc == kNfsRmdir || proc == kNfsRename;
+  EXPECT_EQ(fs.Lookup(fs.root(), "made").ok(), made);
+  if (victim_gone) {
+    EXPECT_FALSE(fs.Lookup(fs.root(), "victim").ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonIdempotentProcs, RetryErrorAbsorptionTest,
+    ::testing::Values(AbsorbCase{kNfsCreate}, AbsorbCase{kNfsMkdir}, AbsorbCase{kNfsRemove},
+                      AbsorbCase{kNfsRmdir}, AbsorbCase{kNfsRename}, AbsorbCase{kNfsLink},
+                      AbsorbCase{kNfsSymlink}),
+    [](const ::testing::TestParamInfo<AbsorbCase>& param_info) {
+      return std::string(NfsProcName(param_info.param.proc));
+    });
+
 // The injector's trace is appended at fire time in event order and is
 // deterministic for a fixed schedule.
 // --- Page-loaning pin protocol (tentpole coverage, run under ASan) ---
