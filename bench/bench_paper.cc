@@ -4,14 +4,17 @@
 //
 //   ./build/bench/bench_paper                 # every cell, in table order
 //   ./build/bench/bench_paper graph3 table1   # the named cells, in that order
+//   ./build/bench/bench_paper --list           # the cell names, in table order
 //
 // Each cell prints its table or trace, with the paper's numbers alongside
 // where the paper has them, and writes nothing else to stdout. The follow-on
 // cells (datapath, leases, breakdown) also check their results: a failed
 // check prints `CHECK FAILED: <what>` on stderr, and bench_paper exits 1
 // once the selected cells have run. An unknown cell name prints the cell
-// list on stderr and exits 2 before any cell runs. scripts/check.sh compares
-// the full run with BENCH_paper.txt byte for byte.
+// list on stderr and exits 2 before any cell runs. A cell's output does not
+// depend on what ran before it in the process, so scripts/check.sh runs one
+// process per cell, in parallel, and compares their outputs, joined in
+// `--list` order, with BENCH_paper.txt byte for byte.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -1253,6 +1256,12 @@ constexpr Cell kCells[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 2 && std::strcmp(argv[1], "--list") == 0) {
+    for (const Cell& cell : kCells) {
+      std::printf("%s\n", cell.name);
+    }
+    return 0;
+  }
   std::vector<const Cell*> selected;
   for (int i = 1; i < argc; ++i) {
     const Cell* match = nullptr;
@@ -1262,7 +1271,7 @@ int main(int argc, char** argv) {
       }
     }
     if (match == nullptr) {
-      std::fprintf(stderr, "bench_paper: no cell named '%s'\nusage: %s [cell...]\ncells:",
+      std::fprintf(stderr, "bench_paper: no cell named '%s'\nusage: %s [--list | cell...]\ncells:",
                    argv[i], argv[0]);
       for (const Cell& cell : kCells) {
         std::fprintf(stderr, " %s", cell.name);

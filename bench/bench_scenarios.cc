@@ -8,7 +8,8 @@
 // Flags:
 //   --quick        3-cell smoke subset (one cell per transport, one faulted)
 //   --check        exit 1 on any gate violation or replay divergence; each
-//                  cell is re-executed from its own trace record and must
+//                  cell is re-executed from its own trace record, written as
+//                  text and parsed back as a trace file would be, and must
 //                  reproduce bit-for-bit (same fault trace, op log, and
 //                  metrics snapshot hash)
 //   --out <path>   write the consolidated JSON capture (default
@@ -90,12 +91,14 @@ CellResult RunCell(const Scenario& cell, bool check, const std::string& artifact
   result.violations = std::move(outcome.gate_violations);
 
   if (check) {
-    // Determinism gate: the cell's own trace record must replay
-    // divergence-free. This is the matrix double-checking the record/replay
-    // promise on every cell, not just the ones that fail.
-    const TraceRecord trace =
-        TraceRecord::FromRun(result.scenario, result.report);
-    auto replay_or = ReplayTrace(trace);
+    // Determinism gate: the cell's own trace record, through its text form
+    // as a trace file carries it, must replay divergence-free. This is the
+    // matrix double-checking the record/replay promise on every cell, not
+    // just the ones that fail.
+    auto trace_or =
+        TraceRecord::Parse(TraceRecord::FromRun(result.scenario, result.report).Serialize());
+    CHECK(trace_or.ok());
+    auto replay_or = ReplayTrace(trace_or.value());
     CHECK(replay_or.ok());
     result.divergences = std::move(replay_or).value().divergences;
     result.replay = result.divergences.empty() ? "ok" : "divergent";

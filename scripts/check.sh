@@ -111,10 +111,12 @@ cmp "${SCEN_JSON}" BENCH_scenarios.json
 rm -f "${SCEN_JSON}"
 
 # Paper-output byte-identity gate (BENCH_paper.txt): every paper graph,
-# table and ablation cell of bench_paper, then the follow-on cells, run in
-# table order (about 13 s). Its stdout holds no host timings, so it must
-# equal the committed file byte for byte. The follow-on cells also check
-# their results and make bench_paper exit 1 on any failed check: datapath
+# table and ablation cell of bench_paper, then the follow-on cells. Each cell
+# runs in its own process, JOBS at a time (about 2.3 s on 4 cores, 7 s
+# serially); their outputs, joined in the table order `bench_paper --list`
+# prints, hold no host timings and must equal the committed file byte for
+# byte. The follow-on cells also check their results and make bench_paper
+# exit 1 on any failed check, which fails xargs and so this script: datapath
 # (no ablation inverts; loaned READ replies copy no data byte), leases (the
 # lease mount stays between push-on-close and the no-consistency bound on
 # Andrew and the 100 KB create-delete cycle, with fewer READ RPCs) and
@@ -123,10 +125,15 @@ rm -f "${SCEN_JSON}"
 # A change that is meant to move a paper number refreshes the file with
 # `./build/bench/bench_paper > BENCH_paper.txt` from the repo root, with
 # RENONFS_SEED unset, and says so.
-PAPER_TXT="$(mktemp /tmp/renonfs_paper.XXXXXX.txt)"
-env -u RENONFS_SEED ./build/bench/bench_paper >"${PAPER_TXT}"
-cmp "${PAPER_TXT}" BENCH_paper.txt
-rm -f "${PAPER_TXT}"
+PAPER_DIR="$(mktemp -d /tmp/renonfs_paper.XXXXXX)"
+./build/bench/bench_paper --list >"${PAPER_DIR}/cells"
+env -u RENONFS_SEED xargs -P "${JOBS}" -I{} \
+  sh -c './build/bench/bench_paper "$1" >"$2/$1.txt"' sh {} "${PAPER_DIR}" <"${PAPER_DIR}/cells"
+while read -r cell; do
+  cat "${PAPER_DIR}/${cell}.txt"
+done <"${PAPER_DIR}/cells" >"${PAPER_DIR}/all.txt"
+cmp "${PAPER_DIR}/all.txt" BENCH_paper.txt
+rm -rf "${PAPER_DIR}"
 
 # Trace + timeline validation: a chaos run must emit a well-formed Chrome
 # trace (monotonic per-track timestamps, balanced async spans, flow steps

@@ -12,6 +12,28 @@ void Medium::Attach(HostId node, Receiver receiver) {
   taps_[node] = std::move(receiver);
 }
 
+// Claim and WireTime run once per frame; they are defined ahead of their
+// callers, with their rare paths out of line, so that they inline.
+inline SimTime Medium::WireTime(size_t wire_bytes) {
+  if (wire_bytes >= wire_time_.size()) {
+    FillWireTimes(wire_bytes);
+  }
+  return wire_time_[wire_bytes];
+}
+
+inline SimTime Medium::Claim(size_t wire_bytes, SimTime extra_delay) {
+  if (Entry(next_frame_id_).state != FrameState::kGone) {
+    GrowRing();
+  }
+  const SimTime start = std::max(busy_until_, scheduler_.now());
+  busy_until_ = start + WireTime(wire_bytes);
+  stats_.bytes_on_wire += wire_bytes;
+  ++occupancy_;
+  const SimTime arrival = busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay;
+  Entry(next_frame_id_++) = FrameEntry{arrival, FrameState::kQueued};
+  return arrival;
+}
+
 bool Medium::Transmit(Frame frame) {
   Reap();
   if (down_) {
@@ -21,19 +43,23 @@ bool Medium::Transmit(Frame frame) {
     ++stats_.frames_dropped_down;
     return true;
   }
-  if (pending_.size() >= config_.queue_limit) {
+  if (occupancy_ >= config_.queue_limit) {
     ++stats_.frames_dropped_queue;
     // Collateral damage: overflow pressure sometimes costs a recently queued
     // frame as well (fragment interleaving on a real store-and-forward
     // gateway — the frames contending with the dropped one arrived around
     // the same time, i.e. near the queue tail; frames at the head are
-    // already committed to the line). The victim keeps its slot and line
+    // already committed to the line). The victim is the r-th newest frame
+    // holding a slot, background frames included; it keeps its slot and line
     // time but never arrives.
-    if (!pending_.empty() && rng_.Bernoulli(0.4)) {
-      const size_t tail_window = std::min<size_t>(pending_.size(), 4);
-      PendingFrame& victim = pending_[pending_.size() - 1 - rng_.UniformUint64(tail_window)];
-      if (victim.alive) {
-        victim.alive = false;
+    if (occupancy_ > 0 && rng_.Bernoulli(0.4)) {
+      uint64_t id = next_frame_id_;
+      for (uint64_t r = rng_.UniformUint64(std::min<size_t>(occupancy_, 4)) + 1; r > 0;) {
+        r -= Entry(--id).state != FrameState::kGone ? 1 : 0;
+      }
+      FrameEntry& victim = Entry(id);
+      if (victim.state == FrameState::kQueued) {
+        victim.state = FrameState::kDamaged;
         ++stats_.frames_damaged;
       }
     }
@@ -42,9 +68,11 @@ bool Medium::Transmit(Frame frame) {
   const double loss = std::max(config_.loss_probability, transient_loss_);
   if (loss > 0.0 && rng_.Bernoulli(loss)) {
     // Lost on the wire: it still occupies the sender's bandwidth slot, but
-    // never arrives. Model as a queued transmission with no delivery.
+    // never arrives. Model as a queued transmission with no delivery: a
+    // run of one frame.
     ++stats_.frames_dropped_loss;
-    ClaimUndelivered(frame.WireBytes(config_.framing_bytes));
+    const size_t wire_bytes = frame.WireBytes(config_.framing_bytes);
+    ClaimUndelivered({&wire_bytes, 1});
     return true;
   }
   SimTime extra_delay = 0;
@@ -98,12 +126,10 @@ bool Medium::Transmit(Frame frame) {
 }
 
 void Medium::Deliver(Frame frame, SimTime extra_delay) {
+  const uint64_t id = next_frame_id_;
   const SimTime arrival = Claim(frame.WireBytes(config_.framing_bytes), extra_delay);
-  auto arrive = [this, id = pending_.back().id, frame = std::move(frame)]() mutable {
-    auto entry = FindPending(id);
-    const bool alive = entry->alive;
-    pending_.erase(entry);
-    if (!alive) {
+  auto arrive = [this, id, frame = std::move(frame)]() mutable {
+    if (!Depart(id)) {
       return;  // damaged in the queue
     }
     auto tap = taps_.find(frame.link_next_hop);
@@ -124,37 +150,40 @@ void Medium::Deliver(Frame frame, SimTime extra_delay) {
   scheduler_.Schedule(arrival - scheduler_.now(), std::move(arrive));
 }
 
-void Medium::InjectBackground(size_t wire_bytes) {
+void Medium::InjectBurst(std::span<const size_t> wire_bytes) {
   Reap();
   if (down_) {
-    ++stats_.frames_dropped_down;
+    stats_.frames_dropped_down += wire_bytes.size();
     return;
   }
-  if (pending_.size() >= config_.queue_limit) {
-    ++stats_.frames_dropped_queue;
-    return;
+  // Every frame claimed now arrives at least one propagation delay later, so
+  // none leaves within this instant: once the queue is full, it stays full
+  // for the rest of the train.
+  const size_t room = occupancy_ < config_.queue_limit ? config_.queue_limit - occupancy_ : 0;
+  const size_t fit = std::min(room, wire_bytes.size());
+  stats_.frames_dropped_queue += wire_bytes.size() - fit;
+  if (fit > 0) {
+    stats_.background_frames += fit;
+    ClaimUndelivered(wire_bytes.first(fit));
   }
-  ++stats_.background_frames;
-  ClaimUndelivered(wire_bytes);
 }
 
-SimTime Medium::Claim(size_t wire_bytes, SimTime extra_delay) {
-  pending_.push_back(PendingFrame{next_frame_id_++});
-  const SimTime start = std::max(busy_until_, scheduler_.now());
-  busy_until_ = start + TransmissionTime(wire_bytes, config_.bits_per_sec);
-  stats_.bytes_on_wire += wire_bytes;
-  return busy_until_ + config_.propagation_delay + extra_latency_ + extra_delay;
-}
-
-void Medium::ClaimUndelivered(size_t wire_bytes) {
-  const UndeliveredFrame frame{Claim(wire_bytes, 0), scheduler_.ReserveSeq(), pending_.back().id};
-  // Arrivals ascend unless a latency storm ended with frames still queued;
-  // then a later frame can arrive first. The reserved seq is the largest so
-  // far, so inserting after every equal arrival keeps (arrival, seq) order.
-  auto at = std::upper_bound(
-      undelivered_.begin(), undelivered_.end(), frame.arrival,
-      [](SimTime arrival, const UndeliveredFrame& queued) { return arrival < queued.arrival; });
-  undelivered_.insert(at, frame);
+void Medium::ClaimUndelivered(std::span<const size_t> wire_bytes) {
+  // One seq stands for the whole run. Claimed one call per frame, the
+  // frames would take consecutive seqs, since nothing else takes a seq while
+  // a train is claimed; no event holds a seq between them, so any event's
+  // (time, seq) compares with each frame's (arrival, run seq) as it would
+  // with the frame's own seq (DESIGN.md §14).
+  UndeliveredRun run{0, scheduler_.ReserveSeq(), next_frame_id_,
+                     next_frame_id_ + wire_bytes.size()};
+  for (const size_t bytes : wire_bytes) {
+    Claim(bytes, 0);
+  }
+  run.next_arrival = Entry(run.next_id).arrival;
+  // Runs normally arrive in claim order, but after a latency storm ends
+  // with frames still queued a later run can arrive first.
+  runs_.push_back(run);
+  std::push_heap(runs_.begin(), runs_.end(), LaterRun);
 }
 
 void Medium::Reap() {
@@ -163,22 +192,48 @@ void Medium::Reap() {
   // maximum and that means every arrival up to now().
   const SimTime now = scheduler_.now();
   const uint64_t seq = scheduler_.current_seq();
-  auto gone = undelivered_.begin();
-  while (gone != undelivered_.end() &&
-         (gone->arrival < now || (gone->arrival == now && gone->seq < seq))) {
-    pending_.erase(FindPending(gone->id));
-    ++gone;
+  auto fired = [&](SimTime arrival, uint64_t run_seq) {
+    return arrival < now || (arrival == now && run_seq < seq);
+  };
+  while (!runs_.empty() && fired(runs_.front().next_arrival, runs_.front().seq)) {
+    std::pop_heap(runs_.begin(), runs_.end(), LaterRun);
+    UndeliveredRun& run = runs_.back();
+    do {
+      Entry(run.next_id).state = FrameState::kGone;
+      --occupancy_;
+    } while (++run.next_id != run.end_id && fired(Entry(run.next_id).arrival, run.seq));
+    if (run.next_id == run.end_id) {
+      runs_.pop_back();
+    } else {
+      run.next_arrival = Entry(run.next_id).arrival;
+      std::push_heap(runs_.begin(), runs_.end(), LaterRun);
+    }
   }
-  undelivered_.erase(undelivered_.begin(), gone);
 }
 
-std::vector<Medium::PendingFrame>::iterator Medium::FindPending(uint64_t id) {
-  auto entry = std::lower_bound(
-      pending_.begin(), pending_.end(), id,
-      [](const PendingFrame& pending, uint64_t want) { return pending.id < want; });
-  CHECK(entry != pending_.end() && entry->id == id)
-      << config_.name << ": frame " << id << " not queued";
-  return entry;
+bool Medium::Depart(uint64_t id) {
+  FrameEntry& entry = Entry(id);
+  CHECK(entry.state != FrameState::kGone) << config_.name << ": frame " << id << " not queued";
+  const bool alive = entry.state == FrameState::kQueued;
+  entry.state = FrameState::kGone;
+  --occupancy_;
+  return alive;
+}
+
+void Medium::GrowRing() {
+  std::vector<FrameEntry> grown(frames_.size() * 2);
+  for (uint64_t id = next_frame_id_ - frames_.size(); id != next_frame_id_; ++id) {
+    grown[id & (grown.size() - 1)] = Entry(id);
+  }
+  frames_ = std::move(grown);
+}
+
+void Medium::FillWireTimes(size_t up_to_bytes) {
+  const size_t known = wire_time_.size();
+  wire_time_.resize(up_to_bytes + 1);
+  for (size_t bytes = known; bytes <= up_to_bytes; ++bytes) {
+    wire_time_[bytes] = TransmissionTime(bytes, config_.bits_per_sec);
+  }
 }
 
 }  // namespace renonfs

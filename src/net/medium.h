@@ -5,18 +5,20 @@
 // at the link bandwidth, then arrive at the link-layer destination after the
 // propagation delay. A finite queue produces tail drops under congestion,
 // and an optional random loss probability models noisy lines. Background
-// cross-traffic is injected as anonymous frames that occupy bandwidth and
-// queue slots (the paper's runs shared production networks). Nobody receives
-// a background frame, or a frame lost on the wire, so neither schedules an
-// event: each holds its slot until the (time, seq) its delivery event would
-// have had, and leaves the queue the next time the medium reads its
-// occupancy (DESIGN.md §14).
+// cross-traffic is injected as trains of anonymous frames that occupy
+// bandwidth and queue slots (the paper's runs shared production networks).
+// Nobody receives a background frame, or a frame lost on the wire, so
+// neither schedules an event: each train is one run of frames under one
+// reserved seq, and each frame holds its slot until the (time, seq) its
+// delivery event would have had, leaving the queue the next time the medium
+// reads its occupancy (DESIGN.md §14).
 #ifndef RENONFS_SRC_NET_MEDIUM_H_
 #define RENONFS_SRC_NET_MEDIUM_H_
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -135,8 +137,10 @@ class Medium {
   // (the RPC congestion window, TCP) stay efficient.
   bool Transmit(Frame frame);
 
-  // Injects an anonymous background frame of the given wire size.
-  void InjectBackground(size_t wire_bytes);
+  // Injects one train of anonymous background frames, back to back, with
+  // the given wire sizes. Frames that find the queue full are dropped, and
+  // so is the rest of the train: the queue cannot drain within one instant.
+  void InjectBurst(std::span<const size_t> wire_bytes);
 
   // Largest IP payload (transport bytes) that fits in one frame.
   size_t MaxFragmentPayload() const { return config_.mtu - kIpHeaderBytes; }
@@ -175,28 +179,44 @@ class Medium {
   }
 
  private:
-  // A frame holding a queue slot, in transmit order; ids only grow.
-  struct PendingFrame {
-    uint64_t id = 0;
-    bool alive = true;  // cleared when collateral damage hits the frame
+  enum class FrameState : uint8_t {
+    kGone,     // left the queue (or was never claimed)
+    kQueued,   // holds a slot
+    kDamaged,  // holds a slot; collateral damage hit it, so nobody receives it
   };
-  // A frame nobody receives: where and when its delivery event would have
-  // fired had it been scheduled.
-  struct UndeliveredFrame {
+  struct FrameEntry {
     SimTime arrival = 0;
-    uint64_t seq = 0;
-    uint64_t id = 0;
+    FrameState state = FrameState::kGone;
   };
+  // Frames claimed together that nobody receives, ids [next_id, end_id), all
+  // under one reserved seq. Arrivals ascend within a run; next_arrival is
+  // the arrival of frame next_id.
+  struct UndeliveredRun {
+    SimTime next_arrival = 0;
+    uint64_t seq = 0;
+    uint64_t next_id = 0;
+    uint64_t end_id = 0;
+  };
+  static bool LaterRun(const UndeliveredRun& a, const UndeliveredRun& b) {
+    return a.next_arrival != b.next_arrival ? a.next_arrival > b.next_arrival : a.seq > b.seq;
+  }
 
-  // Claims a queue slot and `wire_bytes` of line time for a new frame.
-  // Returns the instant it reaches the far end.
+  FrameEntry& Entry(uint64_t id) { return frames_[id & (frames_.size() - 1)]; }
+  // Claims a queue slot and `wire_bytes` of line time for a new frame, whose
+  // id is the next one. Returns the instant it reaches the far end.
   SimTime Claim(size_t wire_bytes, SimTime extra_delay);
-  // Claims a slot and line time for a frame that is never delivered.
-  void ClaimUndelivered(size_t wire_bytes);
+  // Claims slots and line time for a run of frames that are never delivered.
+  void ClaimUndelivered(std::span<const size_t> wire_bytes);
   // Frees the slot of every undelivered frame whose delivery event would
   // already have fired. Runs before every read of the queue.
   void Reap();
-  std::vector<PendingFrame>::iterator FindPending(uint64_t id);
+  // Frees a delivered frame's slot; returns false if it was damaged.
+  bool Depart(uint64_t id);
+  // Doubles the ring; called when the frame one ring length older than the
+  // next id still holds its slot.
+  void GrowRing();
+  SimTime WireTime(size_t wire_bytes);
+  void FillWireTimes(size_t up_to_bytes);
   // Queues one (possibly damaged) copy of the frame for delivery.
   void Deliver(Frame frame, SimTime extra_delay);
 
@@ -212,11 +232,16 @@ class Medium {
   double transient_loss_ = 0.0;
   SimTime extra_latency_ = 0;
   CorruptionConfig corruption_;
+  // Frames hold ids in claim order. The ring holds the entries of the last
+  // frames_.size() ids, a power of two; every older frame has left, since
+  // an id's entry is reused only once its frame is gone.
+  std::vector<FrameEntry> frames_ = std::vector<FrameEntry>(64);
   uint64_t next_frame_id_ = 0;
-  // Queued and in-flight frames; the queue occupancy is its size.
-  std::vector<PendingFrame> pending_;
-  // Sorted by (arrival, seq).
-  std::vector<UndeliveredFrame> undelivered_;
+  size_t occupancy_ = 0;  // frames queued or in flight
+  // Min-heap on (next_arrival, seq), ordered by LaterRun.
+  std::vector<UndeliveredRun> runs_;
+  // TransmissionTime of each wire size seen so far, by size.
+  std::vector<SimTime> wire_time_;
 };
 
 }  // namespace renonfs

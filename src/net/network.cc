@@ -1,5 +1,7 @@
 #include "src/net/network.h"
 
+#include <array>
+#include <span>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -29,7 +31,7 @@ void BackgroundTraffic::Start() {
   // Size mix inside a burst: interactive, mid-size, bulk. Mean ~ 700 bytes.
   const double mean_bytes = 0.30 * 80 + 0.30 * 576 + 0.40 * 1500;
   const double bytes_per_sec = utilization_ * medium_->config().bits_per_sec / 8.0;
-  const double bursts_per_sec = bytes_per_sec / (mean_bytes * mean_burst_frames_);
+  const double bursts_per_sec = bytes_per_sec / (mean_bytes * kMeanBurstFrames);
   mean_burst_gap_s_ = 1.0 / bursts_per_sec;
   ScheduleNext();
 }
@@ -41,16 +43,18 @@ void BackgroundTraffic::ScheduleNext() {
   const double wait_s = rng_.Exponential(mean_burst_gap_s_);
   scheduler_.Schedule(static_cast<SimTime>(wait_s * 1e9), [this]() {
     // Geometric train length, injected back to back: this is what briefly
-    // fills an output queue and tail-drops competing fragments.
+    // fills an output queue and tail-drops competing fragments. The medium
+    // takes the whole train in one call.
     size_t frames = 1;
-    while (rng_.UniformDouble() < 1.0 - 1.0 / mean_burst_frames_ && frames < 24) {
+    while (rng_.UniformDouble() < 1.0 - 1.0 / kMeanBurstFrames && frames < kMaxBurstFrames) {
       ++frames;
     }
+    std::array<size_t, kMaxBurstFrames> sizes;
     for (size_t i = 0; i < frames; ++i) {
       const double pick = rng_.UniformDouble();
-      const size_t bytes = pick < 0.30 ? 80 : (pick < 0.60 ? 576 : 1500);
-      medium_->InjectBackground(bytes);
+      sizes[i] = pick < 0.30 ? 80 : (pick < 0.60 ? 576 : 1500);
     }
+    medium_->InjectBurst(std::span<const size_t>(sizes.data(), frames));
     ScheduleNext();
   });
 }

@@ -57,6 +57,9 @@ class BackgroundTraffic {
   void Stop() { running_ = false; }
 
  private:
+  static constexpr double kMeanBurstFrames = 8.0;
+  static constexpr size_t kMaxBurstFrames = 24;
+
   void ScheduleNext();
 
   Scheduler& scheduler_;
@@ -65,7 +68,6 @@ class BackgroundTraffic {
   Rng rng_;
   bool running_ = false;
   double mean_burst_gap_s_ = 0;
-  double mean_burst_frames_ = 8.0;
 };
 
 // The three experimental configurations of Section 4.

@@ -134,6 +134,7 @@ void ApplyPersonality(const std::string& personality, Scenario* cell) {
   CHECK(personality == "create_delete");
   cell->workload = ChaosWorkload::kCreateDelete;
   cell->iterations = 40;
+  cell->opmix.file_bytes = 10 * 1024;
 }
 
 Scenario MakeCell(const std::string& personality, const std::string& transport,

@@ -132,8 +132,7 @@ StatusOr<Scenario> Scenario::Parse(std::string_view text, bool ignore_unknown) {
   }
   SCENARIO_GET(config.GetUint("ops", s.opmix.operations), s.opmix.operations);
   SCENARIO_GET(config.GetUint("files", s.opmix.files), s.opmix.files);
-  SCENARIO_GET(config.GetUint("file_bytes", s.file_bytes), s.file_bytes);
-  s.opmix.file_bytes = s.file_bytes;
+  SCENARIO_GET(config.GetUint("file_bytes", s.opmix.file_bytes), s.opmix.file_bytes);
   SCENARIO_GET(config.GetString("skew", OpMixSkewName(s.opmix.skew)), token);
   if (!OpMixSkewFromName(token, &s.opmix.skew)) {
     return BadField("unknown skew '" + token + "'");
@@ -206,7 +205,7 @@ std::string Scenario::Serialize() const {
   config.Add("workload", WorkloadToken(workload));
   config.AddUint("ops", opmix.operations);
   config.AddUint("files", opmix.files);
-  config.AddUint("file_bytes", file_bytes);
+  config.AddUint("file_bytes", opmix.file_bytes);
   config.Add("skew", OpMixSkewName(opmix.skew));
   config.AddDouble("zipf_s", opmix.zipf_s);
   config.Add("arrival", OpMixArrivalName(opmix.arrival));
@@ -268,7 +267,7 @@ ChaosOptions Scenario::ToChaosOptions() const {
   options.workload = workload;
   options.schedule = faults;
   options.iterations = iterations;
-  options.file_bytes = file_bytes;
+  options.file_bytes = opmix.file_bytes;
   options.opmix = opmix;
   return options;
 }

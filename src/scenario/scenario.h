@@ -55,9 +55,11 @@ struct Scenario {
   uint64_t seed = 1;
 
   ChaosWorkload workload = ChaosWorkload::kOpMix;
-  OpMixOptions opmix;      // kOpMix knobs (ops/files/skew/arrival/modes)
+  // kOpMix knobs (ops/files/skew/arrival/modes). `opmix.file_bytes` is the
+  // scenario's one file size, whichever workload runs: the op mix's files or
+  // each create-delete file. It is the `file_bytes` key of the text form.
+  OpMixOptions opmix;
   size_t iterations = 40;  // kCreateDelete
-  size_t file_bytes = 10 * 1024;
 
   std::string mount = "reno";  // personality token, see MountFromName
   // Soak mounts are hard unless the scenario opts out (`hard = false`,

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,18 +23,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformUint64(uint64_t bound) {
@@ -59,10 +45,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
     return static_cast<int64_t>(NextUint64());
   }
   return lo + static_cast<int64_t>(UniformUint64(span));
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::Bernoulli(double probability) {

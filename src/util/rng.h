@@ -6,6 +6,7 @@
 #define RENONFS_SRC_UTIL_RNG_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace renonfs {
@@ -15,7 +16,18 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  uint64_t NextUint64();
+  // Inline: a background burst makes about 16 draws.
+  uint64_t NextUint64() {
+    const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound). bound must be > 0.
   uint64_t UniformUint64(uint64_t bound);
@@ -24,7 +36,7 @@ class Rng {
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   // Uniform in [0, 1).
-  double UniformDouble();
+  double UniformDouble() { return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53; }
 
   // True with the given probability (clamped to [0, 1]).
   bool Bernoulli(double probability);

@@ -414,15 +414,12 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
     std::sort(report.top_components.begin(), report.top_components.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
   }
-  report.breakdown_table = spans.BreakdownTable();
 
   world.flight().Stop();
-  report.timeline_jsonl = world.flight().ToJsonl();
 
   report.metrics = world.MetricsNow();
   report.snapshot_hash = report.metrics.Hash();
   report.seed = world.seed();
-  report.trace_tail = world.tracer().Tail(64);
   return report;
 }
 

@@ -122,23 +122,16 @@ struct ChaosReport {
 
   // Critical-path attribution over the whole run: the dominant latency
   // components (name + share of total attributed time, descending) from the
-  // world's span collector, plus the rendered per-proc breakdown table. The
-  // breakdown soaks assert on `top_components` — e.g. a loss storm must be
-  // retransmit-backoff-dominated, a slow disk disk-dominated.
+  // world's span collector. The breakdown soaks assert on `top_components` —
+  // e.g. a loss storm must be retransmit-backoff-dominated, a slow disk
+  // disk-dominated. The rendered tables, the flight-recorder timeline and the
+  // trace tail stay in the world (`spans()`, `flight()`, `tracer()`), which
+  // is where the failure dumps render them from (DumpObservability).
   std::vector<std::pair<std::string, double>> top_components;
-  std::string breakdown_table;
-
-  // Flight-recorder timeline (JSONL, one delta frame per line) captured over
-  // the run; what the failure dumps write so a tripped soak assertion comes
-  // with the time series that led up to it.
-  std::string timeline_jsonl;
 
   // Full registry snapshot at the end of the run, where every registry
-  // counter is read (`metrics.Value("server.nfs.crashes")`), and the tail of
-  // the trace ring — what the failure dumps print when a soak assertion
-  // trips.
+  // counter is read (`metrics.Value("server.nfs.crashes")`).
   MetricsSnapshot metrics;
-  std::string trace_tail;
 
   // One-line digest of the run for logs and the chaos demo:
   //   "chaos: seed=1 status=ok integrity=ok files=34 crashes=1 trace=6 replays=2

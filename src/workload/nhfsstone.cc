@@ -8,8 +8,11 @@ namespace renonfs {
 
 namespace {
 constexpr SimTime kWarmup = Seconds(5);       // run before the measurement window
-constexpr uint32_t kReadBytes = kNfsMaxData;  // full 8 KB reads and writes
+constexpr uint32_t kReadBytes = kNfsMaxData;  // full 8 KB reads
+// Test subtree shape (preloaded before the run).
+constexpr size_t kDirectories = 4;
 constexpr size_t kFilesPerDirectory = 12;
+constexpr size_t kFileBytes = 16384;
 
 std::string FileName(size_t index) {
   std::string name = "nhfsstone_test_file_" + std::to_string(index);
@@ -56,42 +59,16 @@ CoTask<StatusOr<size_t>> RawNfsCaller::Read(NfsFh file, uint32_t offset, uint32_
   });
 }
 
-CoTask<StatusOr<FileAttr>> RawNfsCaller::Write(NfsFh file, uint32_t offset,
-                                               std::vector<uint8_t> data) {
-  MbufChain args;
-  XdrEncoder enc(&args);
-  WriteArgs write_args;
-  write_args.file = file;
-  write_args.offset = offset;
-  write_args.data.Append(data.data(), data.size());
-  EncodeWriteArgs(enc, std::move(write_args));
-  auto reply = co_await transport_->Call(kNfsWrite, TimerClassForProc(kNfsWrite), std::move(args));
-  co_return DecodeReply(reply, "write", DecodeFattr);
-}
-
-CoTask<StatusOr<ReaddirReply>> RawNfsCaller::Readdir(NfsFh dir, uint32_t cookie, uint32_t count) {
-  MbufChain args;
-  XdrEncoder enc(&args);
-  ReaddirArgs readdir_args;
-  readdir_args.dir = dir;
-  readdir_args.cookie = cookie;
-  readdir_args.count = count;
-  EncodeReaddirArgs(enc, readdir_args);
-  auto reply =
-      co_await transport_->Call(kNfsReaddir, TimerClassForProc(kNfsReaddir), std::move(args));
-  co_return DecodeReply(reply, "readdir", DecodeReaddirReply);
-}
-
 // --- Nhfsstone ------------------------------------------------------------------
 
 void Nhfsstone::PreloadTree() {
   LocalFs& fs = world_.fs();
-  std::vector<uint8_t> payload(options_.file_bytes);
+  std::vector<uint8_t> payload(kFileBytes);
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<uint8_t>(i * 131);
   }
   size_t file_index = 0;
-  for (size_t d = 0; d < options_.directories; ++d) {
+  for (size_t d = 0; d < kDirectories; ++d) {
     const std::string dir_name = "nhfsstone_dir_" + std::to_string(d);
     auto dir_ino = fs.Mkdir(fs.root(), dir_name, 0755);
     if (!dir_ino.ok() && dir_ino.status().code() == ErrorCode::kExist) {
@@ -99,7 +76,6 @@ void Nhfsstone::PreloadTree() {
     }
     CHECK(dir_ino.ok()) << dir_ino.status();
     const NfsFh dir_fh = NfsFh::Make(1, dir_ino.value());
-    dir_fhs_.push_back(dir_fh);
     for (size_t f = 0; f < kFilesPerDirectory; ++f) {
       const std::string name = FileName(file_index++);
       auto ino = fs.Create(dir_ino.value(), name, 0644);
@@ -134,23 +110,12 @@ CoTask<Status> Nhfsstone::OneOperation(Rng& rng) {
     status = reply.status();
   } else if ((roll -= mix.read) < 0) {
     is_read = true;
-    const uint32_t max_offset = static_cast<uint32_t>(
-        options_.file_bytes > kReadBytes ? options_.file_bytes - kReadBytes : 0);
-    const uint32_t offset =
-        max_offset == 0
-            ? 0
-            : static_cast<uint32_t>(rng.UniformUint64(max_offset / 512 + 1)) * 512;
+    constexpr uint32_t kMaxOffset = kFileBytes - kReadBytes;
+    const uint32_t offset = static_cast<uint32_t>(rng.UniformUint64(kMaxOffset / 512 + 1)) * 512;
     auto reply = co_await caller_.Read(file_fh, offset, kReadBytes);
     status = reply.status();
-  } else if ((roll -= mix.getattr) < 0) {
-    auto reply = co_await caller_.Getattr(file_fh);
-    status = reply.status();
-  } else if ((roll -= mix.write) < 0) {
-    std::vector<uint8_t> data(kReadBytes);
-    auto reply = co_await caller_.Write(file_fh, 0, std::move(data));
-    status = reply.status();
   } else {
-    auto reply = co_await caller_.Readdir(dir_fh, 0, 4096);
+    auto reply = co_await caller_.Getattr(file_fh);
     status = reply.status();
   }
 

@@ -17,7 +17,6 @@
 #ifndef RENONFS_SRC_WORKLOAD_NHFSSTONE_H_
 #define RENONFS_SRC_WORKLOAD_NHFSSTONE_H_
 
-#include <array>
 #include <string>
 #include <vector>
 
@@ -38,8 +37,6 @@ class RawNfsCaller {
   CoTask<StatusOr<DirOpReply>> Lookup(NfsFh dir, std::string name);
   // Returns bytes received.
   CoTask<StatusOr<size_t>> Read(NfsFh file, uint32_t offset, uint32_t count);
-  CoTask<StatusOr<FileAttr>> Write(NfsFh file, uint32_t offset, std::vector<uint8_t> data);
-  CoTask<StatusOr<ReaddirReply>> Readdir(NfsFh dir, uint32_t cookie, uint32_t count);
 
   RpcClientTransport* transport() { return transport_; }
 
@@ -47,15 +44,12 @@ class RawNfsCaller {
   RpcClientTransport* transport_;
 };
 
-// Operation mix as fractions summing to ~1.
+// Operation mix: the LOOKUP and READ fractions; GETATTR takes the rest.
 struct NhfsstoneMix {
   double lookup = 0;
   double read = 0;
-  double getattr = 0;
-  double write = 0;
-  double readdir = 0;
 
-  // The two mixes the paper's transport experiments use.
+  // The mixes the paper's experiments use.
   static NhfsstoneMix PureLookup() {
     NhfsstoneMix m;
     m.lookup = 1.0;
@@ -69,8 +63,7 @@ struct NhfsstoneMix {
   }
   static NhfsstoneMix ReadHeavy() {
     NhfsstoneMix m;
-    m.read = 0.85;
-    m.getattr = 0.15;
+    m.read = 0.85;  // and 0.15 GETATTR
     return m;
   }
 };
@@ -80,9 +73,6 @@ struct NhfsstoneOptions {
   NhfsstoneMix mix = NhfsstoneMix::PureLookup();
   int children = 4;
   SimTime duration = Seconds(60);  // measured, after a fixed warmup
-  // Test subtree shape (preloaded before the run).
-  size_t directories = 4;
-  size_t file_bytes = 16384;
   uint64_t seed = 1;
 };
 
@@ -108,7 +98,7 @@ class Nhfsstone {
  public:
   // The caller owns the transport; Nhfsstone owns the run.
   Nhfsstone(World& world, RawNfsCaller& caller, NhfsstoneOptions options)
-      : world_(world), caller_(caller), options_(options), rng_(options.seed) {}
+      : world_(world), caller_(caller), options_(options) {}
 
   // Builds the test subtree directly in the server's file system (the tree
   // pre-exists the measurement, as in the real benchmark) and collects file
@@ -125,8 +115,6 @@ class Nhfsstone {
   World& world_;
   RawNfsCaller& caller_;
   NhfsstoneOptions options_;
-  Rng rng_;
-  std::vector<NfsFh> dir_fhs_;
   std::vector<std::pair<NfsFh, NfsFh>> files_;  // (dir, file)
   std::vector<std::string> file_names_;
   bool stop_ = false;

@@ -145,11 +145,17 @@ TEST(MediumTest, RandomLossDropsFraction) {
   EXPECT_NEAR(static_cast<double>(delivered) / total, 0.7, 0.04);
 }
 
+// Hands the medium one background train, as BackgroundTraffic does. A
+// braced list of sizes does not convert to std::span; a vector does.
+void InjectTrain(Medium& medium, const std::vector<size_t>& wire_bytes) {
+  medium.InjectBurst(wire_bytes);
+}
+
 TEST(MediumTest, BackgroundTrafficOccupiesBandwidth) {
   Scheduler sched;
   Medium medium(sched, MediumConfig::Ethernet10("lan"), Rng(1));
   medium.Attach(2, [](Frame) {});
-  medium.InjectBackground(10000);  // 8 ms at 10 Mbit/s
+  InjectTrain(medium, {10000});  // 8 ms at 10 Mbit/s
   SimTime arrival = -1;
   medium.Attach(3, [&](Frame) { arrival = sched.now(); });
   Frame f;
@@ -205,7 +211,7 @@ TEST(MediumTest, BackgroundFrameLeavesAfterEarlierSeqAtItsArrival) {
   // Same instant as the background frame's arrival, scheduled before it was
   // injected: the frame still holds the only slot.
   sched.Schedule(arrival, [&]() { before = medium.Transmit(GridFrame(2, 1, 50)); });
-  medium.InjectBackground(1000);
+  InjectTrain(medium, {1000});
   // Same instant, scheduled after the injection: the slot is free again.
   sched.Schedule(arrival, [&]() { after = medium.Transmit(GridFrame(2, 2, 50)); });
   sched.Run();
@@ -223,14 +229,14 @@ TEST(MediumTest, LatencyStormEndingLetsLaterBackgroundFramesLeaveFirst) {
   Medium medium(sched, config, Rng(1));
   medium.Attach(2, [](Frame) {});
   medium.SetExtraLatency(Milliseconds(5));
-  medium.InjectBackground(1000);  // on the wire until 1 ms, arrives at 6.1 ms
+  InjectTrain(medium, {1000});  // on the wire until 1 ms, arrives at 6.1 ms
   medium.SetExtraLatency(0);
-  medium.InjectBackground(1000);  // on the wire until 2 ms, arrives at 2.1 ms
+  InjectTrain(medium, {1000});  // on the wire until 2 ms, arrives at 2.1 ms
   sched.RunUntil(Milliseconds(3));
   // The second frame has left; the storm-delayed first one still holds the
   // other slot.
   EXPECT_TRUE(medium.Transmit(GridFrame(2, 1, 50)));
-  medium.InjectBackground(50);
+  InjectTrain(medium, {50});
   EXPECT_EQ(medium.stats().frames_dropped_queue, 1u);
   sched.RunUntil(Milliseconds(7));
   EXPECT_TRUE(medium.Transmit(GridFrame(2, 2, 50)));
@@ -241,7 +247,7 @@ TEST(MediumTest, LatencyStormEndingLetsLaterBackgroundFramesLeaveFirst) {
 }
 
 // One seeded script over a single medium, logged entry by entry: each
-// Transmit's accept/drop, each InjectBackground's effect on the counters,
+// Transmit's accept/drop, each one-frame burst's effect on the counters,
 // each delivery's (host, frame, time), then the final MediumStats. Actions
 // run both between RunFor calls and from scheduled events, all on the grid
 // the frames arrive on, so actions and arrivals share instants in both seq
@@ -266,7 +272,7 @@ std::vector<std::array<uint64_t, 4>> RunMediumScript() {
     log.push_back({1, id, accepted ? 1u : 0u, now()});
   };
   auto inject = [&]() {
-    medium.InjectBackground(kSizes[rng.UniformUint64(3)]);
+    InjectTrain(medium, {kSizes[rng.UniformUint64(3)]});
     const MediumStats& stats = medium.stats();
     log.push_back({2, stats.background_frames, stats.frames_dropped_queue, now()});
   };
@@ -343,6 +349,209 @@ TEST(MediumTest, SeededScriptMatchesPinnedLog) {
   EXPECT_GT(log[log.size() - 3][1], 0u);  // collateral damage
   EXPECT_EQ(log.size(), 836u);
   EXPECT_EQ(digest, 0x2cb4d477c9bbff20ull);
+}
+
+// --- background bursts --------------------------------------------------------
+// A train's frames share one reserved seq and leave one at a time, each at
+// its own arrival; collateral damage can hit any of them.
+
+TEST(MediumTest, BurstFrameLeavesAfterEarlierSeqAtItsArrival) {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 4;
+  Medium medium(sched, config, Rng(1));
+  medium.Attach(2, [](Frame) {});
+  // Four 1000-byte frames at t = 0 arrive at 1.1, 2.1, 3.1 and 4.1 ms.
+  const SimTime second_arrival = 40 * kGrid + config.propagation_delay;
+  std::optional<bool> before;
+  std::optional<bool> after;
+  // Scheduled before the burst fires: at the second frame's arrival it still
+  // holds its slot.
+  sched.Schedule(second_arrival, [&]() { before = medium.Transmit(GridFrame(2, 1, 50)); });
+  sched.Schedule(0, [&]() {
+    InjectTrain(medium, {1000, 1000, 1000, 1000});
+    // Scheduled after the burst fired: at the same instant the slot is free.
+    sched.Schedule(second_arrival, [&]() { after = medium.Transmit(GridFrame(2, 2, 50)); });
+  });
+  // The first frame has left by 1.5 ms; this one takes its slot, so the
+  // queue is full again until the second frame leaves.
+  sched.Schedule(30 * kGrid, [&]() { EXPECT_TRUE(medium.Transmit(GridFrame(2, 3, 50))); });
+  sched.Run();
+  ASSERT_TRUE(before.has_value() && after.has_value());
+  EXPECT_FALSE(*before);
+  EXPECT_TRUE(*after);
+  EXPECT_EQ(medium.stats().frames_dropped_queue, 1u);
+  EXPECT_EQ(medium.stats().frames_delivered, 2u);
+  EXPECT_EQ(medium.stats().background_frames, 4u);
+}
+
+TEST(MediumTest, CollateralDamageCountsEachFrameOnce) {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 6;
+  Medium medium(sched, config, Rng(3));
+  medium.Attach(2, [](Frame) {});
+  // A burst fills the queue; 40 overflows at one instant can only hit the
+  // four frames at its tail, whatever the draws.
+  sched.Schedule(0, [&]() {
+    InjectTrain(medium, {300, 300, 300, 300, 300, 300, 300, 300});
+    for (uint32_t id = 0; id < 40; ++id) {
+      EXPECT_FALSE(medium.Transmit(GridFrame(2, id, 50)));
+    }
+  });
+  sched.Run();
+  EXPECT_EQ(medium.stats().background_frames, 6u);
+  EXPECT_EQ(medium.stats().frames_dropped_queue, 42u);
+  EXPECT_GT(medium.stats().frames_damaged, 1u);
+  EXPECT_LE(medium.stats().frames_damaged, 4u);
+}
+
+// One seeded script of background bursts and transmits over a single medium,
+// logged entry by entry: each burst's effect on the counters, each
+// Transmit's accept/drop and the damage count after it, each delivery's
+// (host, frame, time), then the final MediumStats. Every burst fires from a
+// scheduled callback, as BackgroundTraffic's do, with 1-24 frames of three
+// sizes against a 10-frame queue, so bursts overflow it part way and
+// overflowing transmits damage queued background frames, often the same
+// ones again. Transmits run at top level, from scheduled events (four at
+// one instant in a flood) and from delivery callbacks. The link goes down
+// every 25 rounds, a latency storm rises and falls every 20 rounds while
+// frames are queued, and a corruption storm duplicates and reorders frames.
+std::vector<std::array<uint64_t, 5>> RunBurstScript() {
+  Scheduler sched;
+  MediumConfig config = GridConfig();
+  config.queue_limit = 10;
+  config.loss_probability = 0.15;
+  Medium medium(sched, config, Rng(9));
+  Rng rng(23);
+  std::vector<std::array<uint64_t, 5>> log;
+  uint32_t next_id = 0;
+  constexpr size_t kSizes[] = {50, 300, 1000};
+  auto now = [&]() { return static_cast<uint64_t>(sched.now()); };
+  auto transmit = [&](HostId to) {
+    const uint32_t id = next_id++;
+    const bool down = medium.link_down();
+    const bool accepted = medium.Transmit(GridFrame(to, id, kSizes[rng.UniformUint64(3)]));
+    log.push_back({1, id, (accepted ? 1u : 0u) | (down ? 2u : 0u), medium.stats().frames_damaged,
+                   now()});
+  };
+  auto burst = [&]() {
+    std::vector<size_t> sizes(1 + rng.UniformUint64(24));
+    for (size_t& bytes : sizes) {
+      bytes = kSizes[rng.UniformUint64(3)];
+    }
+    InjectTrain(medium, sizes);
+    const MediumStats& stats = medium.stats();
+    log.push_back({2, stats.background_frames, stats.frames_dropped_queue,
+                   stats.frames_dropped_down, now()});
+  };
+  medium.Attach(2, [&](Frame frame) {
+    log.push_back({3, 2, frame.datagram_id, 0, now()});
+    if (frame.datagram_id % 3 == 0) {
+      transmit(3);
+    }
+  });
+  medium.Attach(3, [&](Frame frame) { log.push_back({3, 3, frame.datagram_id, 0, now()}); });
+  for (int round = 0; round < 300; ++round) {
+    const uint64_t actions = 1 + rng.UniformUint64(4);
+    for (uint64_t i = 0; i < actions; ++i) {
+      const uint64_t pick = rng.UniformUint64(5);
+      const SimTime delay = kGrid * static_cast<SimTime>(rng.UniformUint64(40));
+      if (pick <= 1) {
+        sched.Schedule(delay, [&]() { burst(); });
+      } else if (pick == 2) {
+        transmit(2);
+      } else if (pick == 3) {
+        sched.Schedule(delay, [&]() { transmit(2); });
+      } else {
+        sched.Schedule(delay, [&]() {
+          for (int flood = 0; flood < 4; ++flood) {
+            transmit(2);
+          }
+        });
+      }
+    }
+    if (round % 20 == 5) {
+      medium.SetExtraLatency(Milliseconds(2));
+    } else if (round % 20 == 10) {
+      medium.SetExtraLatency(0);
+    }
+    if (round % 25 == 12) {
+      medium.SetLinkDown(true);
+    } else if (round % 25 == 15) {
+      medium.SetLinkDown(false);
+    }
+    if (round == 150) {
+      medium.SetCorruption(CorruptionConfig{.duplicate = 0.1, .reorder = 0.3});
+    } else if (round == 200) {
+      medium.SetCorruption(CorruptionConfig{});
+    }
+    sched.RunFor(kGrid * static_cast<SimTime>(rng.UniformUint64(40)));
+  }
+  sched.Run();
+  const MediumStats& s = medium.stats();
+  log.push_back({4, s.frames_delivered, s.frames_dropped_queue, s.frames_dropped_loss,
+                 s.frames_damaged});
+  log.push_back({4, s.frames_dropped_down, s.bytes_on_wire, s.background_frames,
+                 s.frames_duplicated});
+  log.push_back({4, s.frames_reordered, s.frames_bit_flipped, s.frames_truncated, 0});
+  return log;
+}
+
+TEST(MediumTest, SeededBurstScriptMatchesPinnedLog) {
+  // Pinned from the medium that took a train one frame per call, each frame
+  // with its own seq and its own sorted entry among the frames nobody
+  // receives.
+  const auto log = RunBurstScript();
+  uint64_t digest = 14695981039346656037ull;
+  for (const auto& entry : log) {
+    for (const uint64_t word : entry) {
+      digest = (digest ^ word) * 1099511628211ull;
+    }
+  }
+  // The script reaches every case it names.
+  uint64_t claimed = 0;  // transmits that took a slot (lost on the wire or not)
+  uint64_t partial_bursts = 0;
+  uint64_t prev_background = 0;
+  uint64_t prev_dropped = 0;
+  for (const auto& entry : log) {
+    claimed += entry[0] == 1 && entry[2] == 1 ? 1 : 0;
+    if (entry[0] == 2) {
+      partial_bursts += entry[1] > prev_background && entry[2] > prev_dropped ? 1 : 0;
+      prev_background = entry[1];
+      prev_dropped = entry[2];
+    }
+  }
+  std::set<uint64_t> arrivals;
+  size_t delivered = 0;
+  for (const auto& entry : log) {
+    if (entry[0] == 3) {
+      arrivals.insert(entry[4]);
+      ++delivered;
+    }
+  }
+  size_t shared_instants = 0;
+  for (const auto& entry : log) {
+    shared_instants += (entry[0] == 1 || entry[0] == 2) && arrivals.contains(entry[4]) ? 1 : 0;
+  }
+  const auto& totals = log[log.size() - 3];
+  const auto& more = log[log.size() - 2];
+  const auto& storm = log[log.size() - 1];
+  EXPECT_GT(shared_instants, 0u);
+  EXPECT_GT(partial_bursts, 0u);  // bursts that overflowed the queue part way
+  EXPECT_GT(totals[2], 0u);       // queue drops
+  EXPECT_GT(totals[3], 0u);       // wire losses
+  EXPECT_GT(more[1], 0u);         // frames dropped on a down link
+  EXPECT_GT(more[4], 0u);         // duplicates
+  EXPECT_GT(storm[1], 0u);        // reorders
+  EXPECT_EQ(delivered, totals[1]);
+  // Every claimed frame someone receives is delivered unless damaged, so
+  // the rest of the damage hit frames nobody receives: background frames
+  // and frames lost on the wire.
+  const uint64_t damaged_received = claimed - totals[3] + more[4] - delivered;
+  EXPECT_GT(totals[4], damaged_received);
+  EXPECT_EQ(log.size(), 1482u);
+  EXPECT_EQ(digest, 0xa88694856fcdda00ull);
 }
 
 struct RoutedPath {

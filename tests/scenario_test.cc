@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,73 @@ TEST(ScenarioTest, DefaultMatrixShapesAndRoundTrips) {
     EXPECT_EQ(cell.name.rfind("quick.", 0), 0u) << cell.name;
   }
 }
+
+// A cell's text is what its trace file carries and what `scenario_matrix
+// show` prints, so the parse of that text must run the same cell: the same
+// snapshot hash as the cell built in C++. One test per cell, quick cells
+// included, named after the cell with '_' for '.'. A full cell's hash is the
+// one BENCH_scenarios.json records for it, which check.sh keeps equal to a
+// fresh run of every cell, so only the parsed text runs here; a quick cell
+// runs both ways.
+std::vector<Scenario> AllMatrixCells() {
+  std::vector<Scenario> cells = DefaultScenarioMatrix(/*quick=*/true);
+  for (Scenario& cell : DefaultScenarioMatrix(/*quick=*/false)) {
+    cells.push_back(std::move(cell));
+  }
+  return cells;
+}
+
+std::vector<std::string> AllMatrixCellNames() {
+  std::vector<std::string> names;
+  for (const Scenario& cell : AllMatrixCells()) {
+    names.push_back(cell.name);
+  }
+  return names;
+}
+
+// The "snapshot_hash" BENCH_scenarios.json records for `cell`, or 0.
+uint64_t RecordedSnapshotHash(const std::string& cell) {
+  std::ifstream in(std::string(RENONFS_TESTDATA_DIR) + "/../../BENCH_scenarios.json");
+  const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const size_t at = json.find("\"name\": \"" + cell + "\"");
+  const std::string key = "\"snapshot_hash\": \"";
+  const size_t hash_at = at == std::string::npos ? at : json.find(key, at);
+  return hash_at == std::string::npos
+             ? 0
+             : std::strtoull(json.c_str() + hash_at + key.size(), nullptr, 16);
+}
+
+class MatrixCellTextTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MatrixCellTextTest, ParsedTextRunsTheSameCell) {
+  ScopedSeedEnv clean(nullptr);
+  const std::vector<Scenario> cells = AllMatrixCells();
+  const auto cell = std::find_if(cells.begin(), cells.end(),
+                                 [](const Scenario& c) { return c.name == GetParam(); });
+  ASSERT_NE(cell, cells.end());
+  auto parsed_or = Scenario::Parse(cell->Serialize());
+  ASSERT_TRUE(parsed_or.ok()) << parsed_or.status();
+  auto from_text = RunScenario(parsed_or.value(), /*seed_from_env=*/false);
+  ASSERT_TRUE(from_text.ok()) << from_text.status();
+  uint64_t expected = 0;
+  if (cell->name.rfind("quick.", 0) == 0) {
+    auto direct = RunScenario(*cell, /*seed_from_env=*/false);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    EXPECT_EQ(from_text.value().report.op_log, direct.value().report.op_log);
+    expected = direct.value().report.snapshot_hash;
+  } else {
+    expected = RecordedSnapshotHash(cell->name);
+    ASSERT_NE(expected, 0u) << "no snapshot_hash for " << cell->name << " in BENCH_scenarios.json";
+  }
+  EXPECT_EQ(from_text.value().report.snapshot_hash, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, MatrixCellTextTest, ::testing::ValuesIn(AllMatrixCellNames()),
+                         [](const ::testing::TestParamInfo<std::string>& cell) {
+                           std::string name = cell.param;
+                           std::replace(name.begin(), name.end(), '.', '_');
+                           return name;
+                         });
 
 // Scenario and trace files are read from disk, so both parsers must survive
 // damaged text: a mutant of a valid file is either rejected, or it parses to

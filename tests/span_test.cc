@@ -72,11 +72,12 @@ TEST(SpanChaosTest, ConservationHoldsUnderFaultHeavySoak) {
   }
   EXPECT_EQ(comp_sum, total.total);
 
-  // The chaos report carries the attribution and the flight-recorder dump.
+  // The chaos report carries the attribution; the world keeps the
+  // flight-recorder timeline.
   EXPECT_FALSE(report.top_components.empty());
   EXPECT_EQ(report.metrics.Value("obs.span.conservation_failures"), 0u);
   EXPECT_EQ(report.metrics.Value("obs.span.pool_exhausted_drops"), 0u);
-  EXPECT_NE(report.timeline_jsonl.find("at_ms"), std::string::npos);
+  EXPECT_NE(world.flight().ToJsonl().find("at_ms"), std::string::npos);
 }
 
 // Head sampling is a pure function of (seed, xid): two collectors built with
