@@ -78,22 +78,41 @@ ClusterLedger& ClusterLedger::Instance() {
   return ledger;
 }
 
-void ClusterLedger::OnAlloc(const Cluster* cluster, const void* owner, const char* layer) {
+void ClusterLedger::OnAlloc(Cluster* cluster, const void* owner, const char* layer) {
+  CHECK(!cluster->ledger_live_) << "cluster ledger: double registration of one cluster";
   ++allocs_;
-  const bool inserted = live_.emplace(cluster, Entry{owner, layer}).second;
-  CHECK(inserted) << "cluster ledger: double allocation at one address";
+  ++live_;
+  cluster->ledger_live_ = true;
+  cluster->ledger_entry_ = Entry{owner, layer};
+  cluster->ledger_prev_ = nullptr;
+  cluster->ledger_next_ = head_;
+  if (head_ != nullptr) {
+    head_->ledger_prev_ = cluster;
+  }
+  head_ = cluster;
 }
 
-void ClusterLedger::OnFree(const Cluster* cluster) {
+void ClusterLedger::OnFree(Cluster* cluster) {
+  CHECK(cluster->ledger_live_) << "cluster ledger: free of unregistered cluster";
   ++frees_;
-  const size_t erased = live_.erase(cluster);
-  CHECK_EQ(erased, 1u) << "cluster ledger: free of unregistered cluster";
+  --live_;
+  cluster->ledger_live_ = false;
+  if (cluster->ledger_prev_ != nullptr) {
+    cluster->ledger_prev_->ledger_next_ = cluster->ledger_next_;
+  } else {
+    head_ = cluster->ledger_next_;
+  }
+  if (cluster->ledger_next_ != nullptr) {
+    cluster->ledger_next_->ledger_prev_ = cluster->ledger_prev_;
+  }
+  cluster->ledger_prev_ = nullptr;
+  cluster->ledger_next_ = nullptr;
 }
 
 size_t ClusterLedger::LiveOwnedBy(const void* owner) const {
   size_t n = 0;
-  for (const auto& [cluster, entry] : live_) {
-    if (entry.owner == owner) {
+  for (const Cluster* c = head_; c != nullptr; c = c->ledger_next_) {
+    if (c->ledger_entry_.owner == owner) {
       ++n;
     }
   }
@@ -102,8 +121,8 @@ size_t ClusterLedger::LiveOwnedBy(const void* owner) const {
 
 void ClusterLedger::ForEachLive(
     const std::function<void(const Cluster*, const Entry&)>& fn) const {
-  for (const auto& [cluster, entry] : live_) {
-    fn(cluster, entry);
+  for (const Cluster* c = head_; c != nullptr; c = c->ledger_next_) {
+    fn(c, c->ledger_entry_);
   }
 }
 

@@ -22,7 +22,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 namespace renonfs {
@@ -37,6 +37,10 @@ class Cluster;
 // crash-epoch/lifetime bug class the static analyzer (tools/analyze) hunts
 // at compile time. Maintained by Cluster's constructor/destructor, so the
 // accounting can never drift from reality.
+//
+// Each entry lives inside its cluster, linked into the ledger's intrusive
+// list of live clusters, so registering or dropping one is a few pointer
+// writes with no allocation. The list is unordered: its readers only count.
 class ClusterLedger {
  public:
   struct Entry {
@@ -46,8 +50,10 @@ class ClusterLedger {
 
   static ClusterLedger& Instance();
 
-  void OnAlloc(const Cluster* cluster, const void* owner, const char* layer);
-  void OnFree(const Cluster* cluster);
+  // CHECK-fail on a cluster that is already registered, and on freeing one
+  // that is not.
+  void OnAlloc(Cluster* cluster, const void* owner, const char* layer);
+  void OnFree(Cluster* cluster);
 
   uint64_t allocs() const { return allocs_; }
   uint64_t frees() const { return frees_; }
@@ -55,10 +61,10 @@ class ClusterLedger {
   // runs within one process). Live-cluster tracking is untouched, and the
   // allocs - frees == live invariant keeps holding.
   void ResetCounters() {
-    allocs_ = live_.size();
+    allocs_ = live_;
     frees_ = 0;
   }
-  uint64_t live() const { return live_.size(); }
+  uint64_t live() const { return live_; }
   size_t LiveOwnedBy(const void* owner) const;
 
   void ForEachLive(const std::function<void(const Cluster*, const Entry&)>& fn) const;
@@ -66,7 +72,8 @@ class ClusterLedger {
  private:
   uint64_t allocs_ = 0;
   uint64_t frees_ = 0;
-  std::unordered_map<const Cluster*, Entry> live_;
+  uint64_t live_ = 0;
+  Cluster* head_ = nullptr;  // most recently registered live cluster
 };
 
 // Allocation and copy counters, global across the process. Tests reset them;
@@ -97,7 +104,15 @@ class Cluster {
   const uint8_t* data() const { return bytes_.data(); }
 
  private:
+  friend class ClusterLedger;
+
   std::array<uint8_t, kSize> bytes_;
+  // This cluster's ledger entry and its links in the live list; written
+  // only by ClusterLedger.
+  ClusterLedger::Entry ledger_entry_{};
+  Cluster* ledger_prev_ = nullptr;
+  Cluster* ledger_next_ = nullptr;
+  bool ledger_live_ = false;
 };
 
 // Allocates a cluster from the process-wide "cluster" FixedPool

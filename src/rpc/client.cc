@@ -189,7 +189,9 @@ void UdpRpcTransport::OnDatagram(SockAddr from, MbufChain payload) {
   // 8 KB reads over the 56 Kbps line vs the 1 s default), and time since
   // first transmission is a safe overestimate for bootstrapping. Once the
   // estimator is live, Karn applies, so loss stalls never pollute it.
-  if (!pending.retransmitted || !rto_policy_.estimator(pending.cls).valid()) {
+  // kOther has no estimator: it always runs on the constant timeout.
+  if (pending.cls != RpcTimerClass::kOther &&
+      (!pending.retransmitted || !rto_policy_.estimator(pending.cls).valid())) {
     rto_policy_.AddSample(pending.cls, rtt);
   }
   cwnd_.OnReply();
@@ -394,16 +396,20 @@ bool TcpRpcTransport::HuntForRecordMark() {
   // length, opening a record whose first word is the xid of a call actually
   // in flight and whose second is REPLY. Random bytes pass all three tests
   // with probability ~2^-50 per offset, so a hit is the real framing.
-  const size_t len = receive_buffer_.Length();
+  //
+  // Every arrival rescans from offset 1: the xid test consults pending_,
+  // which may have changed since the last arrival. The buffer is read in
+  // one pass rather than one chain walk per offset.
+  const std::vector<uint8_t> bytes = receive_buffer_.ContiguousCopy();
+  const size_t len = bytes.size();
   for (size_t p = 1; p + 12 <= len; ++p) {
-    uint8_t bytes[12];
-    CHECK(receive_buffer_.CopyOut(p, 12, bytes));
-    const uint32_t mark = LoadBe32(bytes);
+    const uint8_t* window = bytes.data() + p;
+    const uint32_t mark = LoadBe32(window);
     const size_t record_len = mark & 0x7fffffffu;
     if ((mark & 0x80000000u) == 0 || record_len < 12 || record_len > kMaxRpcRecordBytes) {
       continue;
     }
-    if (LoadBe32(bytes + 8) != kRpcMsgReply || !pending_.contains(LoadBe32(bytes + 4))) {
+    if (LoadBe32(window + 8) != kRpcMsgReply || !pending_.contains(LoadBe32(window + 4))) {
       continue;
     }
     receive_buffer_.TrimFront(p);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/logging.h"
+
 namespace renonfs {
 
 namespace {
@@ -33,6 +35,11 @@ void RtoPolicy::AddSample(RpcTimerClass cls, SimTime rtt) {
     return;
   }
   estimators_[static_cast<size_t>(cls)].AddSample(rtt);
+}
+
+const RttEstimator& RtoPolicy::estimator(RpcTimerClass cls) const {
+  CHECK(cls != RpcTimerClass::kOther) << "rto: kOther has no estimator";
+  return estimators_[static_cast<size_t>(cls)];
 }
 
 SimTime RtoPolicy::CurrentRto(RpcTimerClass cls) const {

@@ -76,9 +76,8 @@ class RtoPolicy {
   // RTO for a request on its `tries`-th transmission (exponential backoff).
   SimTime BackedOffRto(RpcTimerClass cls, int tries) const;
 
-  const RttEstimator& estimator(RpcTimerClass cls) const {
-    return estimators_[static_cast<size_t>(cls)];
-  }
+  // The estimator of a timed class; kOther has none (CHECK-fails).
+  const RttEstimator& estimator(RpcTimerClass cls) const;
   const RtoPolicyOptions& options() const { return options_; }
 
  private:

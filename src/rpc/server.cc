@@ -1,6 +1,7 @@
 #include "src/rpc/server.h"
 
 #include <utility>
+#include <vector>
 
 #include "src/util/logging.h"
 #include "src/xdr/xdr.h"
@@ -47,23 +48,32 @@ bool RpcServer::HuntForCallBoundary(TcpConnState* state) {
   // length, opening a record whose msg_type word says CALL and whose
   // rpcvers word says 2. Random bytes pass all the tests with probability
   // ~2^-80 per offset, so a hit is the real framing.
+  //
+  // The test reads only the 16 bytes at the offset, and while hunting the
+  // buffer only grows at its tail, so an offset that failed on an earlier
+  // arrival fails again: each arrival tests just the offsets whose windows
+  // it completed, reading their bytes in one pass.
   const size_t len = state->buffer.Length();
-  for (size_t p = 1; p + 16 <= len; ++p) {
-    uint8_t bytes[16];
-    CHECK(state->buffer.CopyOut(p, 16, bytes));
-    const uint32_t mark = LoadBe32(bytes);
-    const size_t record_len = mark & 0x7fffffffu;
-    if ((mark & 0x80000000u) == 0 || record_len < 16 || record_len > kMaxRpcRecordBytes) {
-      continue;
+  if (state->hunt_from + 16 <= len) {
+    std::vector<uint8_t> bytes(len - state->hunt_from);
+    CHECK(state->buffer.CopyOut(state->hunt_from, bytes.size(), bytes.data()));
+    for (size_t p = state->hunt_from; p + 16 <= len; ++p) {
+      const uint8_t* window = bytes.data() + (p - state->hunt_from);
+      const uint32_t mark = LoadBe32(window);
+      const size_t record_len = mark & 0x7fffffffu;
+      if ((mark & 0x80000000u) == 0 || record_len < 16 || record_len > kMaxRpcRecordBytes) {
+        continue;
+      }
+      // Record layout: xid (+4, anything), msg_type (+8), rpcvers (+12).
+      if (LoadBe32(window + 8) != kRpcMsgCall || LoadBe32(window + 12) != kRpcVersion) {
+        continue;
+      }
+      state->buffer.TrimFront(p);
+      state->hunting = false;
+      ++stats_.resync_successes;
+      return true;
     }
-    // Record layout: xid (+4, anything), msg_type (+8), rpcvers (+12).
-    if (LoadBe32(bytes + 8) != kRpcMsgCall || LoadBe32(bytes + 12) != kRpcVersion) {
-      continue;
-    }
-    state->buffer.TrimFront(p);
-    state->hunting = false;
-    ++stats_.resync_successes;
-    return true;
+    state->hunt_from = len - 15;  // the first window still missing bytes
   }
   if (len > kResyncHuntWindow) {
     // No boundary in a window big enough to hold one: this stream stays
@@ -107,6 +117,7 @@ void RpcServer::OnTcpConnection(TcpConnection* connection) {
         ++stats_.corrupted_records;
         ++stats_.resync_hunts;
         raw_state->hunting = true;
+        raw_state->hunt_from = 1;
         continue;
       }
       if (raw_state->buffer.Length() < 4 + record_len) {

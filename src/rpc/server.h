@@ -165,6 +165,9 @@ class RpcServer {
     bool poisoned = false;
     // Between a corrupt record mark and either a found boundary or give-up.
     bool hunting = false;
+    // First buffer offset the hunt has not tested yet (offset 0 is the
+    // corrupt mark itself).
+    size_t hunt_from = 1;
   };
   // Corrupt-mark recovery: scan the connection's buffered stream for the
   // next believable call boundary (plausible mark + CALL/RPCv2 header words).

@@ -226,6 +226,7 @@ StatusOr<Buf*> BufCache::Create(uint64_t file, uint32_t block) {
   }
   lru_.emplace_front(file, block, options_.block_size, this);
   Buf* buf = &lru_.front();
+  buf->last_used_ = ++use_clock_;
   index_[key] = lru_.begin();
   vnode_chains_[file].push_back(buf);
   return buf;
@@ -236,6 +237,7 @@ void BufCache::Touch(Buf* buf) {
   CHECK(it != index_.end());
   lru_.splice(lru_.begin(), lru_, it->second);
   it->second = lru_.begin();
+  buf->last_used_ = ++use_clock_;
 }
 
 void BufCache::Remove(uint64_t file, uint32_t block) {
@@ -249,17 +251,18 @@ void BufCache::Remove(uint64_t file, uint32_t block) {
 }
 
 size_t BufCache::InvalidateFile(uint64_t file) {
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->file() == file) {
-      index_.erase(Key{it->file(), it->block()});
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
+  auto chain = vnode_chains_.find(file);
+  if (chain == vnode_chains_.end()) {
+    return 0;
   }
-  vnode_chains_.erase(file);
+  const size_t dropped = chain->second.size();
+  for (Buf* buf : chain->second) {
+    auto it = index_.find(Key{file, buf->block()});
+    CHECK(it != index_.end());
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+  vnode_chains_.erase(chain);
   return dropped;
 }
 
@@ -283,11 +286,19 @@ std::vector<Buf*> BufCache::DirtyBufs() {
 
 std::vector<Buf*> BufCache::DirtyBufs(uint64_t file) {
   std::vector<Buf*> out;
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    if (it->file() == file && it->dirty()) {
-      out.push_back(&*it);
+  auto chain = vnode_chains_.find(file);
+  if (chain == vnode_chains_.end()) {
+    return out;
+  }
+  for (Buf* buf : chain->second) {
+    if (buf->dirty()) {
+      out.push_back(buf);
     }
   }
+  // The chain is in creation order; the stamps give least recently used
+  // first, the same order the LRU walk of DirtyBufs() yields.
+  std::sort(out.begin(), out.end(),
+            [](const Buf* a, const Buf* b) { return a->last_used_ < b->last_used_; });
   return out;
 }
 

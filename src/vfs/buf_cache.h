@@ -121,6 +121,8 @@ class Buf {
   void CollectClusterIds(std::unordered_set<const Cluster*>& out) const;
 
  private:
+  friend class BufCache;
+
   // Makes cluster `ci` private (copy-on-write). Returns true if a loaned
   // cluster had to be copied.
   bool EnsureWritable(size_t ci);
@@ -134,6 +136,10 @@ class Buf {
   size_t dirty_lo_ = 0;
   size_t dirty_hi_ = 0;
   uint64_t mod_gen_ = 0;
+  // Recency stamp from the owning cache's clock, set by Create and Touch:
+  // a higher stamp is more recently used, so the stamps order any subset of
+  // buffers exactly as the LRU list does.
+  uint64_t last_used_ = 0;
 };
 
 class BufCache {
@@ -175,6 +181,8 @@ class BufCache {
   void Clear();
 
   // Dirty buffers, least recently used first; optionally for one file only.
+  // The whole-cache form walks the LRU list; the per-file form walks only
+  // the file's vnode chain and orders what it finds by recency stamp.
   std::vector<Buf*> DirtyBufs();
   std::vector<Buf*> DirtyBufs(uint64_t file);
 
@@ -204,10 +212,14 @@ class BufCache {
   BufCacheOptions options_;
   BufCacheStats stats_;
   size_t last_scan_length_ = 0;
+  uint64_t use_clock_ = 0;  // source of Buf recency stamps
   LruList lru_;  // front == most recently used
   std::unordered_map<Key, LruList::iterator, KeyHash> index_;
-  // Per-vnode buffer chains (Reno); maintained in both modes, consulted for
-  // the scan-cost model only when vnode_chained is set.
+  // Per-vnode buffer chains (Reno), in creation order. Maintained in both
+  // modes: the per-file walks (DirtyBufs(file), InvalidateFile,
+  // FileBufCount) always use them, the scan-cost model only when
+  // vnode_chained is set. Find's scan cost is a buffer's position here, so
+  // nothing may reorder a chain.
   std::unordered_map<uint64_t, std::list<Buf*>> vnode_chains_;
 
   void RemoveFromChain(Buf* buf);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/util/logging.h"
+#include "src/workload/fill.h"
 
 namespace renonfs {
 
@@ -35,9 +36,7 @@ void AndrewBenchmark::PreloadSource() {
     auto ino = fs.Create(dir_inos[source.directory], source.name, 0644);
     CHECK(ino.ok());
     std::vector<uint8_t> bytes(source.bytes);
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<uint8_t>('a' + (i + f) % 26);
-    }
+    FillAlphabet(bytes, f);
     CHECK(fs.Write(ino.value(), 0, bytes.data(), bytes.size()).ok());
     sources_.push_back(std::move(source));
   }

@@ -8,6 +8,7 @@
 
 #include "src/fs/local_fs.h"
 #include "src/nfs/wire.h"
+#include "src/workload/fill.h"
 
 namespace renonfs {
 namespace {
@@ -25,9 +26,7 @@ CoTask<Status> CreateDeleteLoop(NfsClient& client, size_t iterations, size_t fil
   };
   std::vector<uint8_t> data(file_bytes);
   for (size_t i = 0; i < iterations; ++i) {
-    for (size_t b = 0; b < data.size(); ++b) {
-      data[b] = static_cast<uint8_t>('a' + (b + i) % 26);
-    }
+    FillAlphabet(data, i);
     const std::string name = "chaos_tmp" + std::to_string(i);
     auto fh_or = co_await client.Create(client.root(), name);
     log("create " + name, fh_or.status());

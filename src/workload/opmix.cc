@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/nfs/wire.h"
+#include "src/workload/fill.h"
 
 namespace renonfs {
 namespace {
@@ -107,12 +108,6 @@ std::string OutcomeName(const Status& status) {
   return status.ok() ? "ok" : std::string(ErrorCodeName(status.code()));
 }
 
-void FillPattern(std::vector<uint8_t>& data, size_t salt) {
-  for (size_t b = 0; b < data.size(); ++b) {
-    data[b] = static_cast<uint8_t>('a' + (b + salt) % 26);
-  }
-}
-
 }  // namespace
 
 const char* OpMixSkewName(OpMixOptions::Skew skew) {
@@ -183,7 +178,7 @@ CoTask<Status> RunOpMix(World& world, NfsClient& client, size_t client_index,
       }
       Status status = co_await client.Open(fh_or.value());
       if (status.ok() && !data.empty()) {
-        FillPattern(data, i);
+        FillAlphabet(data, i);
         status = co_await client.Write(fh_or.value(), 0, data.data(), data.size());
       }
       if (status.ok()) {
@@ -270,7 +265,7 @@ CoTask<Status> RunOpMix(World& world, NfsClient& client, size_t client_index,
                                         ? options.file_bytes - static_cast<size_t>(offset)
                                         : block);
         std::vector<uint8_t> slice(len);
-        FillPattern(slice, rank + i + client_index * 7);
+        FillAlphabet(slice, rank + i + client_index * 7);
         Status status = co_await client.Open(fh_or.value());
         if (status.ok()) {
           status = co_await client.Write(fh_or.value(), offset, slice.data(), slice.size());
@@ -291,7 +286,7 @@ CoTask<Status> RunOpMix(World& world, NfsClient& client, size_t client_index,
         Status status = co_await client.Open(fh_or.value());
         if (status.ok()) {
           std::vector<uint8_t> head(std::min<size_t>(options.file_bytes, 512));
-          FillPattern(head, rank);
+          FillAlphabet(head, rank);
           if (!head.empty()) {
             status = co_await client.Write(fh_or.value(), 0, head.data(), head.size());
           }

@@ -4,7 +4,10 @@
 // layer (src/sim/audit.h).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/mbuf/mbuf.h"
 #include "src/sim/audit.h"
@@ -34,6 +37,54 @@ TEST(ClusterLedgerTest, TracksAllocFreeAndLiveAcrossCacheLifetime) {
   // counters must agree with the live set.
   EXPECT_EQ(ledger.live(), live_before);
   EXPECT_EQ(ledger.allocs() - ledger.frees(), ledger.live());
+}
+
+// Each entry lives in its cluster's intrusive links: dropping a cluster
+// from the head, the middle or the tail of the live list must leave the
+// others listed with their owners and layers.
+TEST(ClusterLedgerTest, FreesAnywhereInTheLiveListKeepTheRestListed) {
+  ClusterLedger& ledger = ClusterLedger::Instance();
+  const uint64_t live_before = ledger.live();
+  int owner = 0;
+  std::vector<std::shared_ptr<Cluster>> clusters;
+  for (int i = 0; i < 5; ++i) {
+    clusters.push_back(NewCluster(&owner, "ledger-test"));
+  }
+  auto listed = [&] {
+    std::set<const Cluster*> out;
+    ledger.ForEachLive([&](const Cluster* cluster, const ClusterLedger::Entry& entry) {
+      if (entry.owner == &owner) {
+        EXPECT_STREQ(entry.layer, "ledger-test");
+        out.insert(cluster);
+      }
+    });
+    return out;
+  };
+  EXPECT_EQ(ledger.LiveOwnedBy(&owner), 5u);
+  clusters[4].reset();  // the newest: the head of the list
+  clusters[2].reset();  // the middle
+  clusters[0].reset();  // the oldest: the tail
+  EXPECT_EQ(ledger.LiveOwnedBy(&owner), 2u);
+  EXPECT_EQ(listed(), (std::set<const Cluster*>{clusters[1].get(), clusters[3].get()}));
+  EXPECT_EQ(ledger.live(), live_before + 2);
+  clusters.clear();
+  EXPECT_EQ(ledger.LiveOwnedBy(&owner), 0u);
+  EXPECT_EQ(ledger.live(), live_before);
+  EXPECT_EQ(ledger.allocs() - ledger.frees(), ledger.live());
+}
+
+TEST(ClusterLedgerDeathTest, DoubleRegistrationAndUnregisteredFreeDie) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ClusterLedger& ledger = ClusterLedger::Instance();
+  std::shared_ptr<Cluster> cluster = NewCluster();
+  EXPECT_DEATH(ledger.OnAlloc(cluster.get(), nullptr, "mbuf-chain"),
+               "double registration of one cluster");
+  EXPECT_DEATH(
+      {
+        ledger.OnFree(cluster.get());
+        ledger.OnFree(cluster.get());
+      },
+      "free of unregistered cluster");
 }
 
 TEST(InvariantAuditorTest, CleanInstallationQuiesces) {

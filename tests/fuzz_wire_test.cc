@@ -534,6 +534,47 @@ TEST(FuzzTest, TcpServerResynchronizesAfterCorruptMark) {
   EXPECT_GT(reply_bytes, 0u);  // the hunted-out call was answered in place
 }
 
+// The hunt tests each offset once, on the arrival that completes the
+// offset's 16-byte window. A boundary whose header straddles two arrivals
+// must still be found and its call answered, wherever the split falls.
+TEST(FuzzTest, TcpServerResynchronizesWhenBoundaryStraddlesArrivals) {
+  World world(QuietWorld());
+  TcpStack& tcp = *world.client_tcp(0);
+  const RpcServerStats& stats = world.server().rpc_stats();
+  constexpr size_t kHeader = 16;  // mark, xid, msg_type, rpcvers
+  std::vector<uint64_t> reply_bytes(kHeader + 1, 0);
+  for (size_t split = 0; split <= kHeader; ++split) {
+    TcpConnection* conn = tcp.Connect(tcp.AllocateEphemeralPort(),
+                                      SockAddr{world.topology().server->id(), kNfsPort},
+                                      []() {}, TcpConfig{});
+    conn->set_data_handler(
+        [&reply_bytes, split](MbufChain data) { reply_bytes[split] += data.Length(); });
+    world.scheduler().RunFor(Milliseconds(20));
+
+    const uint8_t evil[8] = {0x00, 0x00, 0x10, 0x00, 0xde, 0xad, 0xbe, 0xef};
+    std::vector<uint8_t> stream(evil, evil + sizeof(evil));
+    const std::vector<uint8_t> call =
+        RecordMarked(EncodeCall(0xBEEF, kNfsGetattr,
+                                [&](XdrEncoder& e) { EncodeFh(e, world.server().RootFh()); }))
+            .ContiguousCopy();
+    stream.insert(stream.end(), call.begin(), call.end());
+    const size_t cut = sizeof(evil) + split;
+
+    conn->Send(MbufChain::FromBytes(stream.data(), cut));
+    world.scheduler().RunFor(Milliseconds(50));
+    EXPECT_EQ(stats.corrupted_records, split + 1) << "split " << split;
+    // Only a whole header in the first arrival can be recognised there.
+    EXPECT_EQ(stats.resync_successes, split + (split == kHeader ? 1 : 0)) << "split " << split;
+
+    conn->Send(MbufChain::FromBytes(stream.data() + cut, stream.size() - cut));
+    world.scheduler().RunFor(Seconds(1));
+    EXPECT_EQ(stats.resync_successes, split + 1) << "split " << split;
+    EXPECT_GT(reply_bytes[split], 0u) << "split " << split;
+  }
+  EXPECT_EQ(stats.resync_hunts, kHeader + 1);
+  EXPECT_EQ(stats.resync_failures, 0u);
+}
+
 // When the hunted stream never yields a believable boundary, the hunt must
 // give up at its window — the old poison behavior, now with the failure
 // counted — and the server must keep serving everyone else.

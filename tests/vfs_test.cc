@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "src/util/rng.h"
 #include "src/vfs/attr_cache.h"
 #include "src/vfs/buf_cache.h"
 #include "src/vfs/name_cache.h"
@@ -241,6 +243,119 @@ TEST(BufCacheTest, DirtyBufsOldestFirst) {
   EXPECT_EQ(file1[0], a);
   EXPECT_EQ(file1[1], b);
   EXPECT_EQ(cache.dirty_count(), 3u);
+}
+
+// A file's chain stays in creation order (Find's scan cost depends on it),
+// so once an older block is used after a newer one the chain and the LRU
+// disagree. DirtyBufs(file) must follow the LRU, which a plain chain walk
+// would not.
+TEST(BufCacheTest, DirtyBufsFollowsRecencyNotChainOrder) {
+  BufCache cache;
+  Buf* a = *cache.Create(1, 0);
+  Buf* b = *cache.Create(1, 1);
+  Buf* other = *cache.Create(2, 0);
+  ASSERT_EQ(cache.Find(1, 0), a);  // block 0 is now the more recently used
+  a->MarkDirty(0, 1);
+  b->MarkDirty(0, 1);
+  other->MarkDirty(0, 1);
+  auto file1 = cache.DirtyBufs(1);
+  ASSERT_EQ(file1.size(), 2u);
+  EXPECT_EQ(file1[0], b);
+  EXPECT_EQ(file1[1], a);
+  auto all = cache.DirtyBufs();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0], b);
+  EXPECT_EQ(all[1], other);
+  EXPECT_EQ(all[2], a);
+  // The chain itself kept creation order: block 1 is still second.
+  ASSERT_EQ(cache.Find(1, 1), b);
+  EXPECT_EQ(cache.last_scan_length(), 2u);
+}
+
+TEST(BufCacheTest, InvalidateFileKeepsOtherFilesLruOrder) {
+  BufCacheOptions options;
+  options.capacity_blocks = 4;
+  BufCache cache(options);
+  (void)*cache.Create(1, 0);
+  Buf* b0 = *cache.Create(2, 0);
+  (void)*cache.Create(1, 1);
+  Buf* b1 = *cache.Create(2, 1);
+  ASSERT_EQ(cache.Find(2, 0), b0);  // file 2, oldest first: block 1, block 0
+  EXPECT_EQ(cache.InvalidateFile(1), 2u);
+  EXPECT_EQ(cache.InvalidateFile(1), 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.FileBufCount(1), 0u);
+  EXPECT_EQ(cache.FileBufCount(2), 2u);
+
+  b0->MarkDirty(0, 1);
+  b1->MarkDirty(0, 1);
+  auto all = cache.DirtyBufs();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0], b1);
+  EXPECT_EQ(all[1], b0);
+  b0->MarkClean();
+  b1->MarkClean();
+
+  // Refill the freed slots; the next eviction takes the survivors' LRU end.
+  (void)*cache.Create(3, 0);
+  (void)*cache.Create(3, 1);
+  ASSERT_TRUE(cache.Create(3, 2).ok());
+  EXPECT_EQ(cache.FileBufCount(2), 1u);
+  EXPECT_EQ(cache.Find(2, 1), nullptr);
+  EXPECT_EQ(cache.Find(2, 0), b0);
+}
+
+// Random Create/Find/MarkDirty/MarkClean/Remove/InvalidateFile traffic with
+// evictions: after every step the per-file walk must agree with the LRU
+// walk filtered to that file, in both search modes.
+TEST(BufCacheTest, PerFileDirtyWalkMatchesLruWalkUnderRandomTraffic) {
+  constexpr uint64_t kFiles = 5;
+  constexpr uint32_t kBlocks = 6;
+  for (const bool chained : {true, false}) {
+    BufCacheOptions options;
+    options.capacity_blocks = 12;
+    options.vnode_chained = chained;
+    BufCache cache(options);
+    Rng rng(20240611);
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t file = rng.UniformUint64(kFiles);
+      const uint32_t block = static_cast<uint32_t>(rng.UniformUint64(kBlocks));
+      const uint64_t op = rng.UniformUint64(100);
+      if (op < 30) {
+        if (cache.Find(file, block) == nullptr) {
+          (void)cache.Create(file, block);  // may evict, or fail all-dirty
+        }
+      } else if (op < 55) {
+        (void)cache.Find(file, block);
+      } else if (op < 92) {
+        Buf* buf = cache.Find(file, block);
+        if (buf != nullptr && op < 80) {
+          buf->MarkDirty(0, 1 + rng.UniformUint64(100));
+        } else if (buf != nullptr) {
+          buf->MarkClean();
+        }
+      } else if (op < 97) {
+        cache.Remove(file, block);
+      } else {
+        cache.InvalidateFile(file);
+      }
+
+      const std::vector<Buf*> all = cache.DirtyBufs();
+      ASSERT_EQ(all.size(), cache.dirty_count()) << "step " << step;
+      size_t cached = 0;
+      for (uint64_t f = 0; f < kFiles; ++f) {
+        std::vector<Buf*> expected;
+        for (Buf* dirty : all) {
+          if (dirty->file() == f) {
+            expected.push_back(dirty);
+          }
+        }
+        ASSERT_EQ(cache.DirtyBufs(f), expected) << "step " << step << " file " << f;
+        cached += cache.FileBufCount(f);
+      }
+      ASSERT_EQ(cached, cache.size()) << "step " << step;
+    }
+  }
 }
 
 TEST(BufCacheTest, VnodeChainedScanOnlyTouchesOwnBuffers) {
