@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/scenario/runner.h"
 #include "src/util/table.h"
 
@@ -125,17 +126,6 @@ CellResult RunCell(const Scenario& cell, bool check, const std::string& artifact
 }
 
 // --- JSON capture ----------------------------------------------------------
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 void WriteJson(const std::string& path, const std::vector<CellResult>& cells) {
   std::ofstream out(path);

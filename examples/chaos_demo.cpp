@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
   chaos.andrew.source_files = 12;
   chaos.andrew.mean_file_bytes = 1500;
   chaos.iterations = 30;
+  chaos.opmix.file_bytes = 10 * 1024;
   std::vector<const char*> faults = {"crash at=2s dur=12s",
                                      "link_flap at=20s count=1 dur=1s period=1s"};
   if (mode == "corrupt") {

@@ -87,9 +87,6 @@ if [[ -n "${CLANG_TIDY}" ]]; then
   fi
 fi
 
-# Micro-bench smoke: the datapath micro bench just has to run.
-./build/bench/bench_micro_datapath --benchmark_min_time=0.05 >/dev/null
-
 # Sim-core events/sec gate (BENCH_simcore.json): the timing-wheel scheduler
 # must stay >= 2x the legacy heap's timer-churn rate (kLegacyHeapTimerChurnEps
 # in bench/bench_sim_core.cc, the heap's last capture before that backend was

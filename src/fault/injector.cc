@@ -116,6 +116,11 @@ MbufChain GarbageCall(uint32_t xid) {
   return message;
 }
 
+// "<what> begin (<medium>)" or "<what> end (<medium>)".
+std::string StormLine(const char* what, bool begin, const Medium& medium) {
+  return std::string(what) + (begin ? " begin (" : " end (") + medium.config().name + ")";
+}
+
 }  // namespace
 
 std::string_view FaultKindName(FaultKind kind) {
@@ -322,244 +327,158 @@ std::string FaultSpecToString(const FaultSpec& spec) {
   return out;
 }
 
-void FaultInjector::Fire(SimTime at, std::string what) {
-  trace_.push_back(Stamp(at, what));
-}
-
-void FaultInjector::ServerCrashRestartAt(NfsServer* server, SimTime crash_at,
-                                         SimTime downtime) {
-  scheduler_.Schedule(crash_at, [this, server]() {
-    Fire(scheduler_.now(), "server crash (" + server->node()->name() + ")");
-    server->Crash();
-  });
-  scheduler_.Schedule(crash_at + downtime, [this, server]() {
-    Fire(scheduler_.now(), "server restart (" + server->node()->name() + ")");
-    server->Restart();
-  });
-}
-
-void FaultInjector::LinkDownAt(Medium* medium, SimTime at) {
-  scheduler_.Schedule(at, [this, medium]() {
-    Fire(scheduler_.now(), "link down (" + medium->config().name + ")");
-    medium->SetLinkDown(true);
-  });
-}
-
-void FaultInjector::LinkUpAt(Medium* medium, SimTime at) {
-  scheduler_.Schedule(at, [this, medium]() {
-    Fire(scheduler_.now(), "link up (" + medium->config().name + ")");
-    medium->SetLinkDown(false);
-  });
-}
-
-void FaultInjector::LinkFlapAt(Medium* medium, SimTime first_down, int flaps,
-                               SimTime down_for, SimTime up_for) {
-  SimTime at = first_down;
-  for (int i = 0; i < flaps; ++i) {
-    LinkDownAt(medium, at);
-    LinkUpAt(medium, at + down_for);
-    at += down_for + up_for;
-  }
-}
-
-void FaultInjector::LossStormAt(Medium* medium, SimTime at, SimTime duration,
-                                double probability) {
-  scheduler_.Schedule(at, [this, medium, probability]() {
-    Fire(scheduler_.now(), "loss storm begin (" + medium->config().name + ")");
-    medium->SetTransientLoss(probability);
-  });
-  scheduler_.Schedule(at + duration, [this, medium]() {
-    Fire(scheduler_.now(), "loss storm end (" + medium->config().name + ")");
-    medium->SetTransientLoss(0.0);
-  });
-}
-
-void FaultInjector::LatencyStormAt(Medium* medium, SimTime at, SimTime duration,
-                                   SimTime extra) {
-  scheduler_.Schedule(at, [this, medium, extra]() {
-    Fire(scheduler_.now(), "latency storm begin (" + medium->config().name + ")");
-    medium->SetExtraLatency(extra);
-  });
-  scheduler_.Schedule(at + duration, [this, medium]() {
-    Fire(scheduler_.now(), "latency storm end (" + medium->config().name + ")");
-    medium->SetExtraLatency(0);
-  });
-}
-
-void FaultInjector::CorruptionStormAt(Medium* medium, SimTime at, SimTime duration,
-                                      CorruptionConfig config) {
-  scheduler_.Schedule(at, [this, medium, config]() {
-    Fire(scheduler_.now(), "corruption storm begin (" + medium->config().name + ")");
-    medium->SetCorruption(config);
-  });
-  scheduler_.Schedule(at + duration, [this, medium]() {
-    Fire(scheduler_.now(), "corruption storm end (" + medium->config().name + ")");
-    medium->SetCorruption(CorruptionConfig{});
-  });
-}
-
-void FaultInjector::DiskFullAt(LocalFs* fs, SimTime at, uint64_t free_blocks) {
-  scheduler_.Schedule(at, [this, fs, free_blocks]() {
-    Fire(scheduler_.now(),
-         "disk full (budget " + std::to_string(free_blocks) + " blocks)");
-    fs->SetFreeBlockBudget(free_blocks);
-  });
-}
-
-void FaultInjector::DiskRestoreAt(LocalFs* fs, SimTime at) {
-  scheduler_.Schedule(at, [this, fs]() {
-    Fire(scheduler_.now(), "disk restored");
-    fs->SetFreeBlockBudget(std::nullopt);
-  });
-}
-
-void FaultInjector::DiskErrorBurstAt(LocalFs* fs, SimTime at, FsOp op, ErrorCode code,
-                                     int count) {
-  scheduler_.Schedule(at, [this, fs, op, code, count]() {
-    Fire(scheduler_.now(), "disk error burst (" + std::string(FsOpName(op)) + " x" +
-                               std::to_string(count) + " -> " +
-                               std::string(ErrorCodeName(code)) + ")");
-    fs->InjectOpError(op, code, count);
-  });
-}
-
-void FaultInjector::DiskSlowAt(DiskModel* disk, SimTime at, SimTime duration,
-                               double factor) {
-  scheduler_.Schedule(at, [this, disk, factor]() {
-    char what[64];
-    std::snprintf(what, sizeof(what), "disk slow begin (x%.1f)", factor);
-    Fire(scheduler_.now(), what);
-    disk->set_slow_factor(factor);
-  });
-  scheduler_.Schedule(at + duration, [this, disk]() {
-    Fire(scheduler_.now(), "disk slow end");
-    disk->set_slow_factor(1.0);
-  });
-}
-
-void FaultInjector::SabotageAt(LocalFs* fs, SimTime at, std::string file,
-                               uint64_t offset) {
-  scheduler_.Schedule(at, [this, fs, file = std::move(file), offset]() {
-    auto ino_or = fs->Lookup(fs->root(), file);
-    if (!ino_or.ok()) {
-      Fire(scheduler_.now(), "sabotage missed (" + file + " not found)");
-      return;
-    }
-    // Rot, not Write: a write would bump mtime, the client would revalidate
-    // and re-read, and both sides of the audit would agree on the poisoned
-    // byte. Silent rot leaves every cache consistency rule satisfied while
-    // the storage lies — the exact corruption the audit must catch.
-    const Status rotted = fs->Rot(ino_or.value(), offset);
-    if (!rotted.ok()) {
-      Fire(scheduler_.now(),
-           "sabotage missed (" + file + " has no byte " + std::to_string(offset) + ")");
-      return;
-    }
-    Fire(scheduler_.now(),
-         "sabotage (" + file + " byte " + std::to_string(offset) + " rotted)");
-  });
-}
-
-void FaultInjector::GarbageDatagramsAt(UdpStack* udp, HostId server_host, SimTime at,
-                                       SimTime duration, int count) {
-  const SockAddr server_addr{server_host, kNfsPort};
-  for (int i = 0; i < count; ++i) {
-    const SimTime send_at =
-        at + duration * static_cast<SimTime>(i) / static_cast<SimTime>(count);
-    const uint32_t xid = 0xfade0000u + static_cast<uint32_t>(i);
-    scheduler_.Schedule(send_at, [udp, server_addr, xid]() {
-      udp->SendTo(777, server_addr, GarbageCall(xid));
-    });
-  }
-}
-
-void FaultInjector::ScheduleSpec(const FaultSpec& spec, const FaultTargets& targets) {
+void FaultInjector::Schedule(const FaultSpec& spec, const FaultTargets& targets) {
+  // One event `at` from now: act() changes the fault state and returns its
+  // trace line. The line is built at fire time, so an event holds only
+  // target pointers and magnitudes and stays inside the scheduler's inline
+  // callable.
+  auto edge = [this](SimTime at, auto act) {
+    auto event = [this, act]() { trace_.push_back(Stamp(scheduler_.now(), act())); };
+    static_assert(sizeof(event) <= Scheduler::EventCallable::kInlineBytes);
+    scheduler_.Schedule(at, std::move(event));
+  };
+  // A window's two edges: set(true) at `at`, set(false) `duration` later.
+  auto window = [&edge](SimTime at, SimTime duration, auto set) {
+    edge(at, [set]() { return set(true); });
+    edge(at + duration, [set]() { return set(false); });
+  };
+  Medium* medium = targets.medium;
+  LocalFs* fs = targets.fs;
   switch (spec.kind) {
-    case FaultKind::kCrash:
-      CHECK(targets.server != nullptr) << "crash spec needs a server target";
-      ServerCrashRestartAt(targets.server, spec.at, spec.duration);
+    case FaultKind::kCrash: {
+      NfsServer* server = targets.server;
+      CHECK(server != nullptr) << "crash spec needs a server target";
+      window(spec.at, spec.duration, [server](bool crash) {
+        if (crash) {
+          server->Crash();
+          return "server crash (" + server->node()->name() + ")";
+        }
+        server->Restart();
+        return "server restart (" + server->node()->name() + ")";
+      });
       return;
+    }
     case FaultKind::kLinkDown:
-      CHECK(targets.medium != nullptr) << "link spec needs a medium target";
-      LinkDownAt(targets.medium, spec.at);
-      return;
     case FaultKind::kLinkUp:
-      CHECK(targets.medium != nullptr) << "link spec needs a medium target";
-      LinkUpAt(targets.medium, spec.at);
+    case FaultKind::kLinkFlap: {
+      CHECK(medium != nullptr) << "link spec needs a medium target";
+      auto link = [medium](bool down) {
+        medium->SetLinkDown(down);
+        return std::string(down ? "link down (" : "link up (") + medium->config().name + ")";
+      };
+      if (spec.kind != FaultKind::kLinkFlap) {
+        const bool down = spec.kind == FaultKind::kLinkDown;
+        edge(spec.at, [link, down]() { return link(down); });
+        return;
+      }
+      SimTime at = spec.at;
+      for (int i = 0; i < spec.count; ++i) {
+        window(at, spec.duration, link);
+        at += spec.duration + spec.period;
+      }
       return;
-    case FaultKind::kLinkFlap:
-      CHECK(targets.medium != nullptr) << "link spec needs a medium target";
-      LinkFlapAt(targets.medium, spec.at, spec.count, spec.duration, spec.period);
-      return;
+    }
     case FaultKind::kLossStorm:
-      CHECK(targets.medium != nullptr) << "storm spec needs a medium target";
-      LossStormAt(targets.medium, spec.at, spec.duration, spec.magnitude);
+      CHECK(medium != nullptr) << "storm spec needs a medium target";
+      window(spec.at, spec.duration, [medium, loss = spec.magnitude](bool begin) {
+        medium->SetTransientLoss(begin ? loss : 0.0);
+        return StormLine("loss storm", begin, *medium);
+      });
       return;
     case FaultKind::kLatencyStorm:
-      CHECK(targets.medium != nullptr) << "storm spec needs a medium target";
-      LatencyStormAt(targets.medium, spec.at, spec.duration, spec.extra);
-      return;
-    case FaultKind::kPartition:
-      CHECK(targets.client_node != nullptr) << "partition spec needs a client node";
-      PartitionAt(targets.client_node, targets.server_host, spec.inbound, spec.at,
-                  spec.duration);
+      CHECK(medium != nullptr) << "storm spec needs a medium target";
+      window(spec.at, spec.duration, [medium, extra = spec.extra](bool begin) {
+        medium->SetExtraLatency(begin ? extra : 0);
+        return StormLine("latency storm", begin, *medium);
+      });
       return;
     case FaultKind::kCorruptionStorm:
-      CHECK(targets.medium != nullptr) << "storm spec needs a medium target";
-      CorruptionStormAt(targets.medium, spec.at, spec.duration, spec.corruption);
+      CHECK(medium != nullptr) << "storm spec needs a medium target";
+      window(spec.at, spec.duration, [medium, config = spec.corruption](bool begin) {
+        medium->SetCorruption(begin ? config : CorruptionConfig{});
+        return StormLine("corruption storm", begin, *medium);
+      });
       return;
+    case FaultKind::kPartition: {
+      Node* node = targets.client_node;
+      CHECK(node != nullptr) << "partition spec needs a client node";
+      window(spec.at, spec.duration,
+             [node, peer = targets.server_host, inbound = spec.inbound](bool begin) {
+               if (inbound) {
+                 node->SetInputBlocked(peer, begin);
+               } else {
+                 node->SetOutputBlocked(peer, begin);
+               }
+               return std::string("partition ") + (inbound ? "in" : "out") +
+                      (begin ? " begin (" : " end (") + node->name() + " <-> host " +
+                      std::to_string(peer) + ")";
+             });
+      return;
+    }
     case FaultKind::kDiskFull:
-      CHECK(targets.fs != nullptr) << "disk spec needs a filesystem target";
-      DiskFullAt(targets.fs, spec.at, spec.blocks);
+      CHECK(fs != nullptr) << "disk spec needs a filesystem target";
+      edge(spec.at, [fs, blocks = spec.blocks]() {
+        fs->SetFreeBlockBudget(blocks);
+        return "disk full (budget " + std::to_string(blocks) + " blocks)";
+      });
       return;
     case FaultKind::kDiskRestore:
-      CHECK(targets.fs != nullptr) << "disk spec needs a filesystem target";
-      DiskRestoreAt(targets.fs, spec.at);
+      CHECK(fs != nullptr) << "disk spec needs a filesystem target";
+      edge(spec.at, [fs]() {
+        fs->SetFreeBlockBudget(std::nullopt);
+        return std::string("disk restored");
+      });
       return;
     case FaultKind::kDiskErrorBurst:
-      CHECK(targets.fs != nullptr) << "disk spec needs a filesystem target";
-      DiskErrorBurstAt(targets.fs, spec.at, spec.op, spec.code, spec.count);
+      CHECK(fs != nullptr) << "disk spec needs a filesystem target";
+      edge(spec.at, [fs, op = spec.op, code = spec.code, count = spec.count]() {
+        fs->InjectOpError(op, code, count);
+        return "disk error burst (" + std::string(FsOpName(op)) + " x" +
+               std::to_string(count) + " -> " + std::string(ErrorCodeName(code)) + ")";
+      });
       return;
-    case FaultKind::kDiskSlow:
-      CHECK(targets.disk != nullptr) << "disk_slow spec needs a disk target";
-      DiskSlowAt(targets.disk, spec.at, spec.duration, spec.magnitude);
+    case FaultKind::kDiskSlow: {
+      DiskModel* disk = targets.disk;
+      CHECK(disk != nullptr) << "disk_slow spec needs a disk target";
+      window(spec.at, spec.duration, [disk, factor = spec.magnitude](bool begin) {
+        disk->set_slow_factor(begin ? factor : 1.0);
+        char line[64] = "disk slow end";
+        if (begin) {
+          std::snprintf(line, sizeof(line), "disk slow begin (x%.1f)", factor);
+        }
+        return std::string(line);
+      });
       return;
+    }
     case FaultKind::kSabotage:
-      CHECK(targets.fs != nullptr) << "sabotage spec needs a filesystem target";
-      SabotageAt(targets.fs, spec.at, spec.file, spec.offset);
+      CHECK(fs != nullptr) << "sabotage spec needs a filesystem target";
+      edge(spec.at, [fs, file = spec.file, offset = spec.offset]() {
+        auto ino_or = fs->Lookup(fs->root(), file);
+        if (!ino_or.ok()) {
+          return "sabotage missed (" + file + " not found)";
+        }
+        if (!fs->Rot(ino_or.value(), offset).ok()) {
+          return "sabotage missed (" + file + " has no byte " + std::to_string(offset) + ")";
+        }
+        return "sabotage (" + file + " byte " + std::to_string(offset) + " rotted)";
+      });
       return;
-    case FaultKind::kGarbageDatagrams:
-      CHECK(targets.client_udp != nullptr) << "garbage spec needs a client UDP stack";
-      GarbageDatagramsAt(targets.client_udp, targets.server_host, spec.at, spec.duration,
-                         spec.count);
+    case FaultKind::kGarbageDatagrams: {
+      UdpStack* udp = targets.client_udp;
+      CHECK(udp != nullptr) << "garbage spec needs a client UDP stack";
+      const SockAddr server_addr{targets.server_host, kNfsPort};
+      for (int i = 0; i < spec.count; ++i) {
+        const SimTime send_at = spec.at + spec.duration * static_cast<SimTime>(i) /
+                                              static_cast<SimTime>(spec.count);
+        const uint32_t xid = 0xfade0000u + static_cast<uint32_t>(i);
+        scheduler_.Schedule(send_at, [udp, server_addr, xid]() {
+          udp->SendTo(777, server_addr, GarbageCall(xid));
+        });
+      }
       return;
+    }
   }
   CHECK(false) << "unhandled fault kind";
-}
-
-void FaultInjector::PartitionAt(Node* node, HostId peer, bool inbound, SimTime at,
-                                SimTime duration) {
-  const std::string dir = inbound ? "in" : "out";
-  scheduler_.Schedule(at, [this, node, peer, inbound, dir]() {
-    Fire(scheduler_.now(),
-         "partition " + dir + " begin (" + node->name() + " <-> host " +
-             std::to_string(peer) + ")");
-    if (inbound) {
-      node->SetInputBlocked(peer, true);
-    } else {
-      node->SetOutputBlocked(peer, true);
-    }
-  });
-  scheduler_.Schedule(at + duration, [this, node, peer, inbound, dir]() {
-    Fire(scheduler_.now(),
-         "partition " + dir + " end (" + node->name() + " <-> host " +
-             std::to_string(peer) + ")");
-    if (inbound) {
-      node->SetInputBlocked(peer, false);
-    } else {
-      node->SetOutputBlocked(peer, false);
-    }
-  });
 }
 
 }  // namespace renonfs

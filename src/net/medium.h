@@ -76,7 +76,7 @@ struct MediumConfig {
 };
 
 // Data-level faults injected per frame while a corruption storm is active
-// (see FaultInjector::CorruptionStormAt). All probabilities are per frame and
+// (FaultKind::kCorruptionStorm). All probabilities are per frame and
 // independent; every decision is drawn from the medium's seeded Rng, so the
 // same seed and schedule corrupt exactly the same frames.
 struct CorruptionConfig {

@@ -1512,11 +1512,10 @@ CoTask<StatusOr<Buf*>> NfsClient::EnsureCachedBlock(uint64_t key, uint32_t block
 }
 
 CoTask<Status> NfsClient::ReclaimOneBuf() {
-  auto dirty = cache_.DirtyBufs();
-  if (dirty.empty()) {
+  Buf* victim = cache_.OldestDirty();
+  if (victim == nullptr) {
     co_return NoSpaceError("nfs: cache full but nothing to reclaim");
   }
-  Buf* victim = dirty.front();  // least recently used dirty buffer
   const NfsFh fh = FhFromKey(victim->file());
   const uint32_t block = victim->block();
   Status status = co_await PushBufRegion(fh, block);

@@ -3,31 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/obs/trace.h"
 #include "src/util/logging.h"
 
 namespace renonfs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(Scheduler& scheduler, const MetricsRegistry& registry,
                                FlightOptions options)

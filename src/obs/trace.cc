@@ -8,10 +8,6 @@
 
 namespace renonfs {
 
-namespace {
-
-// Track and proc names are simulator-chosen identifiers, but escape the JSON
-// specials anyway so an odd name cannot produce a malformed trace.
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -29,8 +25,6 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 const char* TraceEventKindName(TraceEventKind kind) {
   switch (kind) {

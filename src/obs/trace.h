@@ -50,6 +50,12 @@ enum class TraceEventKind : uint8_t {
 };
 const char* TraceEventKindName(TraceEventKind kind);
 
+// `s` as the body of a JSON string literal: quotes and backslashes escaped,
+// control characters as \u00XX. The trace and timeline exports and the
+// scenario-matrix capture escape names with it, so an odd name cannot
+// produce malformed JSON.
+std::string JsonEscape(const std::string& s);
+
 struct TraceEvent {
   SimTime at = 0;
   uint64_t seq = 0;  // global record order (survives same-timestamp events)

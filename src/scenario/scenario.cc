@@ -267,7 +267,6 @@ ChaosOptions Scenario::ToChaosOptions() const {
   options.workload = workload;
   options.schedule = faults;
   options.iterations = iterations;
-  options.file_bytes = opmix.file_bytes;
   options.opmix = opmix;
   return options;
 }

@@ -284,6 +284,15 @@ std::vector<Buf*> BufCache::DirtyBufs() {
   return out;
 }
 
+Buf* BufCache::OldestDirty() {
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    if (it->dirty()) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
+
 std::vector<Buf*> BufCache::DirtyBufs(uint64_t file) {
   std::vector<Buf*> out;
   auto chain = vnode_chains_.find(file);

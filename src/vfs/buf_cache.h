@@ -185,6 +185,10 @@ class BufCache {
   // the file's vnode chain and orders what it finds by recency stamp.
   std::vector<Buf*> DirtyBufs();
   std::vector<Buf*> DirtyBufs(uint64_t file);
+  // The least recently used dirty buffer (DirtyBufs().front()), or nullptr
+  // when nothing is dirty. Walks the LRU list from its tail and stops at the
+  // first dirty buffer.
+  Buf* OldestDirty();
 
   size_t size() const { return index_.size(); }
   size_t dirty_count() const;

@@ -272,6 +272,18 @@ void DumpObservability(World& world, std::ostream& out, size_t tail_events) {
   out.flush();
 }
 
+FaultTargets WorldFaultTargets(World& world) {
+  FaultTargets targets;
+  targets.server = &world.server();
+  targets.medium = world.topology().path_media.back();
+  targets.fs = &world.fs();
+  targets.disk = &world.server_node()->disk();
+  targets.client_node = world.topology().client;
+  targets.server_host = world.server_node()->id();
+  targets.client_udp = world.client_udp(0);
+  return targets;
+}
+
 ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   ChaosReport report;
   Scheduler& sched = world.scheduler();
@@ -282,17 +294,10 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   world.flight().Start();
 
   FaultInjector injector(sched);
-  FaultTargets targets;
-  targets.server = &world.server();
-  targets.medium = world.topology().path_media.back();
-  targets.fs = &world.fs();
-  targets.disk = &world.server_node()->disk();
-  targets.client_node = world.topology().client;
-  targets.server_host = world.server_node()->id();
-  targets.client_udp = world.client_udp(0);
+  const FaultTargets targets = WorldFaultTargets(world);
   SimTime horizon = 0;
   for (const FaultSpec& spec : options.schedule) {
-    injector.ScheduleSpec(spec, targets);
+    injector.Schedule(spec, targets);
     horizon = std::max(horizon, spec.Horizon());
   }
 
@@ -334,7 +339,7 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
       }
     }
   } else {
-    auto task = CreateDeleteLoop(world.client(), options.iterations, options.file_bytes,
+    auto task = CreateDeleteLoop(world.client(), options.iterations, options.opmix.file_bytes,
                                  &report.op_log);
     report.workload_status = world.Run(task);
   }

@@ -45,19 +45,16 @@ struct ChaosOptions {
   SimTime lease_read_interval = Milliseconds(400);
 
   // The fault schedule, the harness's only fault input (empty = a clean
-  // run). Each spec is scheduled in order against the world's canonical
-  // targets — the server, the last medium on the client→server path (the
-  // 56K line on the slow-link topology, the LAN itself on the same-LAN
-  // one), the server LocalFs and disk, client 0's node for partitions and
-  // client 0's UDP stack for garbage datagrams. Specs that fire in the same
-  // nanosecond fire in list order.
+  // run). Each spec is scheduled in order against WorldFaultTargets(world).
+  // Specs that fire in the same nanosecond fire in list order.
   std::vector<FaultSpec> schedule;
 
   // Workload knobs.
   AndrewOptions andrew;        // kAndrew
   size_t iterations = 40;      // kCreateDelete
-  size_t file_bytes = 10 * 1024;
-  OpMixOptions opmix;          // kOpMix; shared_files runs it on every client
+  // kOpMix; shared_files runs it on every client. `opmix.file_bytes` is also
+  // the size of each kCreateDelete file.
+  OpMixOptions opmix;
 };
 
 struct ChaosReport {
@@ -140,6 +137,12 @@ struct ChaosReport {
   //    lat_us[write]=1834/7912/15023" (p50/p95/p99 per called procedure)
   std::string SummaryLine() const;
 };
+
+// The world's canonical fault targets: the server, the last medium on the
+// client→server path (the 56K line on the slow-link topology, the LAN itself
+// on the same-LAN one), the server LocalFs and disk, client 0's node for
+// partitions and client 0's UDP stack for garbage datagrams.
+FaultTargets WorldFaultTargets(World& world);
 
 // Runs the configured workload on world.client(0) under the fault schedule,
 // waits out any remaining scheduled faults, flushes the client, and audits

@@ -97,7 +97,7 @@ TEST(ChaosTest, CreateDeleteSurvivesCrashOnAllTopologies) {
     ChaosOptions chaos;
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 30;
-    chaos.file_bytes = 4096;
+    chaos.opmix.file_bytes = 4096;
     chaos.schedule.push_back(FaultSpecFromString("crash at=1s dur=10s").value());
     chaos.schedule.push_back(
         FaultSpecFromString("link_flap at=18s count=1 dur=1s period=1s").value());
@@ -126,7 +126,7 @@ TEST(ChaosTest, HardMountSurvivesCorruptionStorm) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 20;
-  chaos.file_bytes = 4096;
+  chaos.opmix.file_bytes = 4096;
   chaos.schedule.push_back(
       FaultSpecFromString(
           "corruption_storm at=1s dur=30s flip=0.15 trunc=0.05 dup=0.1 reorder=0.1 rdelay=30ms")
@@ -160,7 +160,7 @@ TEST(ChaosTest, TcpHardMountSurvivesCorruptionStorm) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 10;
-  chaos.file_bytes = 4096;
+  chaos.opmix.file_bytes = 4096;
   chaos.schedule.push_back(
       FaultSpecFromString("corruption_storm at=1s dur=30s flip=0.1 dup=0.1 reorder=0.1 rdelay=30ms")
           .value());
@@ -189,7 +189,7 @@ TEST(ChaosTest, EveryGarbageDatagramIsCountedOnAQuietLan) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 20;
-  chaos.file_bytes = 4096;
+  chaos.opmix.file_bytes = 4096;
   chaos.schedule.push_back(FaultSpecFromString("garbage_datagrams at=1s dur=10s count=25").value());
 
   ChaosReport report = RunChaos(world, chaos);
@@ -224,7 +224,7 @@ TEST(ChaosTest, SlowDiskSaturatesNfsdsLessWithWriteGathering) {
     ChaosOptions chaos;
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 12;
-    chaos.file_bytes = 64 * 1024;  // WRITE-heavy: 8 full blocks per file
+    chaos.opmix.file_bytes = 64 * 1024;  // WRITE-heavy: 8 full blocks per file
     chaos.schedule.push_back(FaultSpecFromString("disk_slow at=1s dur=120s mag=6").value());
 
     ChaosReport report = RunChaos(world, chaos);
@@ -280,7 +280,7 @@ TEST(ChaosTest, AndrewSurfacesEnospcAndHealsAfterRestore) {
   ChaosOptions retry;
   retry.workload = ChaosWorkload::kCreateDelete;
   retry.iterations = 16;
-  retry.file_bytes = 4096;
+  retry.opmix.file_bytes = 4096;
   ChaosReport report2 = RunChaos(world, retry);
   EXPECT_TRUE(report2.workload_status.ok()) << report2.workload_status;
   EXPECT_TRUE(report2.integrity_ok) << report2.integrity_error;
@@ -294,7 +294,7 @@ TEST(ChaosTest, SameSeedGivesIdenticalTraceAndOutcome) {
     ChaosOptions chaos;
     chaos.workload = ChaosWorkload::kCreateDelete;
     chaos.iterations = 20;
-    chaos.file_bytes = 2048;
+    chaos.opmix.file_bytes = 2048;
     chaos.schedule.push_back(FaultSpecFromString("crash at=3s dur=8s").value());
     chaos.schedule.push_back(
         FaultSpecFromString("link_flap at=14s count=1 dur=1s period=1s").value());
@@ -322,7 +322,7 @@ TEST(ChaosTest, TcpHardMountRidesOutCrash) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 10;
-  chaos.file_bytes = 2048;
+  chaos.opmix.file_bytes = 2048;
   chaos.schedule.push_back(FaultSpecFromString("crash at=2s dur=6s").value());
 
   ChaosReport report = RunChaos(world, chaos);
@@ -344,7 +344,7 @@ TEST(ChaosTest, OneRunYieldsProfileTraceAndMatchingSnapshot) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 15;
-  chaos.file_bytes = 4096;
+  chaos.opmix.file_bytes = 4096;
   chaos.schedule.push_back(FaultSpecFromString("crash at=1s dur=8s").value());
 
   ChaosReport report = RunChaos(world, chaos);
@@ -427,7 +427,7 @@ TEST(ChaosTest, LeaseStormWithCrashKeepsIntegrityAndNoStaleWrites) {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 30;
-  chaos.file_bytes = 4096;
+  chaos.opmix.file_bytes = 4096;
   chaos.schedule.push_back(FaultSpecFromString("crash at=5s dur=8s").value());
   chaos.lease_storm = true;
   chaos.lease_read_interval = Milliseconds(300);

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/fault/injector.h"
 #include "src/nfs/wire.h"
+#include "src/util/config.h"
+#include "src/workload/chaos.h"
 #include "tests/nfs_test_util.h"
 
 namespace renonfs {
@@ -23,6 +26,12 @@ NfsMountOptions FastRetryMount(int max_tries, bool hard, bool intr = false) {
   return mount;
 }
 
+// Schedules one fault line against the world's canonical targets, the path
+// scenarios and replays take.
+void ScheduleFault(FaultInjector& injector, World& world, const std::string& line) {
+  injector.Schedule(FaultSpecFromString(line).value(), WorldFaultTargets(world));
+}
+
 // Satellite regression: a retransmitted non-idempotent RPC must be answered
 // from the server's duplicate cache, not re-executed into a spurious EEXIST.
 // A one-way partition drops server→client replies while client→server
@@ -31,8 +40,7 @@ TEST(FaultTest, DupCacheAbsorbsRetransmittedCreate) {
   World world(QuietWorld());
   DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
-                       /*at=*/0, /*duration=*/Milliseconds(2500));
+  ScheduleFault(injector, world, "partition at=0s dur=2500ms inbound=true");
 
   auto task = world.client().Create(world.client().root(), "dup_victim");
   auto fh_or = world.Run(task);
@@ -73,8 +81,7 @@ TEST(FaultTest, HardMountRidesOutServerCrash) {
   World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
   DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/0,
-                                /*downtime=*/Seconds(10));
+  ScheduleFault(injector, world, "crash at=0s dur=10s");
 
   auto task = world.client().Create(world.client().root(), "survivor");
   auto fh_or = world.Run(task);
@@ -119,8 +126,8 @@ TEST(FaultTest, LinkFlapRecoversHardMount) {
   DumpOnFailure dump_on_failure(world);
   Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
-  injector.LinkDownAt(lan, 0);
-  injector.LinkUpAt(lan, Seconds(2));
+  ScheduleFault(injector, world, "link_down at=0s");
+  ScheduleFault(injector, world, "link_up at=2s");
 
   auto task = world.client().Create(world.client().root(), "flapped");
   auto fh_or = world.Run(task);
@@ -137,7 +144,7 @@ TEST(FaultTest, LossAndLatencyStorms) {
   DumpOnFailure dump_on_failure(world);
   Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
-  injector.LossStormAt(lan, 0, Seconds(3), 1.0);
+  ScheduleFault(injector, world, "loss_storm at=0s dur=3s mag=1");
 
   auto task = world.client().Create(world.client().root(), "stormy");
   auto fh_or = world.Run(task);
@@ -145,7 +152,7 @@ TEST(FaultTest, LossAndLatencyStorms) {
   EXPECT_GT(lan->stats().frames_dropped_loss, 0u);
   EXPECT_EQ(lan->transient_loss(), 0.0);
 
-  injector.LatencyStormAt(lan, 0, Seconds(30), Seconds(2));
+  ScheduleFault(injector, world, "latency_storm at=0s dur=30s extra=2s");
   world.scheduler().RunUntil(world.scheduler().now() + Milliseconds(1));
   const SimTime before = world.scheduler().now();
   auto slow = world.client().Create(world.client().root(), "stormy2");
@@ -205,8 +212,7 @@ TEST(FaultTest, TcpHardMountReconnectsAfterCrash) {
   World world(QuietWorld(1, mount));
   DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Seconds(1),
-                                /*downtime=*/Seconds(8));
+  ScheduleFault(injector, world, "crash at=1s dur=8s");
 
   auto warm = world.client().Create(world.client().root(), "pre_crash");
   ASSERT_TRUE(world.Run(warm).ok());
@@ -264,7 +270,7 @@ TEST(FaultTest, CrashSweepNeverLeaksAReplyToADeadConnection) {
     World world(QuietWorld(1, mount));
     DumpOnFailure dump_on_failure(world);
     FaultInjector injector(world.scheduler());
-    injector.ServerCrashRestartAt(&world.server(), crash_at, /*downtime=*/Seconds(2));
+    ScheduleFault(injector, world, "crash at=" + FormatDuration(crash_at) + " dur=2s");
 
     auto task = world.client().Create(world.client().root(), "sweep");
     auto fh_or = world.Run(task);
@@ -406,10 +412,8 @@ TEST_P(RetryErrorAbsorptionTest, RetriedOpEchoIsAbsorbedOnce) {
     victim_fh = NfsFh::Make(1, ino_or.value());
   }
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
-                       /*at=*/0, /*duration=*/Seconds(4));
-  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Seconds(1),
-                                /*downtime=*/Milliseconds(500));
+  ScheduleFault(injector, world, "partition at=0s dur=4s inbound=true");
+  ScheduleFault(injector, world, "crash at=1s dur=500ms");
 
   auto task = RunAbsorbedOp(world.client(), proc, victim_fh);
   Status status = world.Run(task);
@@ -435,8 +439,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(NfsProcName(param_info.param.proc));
     });
 
-// The injector's trace is appended at fire time in event order and is
-// deterministic for a fixed schedule.
 // --- Page-loaning pin protocol (tentpole coverage, run under ASan) ---
 
 std::vector<uint8_t> LoanPattern(size_t n, uint8_t seed = 1) {
@@ -550,8 +552,7 @@ TEST(FaultTest, ServerCrashWithLoanedRepliesInFlight) {
   // Crash just after the reads start: READ replies built from loaned cache
   // clusters are crossing the LAN when the cache that loaned them vanishes.
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(&world.server(), /*crash_at=*/Milliseconds(8),
-                                /*downtime=*/Seconds(2));
+  ScheduleFault(injector, world, "crash at=8ms dur=2s");
 
   auto read_task = [](NfsClient& c, NfsFh f, size_t len)
       -> CoTask<StatusOr<std::vector<uint8_t>>> {
@@ -700,10 +701,8 @@ TEST(FaultTest, LeasedWriterPartitionedPastTermDiscardsInsteadOfPushing) {
   // Client 0 falls off the network for four lease terms.
   const SimTime t0 = world.scheduler().now();
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
-                       /*at=*/0, Seconds(20));
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/false,
-                       /*at=*/0, Seconds(20));
+  ScheduleFault(injector, world, "partition at=0s dur=20s inbound=true");
+  ScheduleFault(injector, world, "partition at=0s dur=20s inbound=false");
 
   // Client 1 wants the file: the server's recalls go unanswered, the holder
   // is evicted at the term deadline, and client 1 writes under its own lease.
@@ -753,10 +752,8 @@ TEST(FaultTest, ServerEvictsRecalledLeaseOfUnreachableClient) {
   ASSERT_TRUE(world.Run(setup).ok());
 
   FaultInjector injector(world.scheduler());
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/true,
-                       /*at=*/0, Seconds(10));
-  injector.PartitionAt(world.topology().client, world.topology().server->id(), /*inbound=*/false,
-                       /*at=*/0, Seconds(10));
+  ScheduleFault(injector, world, "partition at=0s dur=10s inbound=true");
+  ScheduleFault(injector, world, "partition at=0s dur=10s inbound=false");
 
   auto read_task = [](NfsClient& c,
                       size_t len) -> CoTask<StatusOr<std::vector<uint8_t>>> {
@@ -845,7 +842,7 @@ TEST(FaultTest, LeaseReclaimAcrossServerRebootPreservesWrites) {
   // during the outage; the restarted server opens a one-max-term grace window.
   const SimTime t0 = world.scheduler().now();
   FaultInjector injector(world.scheduler());
-  injector.ServerCrashRestartAt(&world.server(), Milliseconds(100), Seconds(6));
+  ScheduleFault(injector, world, "crash at=100ms dur=6s");
   world.scheduler().RunUntil(t0 + Seconds(7));
   ASSERT_FALSE(world.server().crashed());
   EXPECT_TRUE(world.server().lease_table().InGrace());
@@ -912,16 +909,16 @@ TEST(FaultTest, LeaseServesCacheWithoutRpcsAndCachesWritesPastClose) {
   EXPECT_EQ(ServerBytes(world, "cached.dat"), data);
 }
 
-// DiskSlowAt inflates every op by the factor for the window, then restores
+// disk_slow inflates every op by the factor for the window, then restores
 // nominal latency, firing trace entries at both edges.
-TEST(FaultTest, DiskSlowAtInflatesAndRestoresLatency) {
+TEST(FaultTest, DiskSlowInflatesAndRestoresLatency) {
   World world(QuietWorld());
   DumpOnFailure dump_on_failure(world);
   DiskModel& disk = world.topology().server->disk();
   const SimTime nominal = disk.OpLatency(8192);
 
   FaultInjector injector(world.scheduler());
-  injector.DiskSlowAt(&disk, Seconds(1), Seconds(2), 4.0);
+  ScheduleFault(injector, world, "disk_slow at=1s dur=2s mag=4");
 
   world.scheduler().RunUntil(Milliseconds(1500));
   EXPECT_EQ(disk.slow_factor(), 4.0);
@@ -936,15 +933,16 @@ TEST(FaultTest, DiskSlowAtInflatesAndRestoresLatency) {
   EXPECT_NE(injector.trace()[1].find("disk slow end"), std::string::npos);
 }
 
+// The injector's trace is appended at fire time in event order and is
+// deterministic for a fixed schedule.
 TEST(FaultTest, TraceIsOrderedAndDeterministic) {
   std::vector<std::string> traces[2];
   for (int run = 0; run < 2; ++run) {
     World world(QuietWorld());
     DumpOnFailure dump_on_failure(world);
     FaultInjector injector(world.scheduler());
-    injector.ServerCrashRestartAt(&world.server(), Seconds(1), Seconds(2));
-    injector.LinkFlapAt(world.topology().path_media.front(), Seconds(4), 2, Seconds(1),
-                        Seconds(1));
+    ScheduleFault(injector, world, "crash at=1s dur=2s");
+    ScheduleFault(injector, world, "link_flap at=4s count=2 dur=1s period=1s");
     world.scheduler().RunUntil(Seconds(10));
     traces[run] = injector.trace();
   }
@@ -955,7 +953,78 @@ TEST(FaultTest, TraceIsOrderedAndDeterministic) {
   EXPECT_NE(traces[0][2].find("link down"), std::string::npos);
 }
 
-// --- Fault-schedule edge cases (the declarative ScheduleSpec path) ---
+// --- Fault-schedule edge cases ---
+
+// One spec of every kind against one quiet World, and the whole fault trace
+// line for line. The disk_restore and disk_error_burst specs share an
+// instant, as do the loss storm's end and the latency storm's begin: ties
+// fire in list order. garbage_datagrams writes no line; the server's
+// garbage counter shows it fired.
+TEST(FaultTest, EveryKindWritesItsExactTrace) {
+  World world(QuietWorld());
+  DumpOnFailure dump_on_failure(world);
+  LocalFs& fs = world.fs();
+  auto ino_or = fs.Create(fs.root(), "victim", 0644);
+  ASSERT_TRUE(ino_or.ok()) << ino_or.status();
+  const std::vector<uint8_t> payload = LoanPattern(16);
+  ASSERT_TRUE(fs.Write(ino_or.value(), 0, payload.data(), payload.size()).ok());
+
+  FaultInjector injector(world.scheduler());
+  const char* const kSchedule[] = {
+      "crash at=1s dur=2s",
+      "link_down at=4s",
+      "link_up at=5s",
+      "link_flap at=6s count=2 dur=500ms period=250ms",
+      "loss_storm at=8s dur=1s mag=0.5",
+      "latency_storm at=9s dur=1s extra=100ms",
+      "partition at=11s dur=1s inbound=false",
+      "corruption_storm at=12s dur=1s flip=0.1 trunc=0 dup=0 reorder=0 rdelay=2ms",
+      "disk_full at=14s blocks=3",
+      "disk_restore at=15s",
+      "disk_error_burst at=15s op=write code=nospace count=2",
+      "disk_slow at=16s dur=1s mag=2.5",
+      "sabotage at=18s file=victim offset=3",
+      "garbage_datagrams at=19s dur=1s count=4",
+  };
+  SimTime horizon = 0;
+  for (const char* line : kSchedule) {
+    auto spec_or = FaultSpecFromString(line);
+    ASSERT_TRUE(spec_or.ok()) << spec_or.status();
+    injector.Schedule(spec_or.value(), WorldFaultTargets(world));
+    horizon = std::max(horizon, spec_or.value().Horizon());
+  }
+  world.scheduler().RunUntil(horizon + Seconds(1));
+
+  const std::vector<std::string> expected = {
+      "[1.000s] server crash (server)",
+      "[3.000s] server restart (server)",
+      "[4.000s] link down (ether0)",
+      "[5.000s] link up (ether0)",
+      "[6.000s] link down (ether0)",
+      "[6.500s] link up (ether0)",
+      "[6.750s] link down (ether0)",
+      "[7.250s] link up (ether0)",
+      "[8.000s] loss storm begin (ether0)",
+      "[9.000s] loss storm end (ether0)",
+      "[9.000s] latency storm begin (ether0)",
+      "[10.000s] latency storm end (ether0)",
+      "[11.000s] partition out begin (client <-> host 2)",
+      "[12.000s] partition out end (client <-> host 2)",
+      "[12.000s] corruption storm begin (ether0)",
+      "[13.000s] corruption storm end (ether0)",
+      "[14.000s] disk full (budget 3 blocks)",
+      "[15.000s] disk restored",
+      "[15.000s] disk error burst (write x2 -> NOSPC)",
+      "[16.000s] disk slow begin (x2.5)",
+      "[17.000s] disk slow end",
+      "[18.000s] sabotage (victim byte 3 rotted)",
+  };
+  EXPECT_EQ(injector.trace(), expected);
+  EXPECT_EQ(world.MetricsNow().Value("server.rpc.garbage_requests"), 4u);
+  auto bytes_or = fs.Read(ino_or.value(), 0, payload.size());
+  ASSERT_TRUE(bytes_or.ok()) << bytes_or.status();
+  EXPECT_EQ(bytes_or.value()[3], payload[3] ^ 0xff);
+}
 
 // Two storm windows overlapping on the same medium: both begin, both end,
 // and the medium is fully restored afterwards — a schedule entry must not
@@ -965,13 +1034,9 @@ TEST(FaultTest, OverlappingStormSchedulesRestoreCleanly) {
   DumpOnFailure dump_on_failure(world);
   Medium* lan = world.topology().path_media.front();
   FaultInjector injector(world.scheduler());
-  FaultTargets targets;
-  targets.medium = lan;
-
-  injector.ScheduleSpec(FaultSpecFromString("loss_storm at=0s dur=3s mag=1").value(), targets);
+  ScheduleFault(injector, world, "loss_storm at=0s dur=3s mag=1");
   // Begins inside the loss storm, ends after it.
-  injector.ScheduleSpec(FaultSpecFromString("latency_storm at=1s dur=4s extra=200ms").value(),
-                        targets);
+  ScheduleFault(injector, world, "latency_storm at=1s dur=4s extra=200ms");
 
   auto task = world.client().Create(world.client().root(), "overlap");
   auto fh_or = world.Run(task);
@@ -994,9 +1059,7 @@ TEST(FaultTest, CrashSpecAtTimeZeroFiresBeforeFirstRpc) {
   World world(QuietWorld(1, FastRetryMount(/*max_tries=*/3, /*hard=*/true)));
   DumpOnFailure dump_on_failure(world);
   FaultInjector injector(world.scheduler());
-  FaultTargets targets;
-  targets.server = &world.server();
-  injector.ScheduleSpec(FaultSpecFromString("crash at=0s dur=5s").value(), targets);
+  ScheduleFault(injector, world, "crash at=0s dur=5s");
 
   auto task = world.client().Create(world.client().root(), "epoch");
   auto fh_or = world.Run(task);
@@ -1029,8 +1092,8 @@ TEST(FaultTest, CrashDuringLeaseGraceStillRecovers) {
   FaultInjector injector(world.scheduler());
   // First reboot at ~t0+6.1s opens a one-max-term (10s) grace window; the
   // second crash lands squarely inside it.
-  injector.ServerCrashRestartAt(&world.server(), Milliseconds(100), Seconds(6));
-  injector.ServerCrashRestartAt(&world.server(), Seconds(8), Seconds(3));
+  ScheduleFault(injector, world, "crash at=100ms dur=6s");
+  ScheduleFault(injector, world, "crash at=8s dur=3s");
   world.scheduler().RunUntil(t0 + Seconds(12));
   ASSERT_FALSE(world.server().crashed());
   EXPECT_EQ(world.server().crash_count(), 2u);
@@ -1061,13 +1124,8 @@ TEST(FaultTest, DiskErrorBurstInsideDiskSlowWindow) {
   DumpOnFailure dump_on_failure(world);
   DiskModel& disk = world.topology().server->disk();
   FaultInjector injector(world.scheduler());
-  FaultTargets targets;
-  targets.fs = &world.fs();
-  targets.disk = &disk;
-
-  injector.ScheduleSpec(FaultSpecFromString("disk_slow at=0s dur=8s mag=4").value(), targets);
-  injector.ScheduleSpec(
-      FaultSpecFromString("disk_error_burst at=500ms op=write code=io count=1").value(), targets);
+  ScheduleFault(injector, world, "disk_slow at=0s dur=8s mag=4");
+  ScheduleFault(injector, world, "disk_error_burst at=500ms op=write code=io count=1");
   world.scheduler().RunUntil(Seconds(1));  // both faults armed
 
   const auto data = LoanPattern(4096, 6);

@@ -93,7 +93,7 @@ ChaosOptions QuietCreateDelete() {
   ChaosOptions chaos;
   chaos.workload = ChaosWorkload::kCreateDelete;
   chaos.iterations = 8;
-  chaos.file_bytes = 4 * 1024;
+  chaos.opmix.file_bytes = 4 * 1024;
   return chaos;
 }
 

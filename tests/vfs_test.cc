@@ -307,7 +307,8 @@ TEST(BufCacheTest, InvalidateFileKeepsOtherFilesLruOrder) {
 
 // Random Create/Find/MarkDirty/MarkClean/Remove/InvalidateFile traffic with
 // evictions: after every step the per-file walk must agree with the LRU
-// walk filtered to that file, in both search modes.
+// walk filtered to that file, and OldestDirty with the LRU walk's first
+// buffer, in both search modes.
 TEST(BufCacheTest, PerFileDirtyWalkMatchesLruWalkUnderRandomTraffic) {
   constexpr uint64_t kFiles = 5;
   constexpr uint32_t kBlocks = 6;
@@ -342,6 +343,7 @@ TEST(BufCacheTest, PerFileDirtyWalkMatchesLruWalkUnderRandomTraffic) {
 
       const std::vector<Buf*> all = cache.DirtyBufs();
       ASSERT_EQ(all.size(), cache.dirty_count()) << "step " << step;
+      ASSERT_EQ(cache.OldestDirty(), all.empty() ? nullptr : all.front()) << "step " << step;
       size_t cached = 0;
       for (uint64_t f = 0; f < kFiles; ++f) {
         std::vector<Buf*> expected;
