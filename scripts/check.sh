@@ -148,14 +148,17 @@ python3 scripts/validate_trace.py --timeline "${TIMELINE_TMP}"
 rm -f "${TRACE_TMP}" "${TIMELINE_TMP}"
 
 # Example-output byte-identity gate (EXAMPLES.txt): the four example
-# programs, then chaos_demo in every fixed fault mode on its defaults (slow
-# link, create-delete), about 0.3 s in all. Their stdout holds no host
-# timings, so it must equal the committed file byte for byte. chaos_demo
-# also exits non-zero when the integrity audit fails (or, in lease mode, on
-# a stale-lease write), which fails the build here. nfsstat stays out: it
-# prints allocator pool warmth. A change that is meant to move an example's
-# output refreshes the file by running this block from the repo root with
-# RENONFS_SEED unset and its output sent to EXAMPLES.txt, and says so.
+# programs, chaos_demo in every fixed fault mode on its defaults (slow link,
+# create-delete), then a 5 s nfsstat chaos run, about 0.3 s in all. Their
+# stdout holds no host timings, so it must equal the committed file byte for
+# byte. The nfsstat run pins the registry, latency, span-breakdown,
+# allocator-pool and server CPU-profile tables; the pool table is
+# deterministic because each example is a fresh process. chaos_demo also
+# exits non-zero when the integrity audit fails (or, in lease mode, on a
+# stale-lease write), which fails the build here. A change that is meant to
+# move an example's output refreshes the file by running this block from the
+# repo root with RENONFS_SEED unset and its output sent to EXAMPLES.txt, and
+# says so.
 EXAMPLES_TXT="$(mktemp /tmp/renonfs_examples.XXXXXX.txt)"
 {
   for example in quickstart caching_policies slow_link_tuning transport_shootout; do
@@ -164,6 +167,7 @@ EXAMPLES_TXT="$(mktemp /tmp/renonfs_examples.XXXXXX.txt)"
   for mode in hard soft intr tcp lease corrupt; do
     env -u RENONFS_SEED ./build/examples/chaos_demo "${mode}"
   done
+  env -u RENONFS_SEED ./build/examples/nfsstat --seconds 5 --chaos --breakdown
 } >"${EXAMPLES_TXT}"
 cmp "${EXAMPLES_TXT}" EXAMPLES.txt
 rm -f "${EXAMPLES_TXT}"

@@ -199,9 +199,10 @@ StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
       return Status::Ok();
     };
     auto uint_field = [&](uint64_t* out, uint64_t max = UINT64_MAX) -> Status {
+      // strtoull would wrap "-1" to UINT64_MAX, so a sign is rejected first.
       char* end = nullptr;
       *out = std::strtoull(value.c_str(), &end, 0);
-      if (end == value.c_str() || *end != '\0' || *out > max) {
+      if (end == value.c_str() || *end != '\0' || value.front() == '-' || *out > max) {
         return BadField("fault '" + line + "': bad integer '" + value + "'");
       }
       return Status::Ok();
@@ -218,8 +219,6 @@ StatusOr<FaultSpec> FaultSpecFromString(const std::string& line) {
     } else if (key == "rdelay") {
       status = duration_field(&spec.corruption.reorder_delay);
     } else if (key == "count") {
-      // strtoull wraps "-1" to UINT64_MAX, so the int bound also rejects
-      // negative counts.
       uint64_t v = 0;
       status = uint_field(&v, INT_MAX);
       spec.count = static_cast<int>(v);

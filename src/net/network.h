@@ -84,7 +84,6 @@ struct TopologyOptions {
   // Background utilization per segment class (0 disables).
   double ethernet_background = 0.10;
   double ring_background = 0.12;
-  double serial_background = 0.0;  // "after hours involved almost no other loads"
   // Residual random frame loss (cabling, CRC) per segment class.
   double ethernet_loss = 1e-5;
   double ring_loss = 1.5e-2;

@@ -16,6 +16,9 @@ namespace {
 // implementations").
 constexpr SimTime kSyncInterval = Seconds(30);
 
+// The client caches whole NFS_MAXDATA transfers.
+static_assert(kBufBlockSize == kNfsMaxData);
+
 NfsFh FhFromKey(uint64_t key) {
   return NfsFh::Make(static_cast<uint32_t>(key >> 32), static_cast<Ino>(key & 0xffffffffu));
 }
@@ -81,7 +84,6 @@ NfsClient::NfsClient(Node* node, UdpStack* udp, TcpStack* tcp, SockAddr server, 
       }()),
       cache_([&options] {
         BufCacheOptions bc;
-        bc.block_size = kNfsMaxData;
         bc.capacity_blocks = options.cache_blocks;
         bc.vnode_chained = true;  // client cache structure is not under test
         return bc;

@@ -340,7 +340,7 @@ class NfsClient {
   NfsMountOptions options_;
   std::unique_ptr<RpcClientTransport> transport_;
   NameCache name_cache_;
-  AttrCache attr_cache_;  // AttrCacheOptions defaults: on, 5 s TTL
+  AttrCache attr_cache_;  // 5 s TTL (kAttrTtl in attr_cache.cc)
   BufCache cache_;
   Semaphore biods_;
   NfsClientStats stats_;

@@ -5,6 +5,12 @@
 #include "src/xdr/xdr.h"
 
 namespace renonfs {
+namespace {
+
+// The term granted to a client that asks for none (term_us == 0).
+constexpr SimTime kDefaultLeaseTerm = Seconds(30);
+
+}  // namespace
 
 LeaseTable::LeaseTable(Node* node, LeaseOptions options) : node_(node), options_(options) {}
 
@@ -15,7 +21,7 @@ void LeaseTable::AttachUdp(UdpStack* udp, uint16_t recall_port) {
 
 SimTime LeaseTable::ClampTerm(uint32_t term_us) const {
   if (term_us == 0) {
-    return options_.default_term;
+    return kDefaultLeaseTerm;
   }
   const SimTime requested = static_cast<SimTime>(term_us) * Microseconds(1);
   return std::clamp(requested, options_.min_term, options_.max_term);

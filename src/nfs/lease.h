@@ -36,7 +36,6 @@ inline constexpr uint32_t kLeaseDeniedGrace = 2;  // reboot grace window
 struct LeaseOptions {
   SimTime min_term = Seconds(5);
   SimTime max_term = Seconds(60);
-  SimTime default_term = Seconds(30);
 };
 
 struct LeaseStats {

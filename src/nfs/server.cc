@@ -11,8 +11,8 @@ namespace {
 // Approximate on-disk size of a directory entry (UFS direct struct).
 constexpr size_t kDirEntryBytes = 16;
 
-// Concurrent nfsd daemons.
-constexpr size_t kNfsdThreads = 4;
+// The server caches whole file-system blocks.
+static_assert(kBufBlockSize == kFsBlockSize);
 
 // Write gathering: a gather window lasts at least kGatherWindow and re-arms
 // while new writes keep joining, up to kGatherMaxRounds rounds.
@@ -42,12 +42,8 @@ NfsServer::NfsServer(Node* node, LocalFs* fs, NfsServerOptions options)
       fs_(fs),
       options_(options),
       rpc_server_(node,
-                  [&options] {
+                  [] {
                     RpcServerOptions rpc_options;
-                    rpc_options.prog = kNfsProgram;
-                    rpc_options.vers = kNfsVersion;
-                    rpc_options.server_threads = kNfsdThreads;
-                    rpc_options.dup_cache_entries = options.dup_cache_entries;
                     for (uint32_t proc = 0; proc < kNfsProcCount; ++proc) {
                       if (IsNonIdempotent(proc)) {
                         rpc_options.non_idempotent_procs.insert(proc);
@@ -57,7 +53,6 @@ NfsServer::NfsServer(Node* node, LocalFs* fs, NfsServerOptions options)
                   }()),
       cache_([&options] {
         BufCacheOptions cache_options;
-        cache_options.block_size = kFsBlockSize;
         cache_options.capacity_blocks = options.cache_blocks;
         cache_options.vnode_chained = options.vnode_chained_bufs;
         return cache_options;

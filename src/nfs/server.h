@@ -50,7 +50,6 @@ struct NfsServerOptions {
   bool layered_xdr = false;        // reference port: XDR through a buffer
   size_t cache_blocks = 256;       // server buffer cache (identically sized
                                    // caches were used for the comparison)
-  size_t dup_cache_entries = 128;
 
   // Datapath tuning (this library's follow-on work; both predate neither
   // personality, so they default on and the ablation flags reproduce the

@@ -24,8 +24,6 @@
 
 namespace renonfs {
 
-inline constexpr uint32_t kNfsProgram = 100003;
-inline constexpr uint32_t kNfsVersion = 2;
 inline constexpr uint16_t kNfsPort = 2049;
 inline constexpr size_t kNfsMaxData = 8192;  // NFS_MAXDATA
 inline constexpr size_t kNfsFhSize = 32;     // NFS_FHSIZE

@@ -21,13 +21,12 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-size_t NextPow2(size_t n) {
-  size_t p = 8;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
+// Live-op pool size. A new op that finds the pool exhausted is dropped and
+// counted — the collector never falls back to the heap.
+constexpr uint32_t kMaxLiveOps = 1024;
+// The xid table's slot count: a power of two, so probing can mask.
+constexpr size_t kTableSize = 4 * kMaxLiveOps;
+static_assert((kTableSize & (kTableSize - 1)) == 0);
 
 }  // namespace
 
@@ -54,18 +53,13 @@ const char* LatencyComponentName(LatencyComponent component) {
 }
 
 SpanCollector::SpanCollector(SpanOptions options) : options_(options) {
-  options_.top_k = std::min<uint32_t>(options_.top_k, kMaxSlowOps);
-  if (options_.max_live_ops == 0) {
-    options_.max_live_ops = 1;
-  }
-  pool_.resize(options_.max_live_ops);
-  free_.reserve(options_.max_live_ops);
-  for (uint32_t i = options_.max_live_ops; i > 0; --i) {
+  pool_.resize(kMaxLiveOps);
+  free_.reserve(kMaxLiveOps);
+  for (uint32_t i = kMaxLiveOps; i > 0; --i) {
     free_.push_back(i - 1);
   }
-  const size_t table_size = NextPow2(static_cast<size_t>(options_.max_live_ops) * 4);
-  table_.assign(table_size, 0);
-  table_mask_ = table_size - 1;
+  table_.assign(kTableSize, 0);
+  table_mask_ = kTableSize - 1;
 }
 
 bool SpanCollector::Sampled(uint32_t xid) const {
@@ -244,9 +238,6 @@ void SpanCollector::Advance(OpRecord& rec, const TraceEvent& event) {
 }
 
 void SpanCollector::Retain(const OpRecord& rec, const TraceEvent& complete) {
-  if (options_.top_k == 0) {
-    return;
-  }
   const size_t slot = ProcSlot(rec.proc);
   OpBreakdown entry;
   entry.xid = rec.xid;
@@ -259,7 +250,7 @@ void SpanCollector::Retain(const OpRecord& rec, const TraceEvent& complete) {
   entry.comp = rec.comp;
   entry.cpu = rec.cpu;
   entry.attempt_at = rec.attempt_at;
-  if (slow_count_[slot] < options_.top_k) {
+  if (slow_count_[slot] < kMaxSlowOps) {
     slow_[slot][slow_count_[slot]++] = entry;
     return;
   }

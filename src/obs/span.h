@@ -73,8 +73,8 @@ inline constexpr size_t kSpanProcSlots = 32;
 // Retransmit lineage kept per op: timestamps of the first kMaxSpanAttempts
 // transmissions (the attempt count itself is exact regardless).
 inline constexpr size_t kMaxSpanAttempts = 8;
-// Compile-time ceiling for SpanOptions::top_k.
-inline constexpr size_t kMaxSlowOps = 16;
+// Slowest completed ops retained per proc.
+inline constexpr size_t kMaxSlowOps = 8;
 
 // A completed, analyzed span tree in compact form: the root span's bounds,
 // the child-attempt lineage, and the leaf segments (wall-clock partition +
@@ -99,11 +99,6 @@ struct SpanOptions {
   // Track xids whose seeded hash lands on 0 mod sample_period: 1 = every op,
   // N = 1/N head sampling, 0 = collector disabled (nothing tracked).
   uint32_t sample_period = 1;
-  // Live-op pool size. A new op that finds the pool exhausted is dropped and
-  // counted — the collector never falls back to the heap.
-  uint32_t max_live_ops = 1024;
-  // Slowest completed ops retained per proc (<= kMaxSlowOps).
-  uint32_t top_k = 8;
 };
 
 struct SpanStats {

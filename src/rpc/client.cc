@@ -72,10 +72,9 @@ CoTask<StatusOr<MbufChain>> UdpRpcTransport::Call(uint32_t proc, RpcTimerClass c
   const uint32_t xid = next_xid_++;
   RpcCallHeader header;
   header.xid = xid;
-  header.prog = options_.prog;
-  header.vers = options_.vers;
+  header.prog = kNfsProgram;
+  header.vers = kNfsVersion;
   header.proc = proc;
-  header.cred = options_.cred;
 
   MbufChain wire;
   XdrEncoder enc(&wire);
@@ -299,10 +298,9 @@ CoTask<StatusOr<MbufChain>> TcpRpcTransport::Call(uint32_t proc, RpcTimerClass c
   const uint32_t xid = next_xid_++;
   RpcCallHeader header;
   header.xid = xid;
-  header.prog = options_.prog;
-  header.vers = options_.vers;
+  header.prog = kNfsProgram;
+  header.vers = kNfsVersion;
   header.proc = proc;
-  header.cred = options_.cred;
 
   MbufChain message;
   XdrEncoder enc(&message);

@@ -149,9 +149,6 @@ class RpcClientTransport {
 };
 
 struct UdpRpcOptions {
-  uint32_t prog = 100003;  // NFS
-  uint32_t vers = 2;
-  RpcCredentials cred;
   RtoPolicyOptions rto;
   RpcCongestionWindow::Options cwnd;
   int max_tries = 12;  // transmissions before a soft timeout / not-responding
@@ -229,9 +226,6 @@ class UdpRpcTransport : public RpcClientTransport {
 };
 
 struct TcpRpcOptions {
-  uint32_t prog = 100003;
-  uint32_t vers = 2;
-  RpcCredentials cred;
   TcpConfig tcp;
   bool hard = false;  // reconnect and re-issue forever after server silence
   bool intr = false;  // allow Interrupt() to cancel outstanding calls

@@ -14,6 +14,10 @@
 namespace renonfs {
 
 inline constexpr uint32_t kRpcVersion = 2;
+// The one program every client and server of this RPC layer speaks: NFS
+// version 2 (RFC 1094).
+inline constexpr uint32_t kNfsProgram = 100003;
+inline constexpr uint32_t kNfsVersion = 2;
 inline constexpr uint32_t kAuthNull = 0;
 inline constexpr uint32_t kAuthUnix = 1;
 // msg_type discriminants, exposed so the TCP record-resync hunt can judge

@@ -7,9 +7,15 @@
 #include "src/xdr/xdr.h"
 
 namespace renonfs {
+namespace {
+
+constexpr size_t kServerThreads = 4;  // concurrent nfsd daemons
+constexpr size_t kDupCacheEntries = 128;
+
+}  // namespace
 
 RpcServer::RpcServer(Node* node, RpcServerOptions options)
-    : node_(node), options_(std::move(options)), nfsd_slots_(options_.server_threads) {}
+    : node_(node), options_(std::move(options)), nfsd_slots_(kServerThreads) {}
 
 void RpcServer::BindUdp(UdpStack* udp, uint16_t port) {
   udp->Bind(port, [this, udp, port](SockAddr from, MbufChain payload) {
@@ -175,7 +181,7 @@ CoTask<void> RpcServer::HandleMessage(MbufChain message, SockAddr client, Replie
   const RpcCallHeader header = header_or.value();
   Trace(TraceEventKind::kServerReceive, header.xid, header.proc);
 
-  if (header.prog != options_.prog || header.vers != options_.vers) {
+  if (header.prog != kNfsProgram || header.vers != kNfsVersion) {
     reply(EncodeReply(header.xid, RpcAcceptStat::kProgUnavail, MbufChain()));
     ++stats_.replies;
     co_return;
@@ -215,7 +221,7 @@ CoTask<void> RpcServer::HandleMessage(MbufChain message, SockAddr client, Replie
       fresh.stamp = now;
       dup_cache_[key] = std::move(fresh);
       dup_order_.push_back(key);
-      while (dup_order_.size() > options_.dup_cache_entries) {
+      while (dup_order_.size() > kDupCacheEntries) {
         dup_cache_.erase(dup_order_.front());
         dup_order_.pop_front();
       }

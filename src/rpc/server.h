@@ -27,10 +27,6 @@
 namespace renonfs {
 
 struct RpcServerOptions {
-  uint32_t prog = 100003;  // NFS
-  uint32_t vers = 2;
-  size_t server_threads = 4;   // concurrent nfsd daemons
-  size_t dup_cache_entries = 128;
   // Maximum useful lifetime of a completed duplicate-cache entry
   // ([Juszczak89]'s aging). Client xids are sequence numbers that wrap (and
   // restart from a clock on reboot), so an entry old enough cannot belong

@@ -20,10 +20,6 @@ struct DiskProfile {
   double transfer_bytes_per_sec = 625.0 * 1024;  // ~5 Mbit/s media rate
 
   static DiskProfile Rd53() { return DiskProfile{}; }
-  // RZ23-class drive on the DECstation 3100.
-  static DiskProfile Rz23() {
-    return DiskProfile{Milliseconds(22), 1.25 * 1024 * 1024};
-  }
 };
 
 class DiskModel {

@@ -9,6 +9,14 @@ namespace renonfs {
 
 namespace {
 
+constexpr size_t kAdvertisedWindow = 16 * 1024;
+constexpr SimTime kMinRto = Milliseconds(500);
+constexpr SimTime kInitialRto = Seconds(3);
+// BSD delayed acknowledgements: ack every second data segment or after
+// the timer, and piggyback on any outgoing segment. This is what lets an
+// RPC reply carry the ack for the call.
+constexpr SimTime kDelayedAckTimeout = Milliseconds(200);
+
 void PutU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v >> 8);
   p[1] = static_cast<uint8_t>(v);
@@ -54,12 +62,12 @@ TcpConnection::TcpConnection(TcpStack* stack, SockAddr local, SockAddr remote, T
       local_(local),
       remote_(remote),
       config_(config),
-      rto_(config.initial_rto),
+      rto_(kInitialRto),
       retransmit_timer_(stack->scheduler(), [this]() { OnRetransmitTimeout(); }),
       delack_timer_(stack->scheduler(), [this]() { SendAck(); }) {
   cwnd_ = config_.mss;
   ssthresh_ = 64 * 1024;
-  snd_wnd_ = config_.advertised_window;
+  snd_wnd_ = kAdvertisedWindow;
 }
 
 TcpConnection::~TcpConnection() = default;
@@ -130,7 +138,7 @@ void TcpConnection::OnSegment(Segment segment) {
       snd_wnd_ = segment.window;
       state_ = State::kEstablished;
       retransmit_timer_.Stop();
-      rto_ = config_.initial_rto;
+      rto_ = kInitialRto;
       backed_off_rto_ = 0;
       SendAck();
       if (connected_handler_) {
@@ -153,7 +161,7 @@ void TcpConnection::OnSegment(Segment segment) {
       snd_wnd_ = segment.window;
       state_ = State::kEstablished;
       retransmit_timer_.Stop();
-      rto_ = config_.initial_rto;
+      rto_ = kInitialRto;
       backed_off_rto_ = 0;
       if (!segment.payload.Empty()) {
         AcceptData(std::move(segment));
@@ -181,7 +189,7 @@ void TcpConnection::OnAck(uint64_t ack, size_t peer_window) {
   }
   if (ack <= snd_una_) {
     // Duplicate ack?
-    if (config_.fast_retransmit && ack == snd_una_ && snd_max_ > snd_una_) {
+    if (ack == snd_una_ && snd_max_ > snd_una_) {
       ++dup_acks_;
       if (dup_acks_ == 3) {
         // Fast retransmit + Reno fast recovery.
@@ -283,7 +291,7 @@ void TcpConnection::AcceptData(Segment segment) {
   stack_->node()->cpu().ChargeBackground(stack_->node()->profile().socket_wakeup,
                                          CostCategory::kTcp);
   ++unacked_data_segments_;
-  ScheduleAck(/*immediate=*/!config_.delayed_acks || unacked_data_segments_ >= 2);
+  ScheduleAck(/*immediate=*/unacked_data_segments_ >= 2);
   if (data_handler_) {
     data_handler_(std::move(deliverable));
   }
@@ -318,7 +326,7 @@ void TcpConnection::SendSegment(uint64_t seq, size_t len, uint8_t flags, bool re
   segment.seq = seq;
   segment.ack = (flags & kFlagAck) ? rcv_nxt_ : 0;
   segment.flags = flags;
-  segment.window = config_.advertised_window;
+  segment.window = kAdvertisedWindow;
   if (len > 0) {
     const uint64_t offset = seq - snd_una_;
     CHECK_LE(offset + len, send_buffer_.Length());
@@ -354,7 +362,7 @@ void TcpConnection::ScheduleAck(bool immediate) {
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_.Start(config_.delack_timeout);
+    delack_timer_.Start(kDelayedAckTimeout);
   }
 }
 
@@ -411,7 +419,7 @@ void TcpConnection::UpdateRtt(SimTime sample) {
     const SimTime abs_delta = delta < 0 ? -delta : delta;
     rttvar_ += (abs_delta - rttvar_) / 4;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, config_.max_rto);
 }
 
 // --- TcpStack ---------------------------------------------------------------

@@ -12,8 +12,7 @@
 // Simplifications relative to a full implementation, none of which affect
 // the measured behaviour: no FIN/TIME_WAIT teardown (NFS mounts hold their
 // connection for the whole run; Close() just silences the endpoint), no
-// urgent data, a fixed advertised window, and acknowledgements are sent per
-// received data segment (no 200 ms delayed-ack timer).
+// urgent data, and a fixed advertised window.
 #ifndef RENONFS_SRC_TCP_TCP_H_
 #define RENONFS_SRC_TCP_TCP_H_
 
@@ -33,16 +32,7 @@ namespace renonfs {
 
 struct TcpConfig {
   size_t mss = 1460;                    // caller sets to min path MTU - 40
-  size_t advertised_window = 16 * 1024;
-  SimTime min_rto = Milliseconds(500);
   SimTime max_rto = Seconds(64);
-  SimTime initial_rto = Seconds(3);
-  bool fast_retransmit = true;
-  // BSD delayed acknowledgements: ack every second data segment or after
-  // the timer, and piggyback on any outgoing segment. This is what lets an
-  // RPC reply carry the ack for the call.
-  bool delayed_acks = true;
-  SimTime delack_timeout = Milliseconds(200);
 };
 
 struct TcpStats {

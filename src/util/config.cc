@@ -181,13 +181,12 @@ StatusOr<SimTime> ParseDuration(std::string_view text) {
   if (text.empty()) {
     return Status(ErrorCode::kInvalidArgument, "duration: empty");
   }
+  // No text form holds a negative duration, so a sign is not a number.
   size_t digits = 0;
-  while (digits < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[digits])) ||
-          (digits == 0 && text[digits] == '-'))) {
+  while (digits < text.size() && std::isdigit(static_cast<unsigned char>(text[digits]))) {
     ++digits;
   }
-  if (digits == 0 || (digits == 1 && text[0] == '-')) {
+  if (digits == 0) {
     return Status(ErrorCode::kInvalidArgument,
                   "duration: no number in '" + std::string(text) + "'");
   }
@@ -215,8 +214,7 @@ StatusOr<SimTime> ParseDuration(std::string_view text) {
   }
   // The text comes from scenario, fault and trace files: a magnitude whose
   // nanosecond count does not fit a SimTime is an error, not a wrapped value.
-  if (magnitude > std::numeric_limits<SimTime>::max() / scale ||
-      magnitude < std::numeric_limits<SimTime>::min() / scale) {
+  if (magnitude > std::numeric_limits<SimTime>::max() / scale) {
     return Status(ErrorCode::kInvalidArgument,
                   "duration: out of range in '" + std::string(text) + "'");
   }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "src/util/logging.h"
 
 namespace renonfs {
 
@@ -39,77 +36,5 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 double RunningStat::min() const { return min_; }
 
 double RunningStat::max() const { return max_; }
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), buckets_(buckets + 2, 0) {
-  CHECK_LT(lo, hi);
-  CHECK_GT(buckets, 0u);
-}
-
-void Histogram::Add(double sample) {
-  if (count_ == 0) {
-    observed_min_ = sample;
-    observed_max_ = sample;
-  } else {
-    observed_min_ = std::min(observed_min_, sample);
-    observed_max_ = std::max(observed_max_, sample);
-  }
-  ++count_;
-  if (sample < lo_) {
-    ++buckets_.front();
-  } else if (sample >= hi_) {
-    ++buckets_.back();
-  } else {
-    const size_t index = 1 + static_cast<size_t>((sample - lo_) / width_);
-    ++buckets_[std::min(index, buckets_.size() - 2)];
-  }
-}
-
-double Histogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(buckets_[i]);
-    if (next >= target && buckets_[i] > 0) {
-      if (i == 0) {
-        return observed_min_;
-      }
-      if (i == buckets_.size() - 1) {
-        return observed_max_;
-      }
-      const double bucket_lo = lo_ + static_cast<double>(i - 1) * width_;
-      const double fraction = (target - cumulative) / static_cast<double>(buckets_[i]);
-      return bucket_lo + fraction * width_;
-    }
-    cumulative = next;
-  }
-  return observed_max_;
-}
-
-std::string Histogram::ToString(size_t max_rows) const {
-  std::ostringstream os;
-  os << "count=" << count_ << " min=" << observed_min_ << " max=" << observed_max_;
-  if (count_ == 0) {
-    return os.str();
-  }
-  os << "\n";
-  const size_t step = std::max<size_t>(1, (buckets_.size() - 2) / std::max<size_t>(1, max_rows));
-  for (size_t i = 1; i + 1 < buckets_.size(); i += step) {
-    size_t total = 0;
-    for (size_t j = i; j < std::min(i + step, buckets_.size() - 1); ++j) {
-      total += buckets_[j];
-    }
-    if (total == 0) {
-      continue;
-    }
-    const double bucket_lo = lo_ + static_cast<double>(i - 1) * width_;
-    os << "  [" << bucket_lo << ", " << bucket_lo + width_ * static_cast<double>(step) << "): " << total << "\n";
-  }
-  return os.str();
-}
 
 }  // namespace renonfs

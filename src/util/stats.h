@@ -3,9 +3,6 @@
 #define RENONFS_SRC_UTIL_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace renonfs {
 
@@ -30,30 +27,6 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-// Fixed-bucket histogram with percentile queries; buckets are linear in
-// [lo, hi) plus underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double sample);
-  size_t count() const { return count_; }
-
-  // Linear-interpolated percentile within the bucket; p in [0, 100].
-  double Percentile(double p) const;
-
-  std::string ToString(size_t max_rows = 16) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> buckets_;  // [0]=underflow, [n+1]=overflow
-  size_t count_ = 0;
-  double observed_min_ = 0.0;
-  double observed_max_ = 0.0;
 };
 
 }  // namespace renonfs

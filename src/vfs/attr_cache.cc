@@ -1,17 +1,20 @@
 #include "src/vfs/attr_cache.h"
 
 namespace renonfs {
+namespace {
+
+// Cached attributes go stale five seconds after they were fetched.
+constexpr SimTime kAttrTtl = Seconds(5);
+
+}  // namespace
 
 std::optional<FileAttr> AttrCache::Get(uint64_t file, SimTime now) {
-  if (!options_.enabled) {
-    return std::nullopt;
-  }
   auto it = entries_.find(file);
   if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
-  if (now - it->second.fetched_at > options_.ttl) {
+  if (now - it->second.fetched_at > kAttrTtl) {
     ++stats_.expirations;
     ++stats_.misses;
     entries_.erase(it);
@@ -22,9 +25,6 @@ std::optional<FileAttr> AttrCache::Get(uint64_t file, SimTime now) {
 }
 
 void AttrCache::Put(uint64_t file, const FileAttr& attr, SimTime now) {
-  if (!options_.enabled) {
-    return;
-  }
   entries_[file] = Entry{attr, now};
 }
 

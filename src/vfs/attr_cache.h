@@ -16,11 +16,6 @@
 
 namespace renonfs {
 
-struct AttrCacheOptions {
-  bool enabled = true;
-  SimTime ttl = Seconds(5);
-};
-
 struct AttrCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -29,7 +24,7 @@ struct AttrCacheStats {
 
 class AttrCache {
  public:
-  explicit AttrCache(AttrCacheOptions options = {}) : options_(options) {}
+  AttrCache() = default;
   AttrCache(const AttrCache&) = delete;
   AttrCache& operator=(const AttrCache&) = delete;
 
@@ -46,16 +41,8 @@ class AttrCache {
   }
   void Put(uint64_t file, const FileAttr& attr, SimTime now);
   void Invalidate(uint64_t file) { entries_.erase(file); }
-  void Purge() { entries_.clear(); }
 
   const AttrCacheStats& stats() const { return stats_; }
-  bool enabled() const { return options_.enabled; }
-  void set_enabled(bool enabled) {
-    options_.enabled = enabled;
-    if (!enabled) {
-      Purge();
-    }
-  }
 
  private:
   struct Entry {
@@ -63,7 +50,6 @@ class AttrCache {
     SimTime fetched_at;
   };
 
-  AttrCacheOptions options_;
   AttrCacheStats stats_;
   std::unordered_map<uint64_t, Entry> entries_;
 };

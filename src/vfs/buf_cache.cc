@@ -224,7 +224,7 @@ StatusOr<Buf*> BufCache::Create(uint64_t file, uint32_t block) {
     index_.erase(Key{victim->file(), victim->block()});
     lru_.erase(victim);
   }
-  lru_.emplace_front(file, block, options_.block_size, this);
+  lru_.emplace_front(file, block, kBufBlockSize, this);
   Buf* buf = &lru_.front();
   buf->last_used_ = ++use_clock_;
   index_[key] = lru_.begin();

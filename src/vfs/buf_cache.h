@@ -40,8 +40,11 @@
 
 namespace renonfs {
 
+// Every cache holds 8 KB blocks: NFS_MAXDATA-sized file blocks on the
+// client, file-system blocks on the server.
+inline constexpr size_t kBufBlockSize = 8192;
+
 struct BufCacheOptions {
-  size_t block_size = 8192;
   size_t capacity_blocks = 64;
   bool vnode_chained = true;  // false: global linear search (reference port)
 };

@@ -1,12 +1,17 @@
 #include "src/vfs/name_cache.h"
 
 namespace renonfs {
+namespace {
+
+constexpr size_t kNchNameLen = 31;  // NCHNAMLEN in 4.3BSD Reno
+
+}  // namespace
 
 std::optional<uint64_t> NameCache::Lookup(uint64_t dir, const std::string& name) {
   if (!options_.enabled) {
     return std::nullopt;
   }
-  if (name.size() > options_.max_name_len) {
+  if (name.size() > kNchNameLen) {
     ++stats_.too_long;
     ++stats_.misses;
     return std::nullopt;
@@ -25,7 +30,7 @@ void NameCache::Enter(uint64_t dir, const std::string& name, uint64_t target) {
   if (!options_.enabled) {
     return;
   }
-  if (name.size() > options_.max_name_len) {
+  if (name.size() > kNchNameLen) {
     ++stats_.too_long;
     return;
   }

@@ -20,7 +20,6 @@ namespace renonfs {
 struct NameCacheOptions {
   bool enabled = true;
   size_t capacity = 256;
-  size_t max_name_len = 31;  // NCHNAMLEN in 4.3BSD Reno
 };
 
 struct NameCacheStats {

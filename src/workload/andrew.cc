@@ -6,6 +6,20 @@
 #include "src/workload/fill.h"
 
 namespace renonfs {
+namespace {
+
+constexpr size_t kIoChunkBytes = 4096;  // cp/cc write in buffer-sized syscalls
+
+// CPU charged per byte processed by the user-level tools, in nominal
+// MicroVAXII nanoseconds (see CostProfile). Calibrated so phases I-IV and
+// V land in the right regime on a 0.9 MIPS client (Table #2).
+constexpr SimTime kCopyCpuPerByte = 30'000;        // cp
+constexpr SimTime kScanCpuPerByte = 80'000;        // grep + wc
+constexpr SimTime kStatCpuPerEntry = Milliseconds(60);
+constexpr SimTime kCompileCpuPerByte = 5'000'000;  // cc on a 0.9 MIPS machine
+constexpr double kObjectSizeFactor = 0.7;          // .o size relative to source
+
+}  // namespace
 
 std::string AndrewBenchmark::SourcePath(const SourceFile& source) const {
   return "andrew_src/dir" + std::to_string(source.directory) + "/" + source.name;
@@ -110,10 +124,10 @@ CoTask<Status> AndrewBenchmark::PhaseCopy(NfsClient& client,
       co_return dst_open;
     }
     // cp's user/kernel CPU, then the data in buffer-sized write syscalls.
-    co_await node->cpu().Use(options_.copy_cpu_per_byte * static_cast<SimTime>(source.bytes));
+    co_await node->cpu().Use(kCopyCpuPerByte * static_cast<SimTime>(source.bytes));
     size_t written = 0;
     while (written < read_or.value()) {
-      const size_t chunk = std::min<size_t>(options_.io_chunk_bytes, read_or.value() - written);
+      const size_t chunk = std::min<size_t>(kIoChunkBytes, read_or.value() - written);
       Status write_status =
           co_await client.Write(dst_or.value(), written, bytes.data() + written, chunk);
       if (!write_status.ok()) {
@@ -147,7 +161,7 @@ CoTask<Status> AndrewBenchmark::PhaseStat(NfsClient& client) {
       if (!dir_or.ok()) {
         continue;
       }
-      co_await node->cpu().Use(options_.stat_cpu_per_entry);
+      co_await node->cpu().Use(kStatCpuPerEntry);
       auto listing_or = co_await client.Readdir(dir_or.value());
       if (!listing_or.ok()) {
         continue;  // a file, not a directory
@@ -161,7 +175,7 @@ CoTask<Status> AndrewBenchmark::PhaseStat(NfsClient& client) {
         if (!attr_or.ok()) {
           co_return attr_or.status();
         }
-        co_await node->cpu().Use(options_.stat_cpu_per_entry / 4);
+        co_await node->cpu().Use(kStatCpuPerEntry / 4);
       }
     }
   }
@@ -181,7 +195,7 @@ CoTask<Status> AndrewBenchmark::PhaseRead(NfsClient& client) {
       if (!total_or.ok()) {
         co_return total_or.status();
       }
-      co_await node->cpu().Use(options_.scan_cpu_per_byte *
+      co_await node->cpu().Use(kScanCpuPerByte *
                                static_cast<SimTime>(total_or.value()));
     }
   }
@@ -202,7 +216,7 @@ CoTask<Status> AndrewBenchmark::PhaseCompile(NfsClient& client,
       co_return total_or.status();
     }
     // The compiler itself.
-    co_await node->cpu().Use(options_.compile_cpu_per_byte *
+    co_await node->cpu().Use(kCompileCpuPerByte *
                              static_cast<SimTime>(total_or.value()));
 
     // cc emits an assembler temporary, reads it back (as), then unlinks it.
@@ -223,7 +237,7 @@ CoTask<Status> AndrewBenchmark::PhaseCompile(NfsClient& client,
       size_t temp_written = 0;
       while (temp_written < temp.size()) {
         const size_t chunk =
-            std::min<size_t>(options_.io_chunk_bytes, temp.size() - temp_written);
+            std::min<size_t>(kIoChunkBytes, temp.size() - temp_written);
         Status temp_status = co_await client.Write(tmp_or.value(), temp_written,
                                                    temp.data() + temp_written, chunk);
         if (!temp_status.ok()) {
@@ -246,7 +260,7 @@ CoTask<Status> AndrewBenchmark::PhaseCompile(NfsClient& client,
     }
 
     const size_t object_bytes =
-        static_cast<size_t>(static_cast<double>(source.bytes) * options_.object_size_factor);
+        static_cast<size_t>(static_cast<double>(source.bytes) * kObjectSizeFactor);
     total_object_bytes += object_bytes;
     const std::string object_name = source.name.substr(0, source.name.size() - 2) + ".o";
     auto obj_or = co_await client.Create(target_dirs[1 + source.directory], object_name);
@@ -260,7 +274,7 @@ CoTask<Status> AndrewBenchmark::PhaseCompile(NfsClient& client,
     std::vector<uint8_t> object(object_bytes, 0x4f);
     size_t written = 0;
     while (written < object.size()) {
-      const size_t chunk = std::min<size_t>(options_.io_chunk_bytes, object.size() - written);
+      const size_t chunk = std::min<size_t>(kIoChunkBytes, object.size() - written);
       Status write_status =
           co_await client.Write(obj_or.value(), written, object.data() + written, chunk);
       if (!write_status.ok()) {
@@ -288,7 +302,7 @@ CoTask<Status> AndrewBenchmark::PhaseCompile(NfsClient& client,
       co_return total_or.status();
     }
   }
-  co_await node->cpu().Use(options_.compile_cpu_per_byte / 8 *
+  co_await node->cpu().Use(kCompileCpuPerByte / 8 *
                            static_cast<SimTime>(total_object_bytes));
   auto exe_or = co_await client.Create(target_dirs[0], "a.out");
   if (!exe_or.ok()) {

@@ -31,17 +31,7 @@ struct AndrewOptions {
   size_t directories = 8;
   size_t source_files = 70;
   size_t mean_file_bytes = 2900;  // ~200 KB of "source" in total
-  size_t io_chunk_bytes = 4096;   // cp/cc write in buffer-sized syscalls
   uint64_t seed = 7;
-
-  // CPU charged per byte processed by the user-level tools, in nominal
-  // MicroVAXII nanoseconds (see CostProfile). Calibrated so phases I-IV and
-  // V land in the right regime on a 0.9 MIPS client (Table #2).
-  SimTime copy_cpu_per_byte = 30'000;       // cp
-  SimTime scan_cpu_per_byte = 80'000;       // grep + wc
-  SimTime stat_cpu_per_entry = Milliseconds(60);
-  SimTime compile_cpu_per_byte = 5'000'000;  // cc on a 0.9 MIPS machine
-  double object_size_factor = 0.7;           // .o size relative to source
 };
 
 struct AndrewResult {

@@ -13,23 +13,23 @@ namespace {
 
 enum class Op { kLookup, kGetattr, kRead, kWrite, kCreate, kRemove, kReaddir };
 
+// Relative weights of the op mix, in Op declaration order. The default
+// approximates the paper's nhfsstone mix: reads and attribute traffic
+// dominate, writes matter, namespace churn is the tail.
+constexpr double kDefaultWeights[7] = {0.13, 0.22, 0.30, 0.20, 0.05, 0.04, 0.06};
+// The "everything is a stat" personality: namespace and attribute traffic
+// dominate, data ops are the tail.
+constexpr double kMetadataHeavyWeights[7] = {0.25, 0.30, 0.05, 0.03, 0.12, 0.10, 0.15};
+
 struct Mix {
   // Cumulative weights in Op declaration order, normalized to the last entry.
   double cdf[7];
 
   explicit Mix(const OpMixOptions& options) {
-    double w[7] = {options.lookup_weight, options.getattr_weight, options.read_weight,
-                   options.write_weight,  options.create_weight,  options.remove_weight,
-                   options.readdir_weight};
-    if (options.metadata_heavy) {
-      // The "everything is a stat" personality: namespace and attribute
-      // traffic dominate, data ops are the tail.
-      const double meta[7] = {0.25, 0.30, 0.05, 0.03, 0.12, 0.10, 0.15};
-      std::copy(meta, meta + 7, w);
-    }
+    const double* w = options.metadata_heavy ? kMetadataHeavyWeights : kDefaultWeights;
     double acc = 0.0;
     for (int i = 0; i < 7; ++i) {
-      acc += std::max(w[i], 0.0);
+      acc += w[i];
       cdf[i] = acc;
     }
   }

@@ -24,20 +24,10 @@
 namespace renonfs {
 
 struct OpMixOptions {
-  // Relative weights of the op mix. The defaults approximate the paper's
-  // nhfsstone mix: reads and attribute traffic dominate, writes matter,
-  // namespace churn is the tail.
-  double lookup_weight = 0.13;
-  double getattr_weight = 0.22;
-  double read_weight = 0.30;
-  double write_weight = 0.20;
-  double create_weight = 0.05;
-  double remove_weight = 0.04;
-  double readdir_weight = 0.06;
-
   // Metadata-heavy mode: reweight toward lookup/getattr/readdir and
   // namespace churn (the "everything is a stat" personality that makes
-  // attribute caching and lease traffic the bottleneck).
+  // attribute caching and lease traffic the bottleneck). The two weight
+  // tables are in opmix.cc.
   bool metadata_heavy = false;
 
   size_t operations = 400;  // ops issued per client running the mix

@@ -462,7 +462,7 @@ TEST(FaultTest, LoanPinsBufferAgainstEviction) {
   (void)b;
 
   MbufChain reply;
-  a->ShareInto(&reply, 0, options.block_size);
+  a->ShareInto(&reply, 0, kBufBlockSize);
   EXPECT_TRUE(a->loaned());
   EXPECT_EQ(cache.loaned_count(), 1u);
 

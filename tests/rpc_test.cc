@@ -428,8 +428,8 @@ TEST(RpcEndToEndTest, DupCacheEntryAgesOutAndReexecutes) {
     XdrEncoder enc(&message);
     RpcCallHeader header;
     header.xid = xid;
-    header.prog = 100003;  // RpcServerOptions defaults
-    header.vers = 2;
+    header.prog = kNfsProgram;
+    header.vers = kNfsVersion;
     header.proc = kCountProc;
     EncodeCallHeader(enc, header);
     fix.udp_client->SendTo(905, server_addr, std::move(message));

@@ -84,8 +84,9 @@ TEST(KvConfigTest, ParsesCommentsRepeatsAndTypedGetters) {
 TEST(KvConfigTest, RejectsMalformedLinesAndBadValues) {
   EXPECT_FALSE(KvConfig::Parse("no equals sign here\n").ok());
   EXPECT_FALSE(KvConfig::Parse("= empty key\n").ok());
-  auto config = KvConfig::Parse("count = not_a_number\n").value();
+  auto config = KvConfig::Parse("count = not_a_number\nburst_gap = -2s\n").value();
   EXPECT_FALSE(config.GetUint("count", 0).ok());  // present but unparsable
+  EXPECT_FALSE(config.GetDuration("burst_gap", 0).ok());  // no duration is negative
 }
 
 TEST(KvConfigTest, SerializeRoundTrips) {
@@ -105,6 +106,7 @@ TEST(DurationTest, ParseAndFormatAllUnits) {
   EXPECT_EQ(ParseDuration("2s").value(), Seconds(2));
   EXPECT_EQ(ParseDuration("1234").value(), 1234);  // bare nanoseconds
   EXPECT_FALSE(ParseDuration("fast").ok());
+  EXPECT_FALSE(ParseDuration("-1s").ok());
   // The largest magnitude of each unit that fits an int64 nanosecond count
   // parses; one more is out of range rather than a wrapped value.
   EXPECT_EQ(ParseDuration("9223372036s").value(), Seconds(9223372036));
@@ -205,6 +207,16 @@ TEST(ScenarioTest, FaultSpecStringRoundTrips) {
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=2147483648").ok());
   EXPECT_FALSE(FaultSpecFromString("disk_error_burst at=8s count=-1").ok());
   EXPECT_FALSE(FaultSpecFromString("crash at=10000000000s dur=1s").ok());
+  // No field takes a sign: a negative time would abort the scheduler, and
+  // strtoull would wrap a negative block count or offset.
+  for (const char* line : {
+           "crash at=-1s dur=4s",
+           "loss_storm at=2s dur=-3s mag=0.5",
+           "disk_full at=3s blocks=-1",
+           "sabotage at=16s file=mix_c0_15 offset=-1",
+       }) {
+    EXPECT_FALSE(FaultSpecFromString(line).ok()) << line;
+  }
   // A non-finite number is a bad number in every field, and a disk_slow
   // factor above the ceiling would overflow a disk op's SimTime latency.
   for (const char* line : {

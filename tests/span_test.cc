@@ -284,7 +284,7 @@ TEST(SpanDeathTest, CounterRegisteredAfterStartDiesAtNextTick) {
   EXPECT_DEATH(sched.RunUntil(Milliseconds(10)), "counter registered after Start");
 }
 
-// Slow-op retention: at most top_k entries per proc, sorted slowest-first,
+// Slow-op retention: at most kMaxSlowOps entries per proc, sorted slowest-first,
 // and each retained breakdown still satisfies the conservation invariant.
 TEST(SpanTest, TopKSlowOpRetention) {
   World world(QuietWorldOptions());
@@ -293,7 +293,7 @@ TEST(SpanTest, TopKSlowOpRetention) {
   EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
 
   const SpanCollector& spans = world.spans();
-  ASSERT_GT(spans.stats().ops_completed, spans.options().top_k);
+  ASSERT_GT(spans.stats().ops_completed, kMaxSlowOps);
 
   std::vector<OpBreakdown> all = spans.SlowOps();
   ASSERT_FALSE(all.empty());
@@ -309,7 +309,7 @@ TEST(SpanTest, TopKSlowOpRetention) {
     EXPECT_EQ(sum, op.total()) << "xid " << op.xid;
   }
   for (uint32_t proc = 0; proc < kSpanProcSlots; ++proc) {
-    EXPECT_LE(spans.SlowOps(proc).size(), spans.options().top_k);
+    EXPECT_LE(spans.SlowOps(proc).size(), kMaxSlowOps);
   }
 }
 

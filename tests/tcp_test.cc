@@ -195,6 +195,58 @@ TEST(TcpTest, FastRetransmitOnIsolatedLoss) {
   EXPECT_GT(conn->stats().fast_retransmits, 0u);
 }
 
+// BSD's fixed timers, pinned by when segments leave: the receiver holds the
+// ACK of a lone segment for 200 ms, acknowledges every second segment at
+// once, and an unanswered SYN goes out again after the 3 s initial RTO.
+TEST(TcpTest, DelayedAckAndInitialRtoArePinned) {
+  TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
+  Scheduler& sched = fix.topo.scheduler();
+  std::vector<SimTime> arrivals;          // each data segment reaching the server's TCP
+  std::vector<uint64_t> sent_at_arrival;  // server segments sent by then, ACKs included
+  fix.server_stack->Listen(2049, [&](TcpConnection* connection) {
+    fix.server_conn = connection;
+    connection->set_data_handler([&](MbufChain) {
+      arrivals.push_back(sched.now());
+      sent_at_arrival.push_back(fix.server_conn->stats().segments_sent);
+    });
+  });
+  TcpConnection* conn = fix.ConnectClient(2049);
+  sched.Run();
+  ASSERT_TRUE(fix.connected);
+  const uint64_t sent = fix.server_conn->stats().segments_sent;
+
+  const auto lone = Pattern(100);
+  conn->Send(MbufChain::FromBytes(lone.data(), lone.size()));
+  sched.RunFor(Milliseconds(100));
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(sent_at_arrival[0], sent);
+  sched.RunUntil(arrivals[0] + Milliseconds(200) - 1);
+  EXPECT_EQ(fix.server_conn->stats().segments_sent, sent);
+  sched.RunUntil(arrivals[0] + Milliseconds(200));
+  EXPECT_EQ(fix.server_conn->stats().segments_sent, sent + 1);
+  sched.Run();
+
+  // That ACK opened the window to two segments, so these go back to back.
+  ASSERT_EQ(conn->cwnd(), 2 * 1460u);
+  const auto pair = Pattern(2 * 1460);
+  conn->Send(MbufChain::FromBytes(pair.data(), pair.size()));
+  sched.Run();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(sent_at_arrival[1], sent + 1);
+  EXPECT_EQ(sent_at_arrival[2], sent + 2);
+  EXPECT_EQ(fix.server_conn->stats().segments_sent, sent + 2);
+
+  // Nothing listens on port 7, so the SYN goes unanswered.
+  TcpConnection* unanswered =
+      fix.client_stack->Connect(10002, SockAddr{fix.topo.server->id(), 7}, []() {});
+  const SimTime syn_at = sched.now();
+  sched.RunUntil(syn_at + Seconds(3) - 1);
+  EXPECT_EQ(unanswered->stats().segments_sent, 1u);
+  sched.RunUntil(syn_at + Seconds(3));
+  EXPECT_EQ(unanswered->stats().segments_sent, 2u);
+  EXPECT_EQ(unanswered->stats().retransmits, 1u);
+}
+
 TEST(TcpTest, InterleavedSendsPreserveOrder) {
   TcpFixture fix(TopologyKind::kSameLan, TopologyOptions::Quiet());
   fix.ListenAndCollect(2049);

@@ -138,30 +138,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(HistogramTest, PercentilesOrdered) {
-  Histogram h(0, 100, 50);
-  Rng rng(5);
-  for (int i = 0; i < 10000; ++i) {
-    h.Add(rng.UniformDouble() * 100.0);
-  }
-  const double p50 = h.Percentile(50);
-  const double p90 = h.Percentile(90);
-  const double p99 = h.Percentile(99);
-  EXPECT_NEAR(p50, 50.0, 3.0);
-  EXPECT_NEAR(p90, 90.0, 3.0);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, p99);
-}
-
-TEST(HistogramTest, OverflowCaptured) {
-  Histogram h(0, 10, 10);
-  h.Add(-5);
-  h.Add(500);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.Percentile(100), 500.0);
-  EXPECT_EQ(h.Percentile(0), -5.0);
-}
-
 TEST(TextTableTest, RendersAligned) {
   TextTable t("Table #X");
   t.SetHeader({"col", "value"});

@@ -130,14 +130,6 @@ TEST(AttrCacheTest, PutRefreshesTtl) {
   EXPECT_EQ(attr->size, 2u);
 }
 
-TEST(AttrCacheTest, DisabledNeverHits) {
-  AttrCacheOptions options;
-  options.enabled = false;
-  AttrCache cache(options);
-  cache.Put(7, MakeAttr(1), 0);
-  EXPECT_FALSE(cache.Get(7, 0).has_value());
-}
-
 // --- BufCache ----------------------------------------------------------------
 
 TEST(BufCacheTest, CreateFindRoundTrip) {
