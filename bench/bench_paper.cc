@@ -1114,7 +1114,7 @@ void Leases() {
 //               (disk_queue + disk_service) and server_queue.
 //
 // Checks: each regime's attribution is dominated by the fault that was
-// injected, the conservation invariant held on every sampled op, and the
+// injected, the conservation invariant held on every op, and the
 // collector never spilled to the heap.
 struct Regime {
   std::string name;

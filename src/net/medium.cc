@@ -38,8 +38,8 @@ bool Medium::Transmit(Frame frame) {
   Reap();
   if (down_) {
     // A dead line gives the transmitter no feedback: the frame just never
-    // arrives. Returning true keeps the sender's accounting identical to a
-    // frame lost in flight.
+    // arrives. Returning true reports it exactly like a frame lost in
+    // flight.
     ++stats_.frames_dropped_down;
     return true;
   }

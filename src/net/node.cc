@@ -61,12 +61,7 @@ const Node::Route* Node::LookupRoute(HostId dst) const {
 }
 
 void Node::SendDatagram(Datagram datagram) {
-  if (!powered_) {
-    ++stats_.powered_off_drops;
-    return;
-  }
-  if (blocked_out_.contains(datagram.dst)) {
-    ++stats_.partition_out_drops;
+  if (!powered_ || blocked_out_.contains(datagram.dst)) {
     return;
   }
   const Route* route = LookupRoute(datagram.dst);
@@ -74,7 +69,6 @@ void Node::SendDatagram(Datagram datagram) {
     ++stats_.send_drops_no_route;
     return;
   }
-  ++stats_.datagrams_sent;
   Frame whole;
   whole.src = datagram.src;
   whole.dst = datagram.dst;
@@ -144,9 +138,7 @@ void Node::TransmitFrame(Medium* medium, Frame frame) {
   cpu_.ChargeBackground(copy_cost, CostCategory::kCopy);
   auto transmit = [this, medium, frame = std::move(frame)]() mutable {
     ++stats_.frames_sent;
-    if (!medium->Transmit(std::move(frame))) {
-      ++stats_.send_drops_queue;
-    }
+    medium->Transmit(std::move(frame));  // a full queue counts its own drop
   };
   // Runs once per frame per hop: it must fit the event node's inline
   // storage, or every transmit would allocate.
@@ -156,13 +148,9 @@ void Node::TransmitFrame(Medium* medium, Frame frame) {
 
 void Node::OnFrameReceived(Medium* medium, Frame frame) {
   (void)medium;
-  if (!powered_) {
-    // Dead NIC: the frame falls on the floor, no interrupt, no CPU cost.
-    ++stats_.powered_off_drops;
-    return;
-  }
-  if (blocked_in_.contains(frame.src)) {
-    ++stats_.partition_in_drops;
+  // Dead NIC or a one-way input block: the frame falls on the floor, no
+  // interrupt, no CPU cost.
+  if (!powered_ || blocked_in_.contains(frame.src)) {
     return;
   }
   ++stats_.frames_received;
@@ -190,7 +178,6 @@ void Node::ProcessFrame(Frame frame) {
 
 void Node::ForwardFrame(Frame frame) {
   if (blocked_out_.contains(frame.dst)) {
-    ++stats_.partition_out_drops;
     return;
   }
   const Route* route = LookupRoute(frame.dst);
@@ -198,7 +185,6 @@ void Node::ForwardFrame(Frame frame) {
     ++stats_.send_drops_no_route;
     return;
   }
-  ++stats_.frames_forwarded;
   cpu_.ChargeBackground(profile_.ip_forward_per_packet, CostCategory::kIp);
   // A fragment may need further fragmentation entering a smaller-MTU link.
   OutputFragments(route->medium, route->next_hop, std::move(frame));

@@ -43,17 +43,11 @@ struct NicConfig {
 };
 
 struct NodeStats {
-  uint64_t datagrams_sent = 0;
   uint64_t datagrams_delivered = 0;
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
-  uint64_t frames_forwarded = 0;
   uint64_t send_drops_no_route = 0;
-  uint64_t send_drops_queue = 0;
   uint64_t reassembly_timeouts = 0;
-  uint64_t powered_off_drops = 0;    // frames/datagrams dropped while powered off
-  uint64_t partition_in_drops = 0;   // frames dropped by a one-way input block
-  uint64_t partition_out_drops = 0;  // frames dropped by a one-way output block
 };
 
 class Node {

@@ -538,11 +538,9 @@ CoTask<void> NfsClient::HandleRecall(RecallArgs args) {
     co_return;
   }
   if (it->second.vacating) {
-    it->second.last_recall_serial = args.serial;  // retransmitted recall
-    co_return;
+    co_return;  // a retransmitted recall; the first one is being served
   }
   it->second.vacating = true;
-  it->second.last_recall_serial = args.serial;
   const uint32_t kind = it->second.kind;
   if (kind == kLeaseWrite) {
     // Push-dirty-then-vacate: the conflicting reader the server is serving
@@ -1158,7 +1156,6 @@ CoTask<void> NfsClient::ReadAheadBlock(NfsFh file, uint32_t block) {
   if (fetching_.contains(std::make_pair(file.Key(), block))) {
     co_return;
   }
-  ++read_ahead_hits_;
   auto result = co_await FetchBlock(file, block);
   (void)result;
 }

@@ -243,7 +243,6 @@ class NfsClient {
     bool stale_boot = false;     // the server rebooted since the grant
     bool expiry_counted = false;
     SimTime denied_until = 0;    // cooldown after a denial
-    uint32_t last_recall_serial = 0;
   };
   struct DirListing {
     SimTime mtime;
@@ -351,7 +350,6 @@ class NfsClient {
   std::map<std::pair<uint64_t, uint32_t>, std::shared_ptr<WaitGroup>> fetching_;
   // In-flight block pushes — the B_BUSY buffer lock (see PushBufRegion).
   std::map<std::pair<uint64_t, uint32_t>, std::shared_ptr<WaitGroup>> pushing_;
-  uint64_t read_ahead_hits_ = 0;
   // Per-proc RPC latency histograms, interned once by set_metrics so the
   // per-call path never touches the registry's string map.
   std::array<Log2Histogram*, kNfsProcCount> lat_hist_{};

@@ -178,9 +178,7 @@ void LeaseTable::SendRecall(Ino ino, Holder& holder, SimTime now) {
   udp_->SendTo(recall_port_, dst, std::move(payload));
 }
 
-CoTask<void> LeaseTable::ResolveConflict(uint32_t xid, Ino ino, bool write_op,
-                                         HostId requester) {
-  (void)xid;
+CoTask<void> LeaseTable::ResolveConflict(Ino ino, bool write_op, HostId requester) {
   for (;;) {
     // Table state may be arbitrarily stale after any await below: re-find the
     // entry and re-scan holders on every pass, never holding references

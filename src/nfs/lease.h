@@ -80,7 +80,7 @@ class LeaseTable {
   // holders as needed. `write_op` ops conflict with every foreign lease;
   // reads only with foreign write leases. `requester` exempts the caller's
   // own host. Returns promptly when the table has no entry for the file.
-  CoTask<void> ResolveConflict(uint32_t xid, Ino ino, bool write_op, HostId requester);
+  CoTask<void> ResolveConflict(Ino ino, bool write_op, HostId requester);
 
   // Crash: every lease is volatile kernel state and dies with it.
   void Clear();

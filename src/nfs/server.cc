@@ -126,32 +126,19 @@ StatusOr<Ino> NfsServer::ResolveFh(const NfsFh& fh) const {
   return fh.ino();
 }
 
-void NfsServer::NoteOpCpu(uint32_t xid, SimTime nominal, CostCategory category) {
-  if (tracer_ != nullptr && tracer_->sink() != nullptr) {
-    tracer_->sink()->OnCpuCharge(xid, static_cast<uint8_t>(category),
-                                 node_->cpu().ScaledCost(nominal));
-  }
-}
-
-void NfsServer::ChargeOp(uint32_t xid, SimTime nominal, CostCategory category) {
-  node_->cpu().ChargeBackground(nominal, category);
-  NoteOpCpu(xid, nominal, category);
-}
-
-void NfsServer::ChargeCacheSearch(uint32_t xid) {
+void NfsServer::ChargeCacheSearch() {
   const CostProfile& profile = node_->profile();
-  ChargeOp(xid,
-           profile.bufcache_search_base +
-               profile.bufcache_search_per_buf *
-                   static_cast<SimTime>(cache_.last_scan_length()),
-           CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(
+      profile.bufcache_search_base +
+          profile.bufcache_search_per_buf * static_cast<SimTime>(cache_.last_scan_length()),
+      CostCategory::kNfsProc);
 }
 
 CoTask<Buf*> NfsServer::BlockThroughCache(uint32_t xid, Ino ino, uint32_t block,
                                           bool is_directory) {
   const uint64_t key = CacheKey(ino, is_directory);
   Buf* buf = cache_.Find(key, block);
-  ChargeCacheSearch(xid);
+  ChargeCacheSearch();
   if (buf != nullptr) {
     co_return buf;
   }
@@ -327,7 +314,7 @@ CoTask<StatusOr<Ino>> NfsServer::LookupWithCosts(uint32_t xid, Ino dir,
                                                  const std::string& name) {
   const CostProfile& profile = node_->profile();
   if (name_cache_.enabled()) {
-    ChargeOp(xid, profile.namecache_hit, CostCategory::kNfsProc);
+    node_->cpu().ChargeBackground(profile.namecache_hit, CostCategory::kNfsProc);
     auto cached = name_cache_.Lookup(dir, name);
     if (cached.has_value()) {
       // Validate against the filesystem (entries can go stale on rename).
@@ -337,7 +324,7 @@ CoTask<StatusOr<Ino>> NfsServer::LookupWithCosts(uint32_t xid, Ino dir,
       }
       name_cache_.Invalidate(dir, name);
     }
-    ChargeOp(xid, profile.namecache_miss_overhead, CostCategory::kNfsProc);
+    node_->cpu().ChargeBackground(profile.namecache_miss_overhead, CostCategory::kNfsProc);
   }
 
   // Scan the directory: read its blocks through the buffer cache and charge
@@ -355,8 +342,8 @@ CoTask<StatusOr<Ino>> NfsServer::LookupWithCosts(uint32_t xid, Ino dir,
   for (size_t block = 0; block < blocks_to_scan; ++block) {
     co_await BlockThroughCache(xid, dir, static_cast<uint32_t>(block), /*is_directory=*/true);
   }
-  ChargeOp(xid, profile.dir_scan_per_entry * static_cast<SimTime>(entries_to_scan),
-           CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(
+      profile.dir_scan_per_entry * static_cast<SimTime>(entries_to_scan), CostCategory::kNfsProc);
   if (result.ok() && name_cache_.enabled()) {
     name_cache_.Enter(dir, name, result.value());
   }
@@ -376,12 +363,11 @@ CoTask<StatusOr<MbufChain>> NfsServer::Dispatch(uint32_t proc, MbufChain args, S
     // Reference port: arguments pass through the layered XDR/RPC library's
     // contiguous buffer before reaching the handler, and the library's call
     // layering costs a fixed overhead per RPC.
-    ChargeOp(xid,
-             profile.xdr_layered_per_call +
-                 profile.xdr_layered_per_byte * static_cast<SimTime>(args.Length()),
-             CostCategory::kXdr);
+    node_->cpu().ChargeBackground(
+        profile.xdr_layered_per_call +
+            profile.xdr_layered_per_byte * static_cast<SimTime>(args.Length()),
+        CostCategory::kXdr);
   }
-  NoteOpCpu(xid, profile.nfs_op_base, CostCategory::kNfsProc);
   co_await node_->cpu().Use(profile.nfs_op_base, CostCategory::kNfsProc);
 
   if (proc == kNfsNull) {
@@ -397,7 +383,7 @@ CoTask<StatusOr<MbufChain>> NfsServer::Dispatch(uint32_t proc, MbufChain args, S
   Status status = InternalError("nfsd: unhandled");
   switch (proc) {
     case kNfsGetattr:
-      status = co_await DoGetattr(xid, dec, body_enc);
+      status = co_await DoGetattr(dec, body_enc);
       break;
     case kNfsSetattr:
       status = co_await DoSetattr(xid, dec, body_enc, client.host);
@@ -406,7 +392,7 @@ CoTask<StatusOr<MbufChain>> NfsServer::Dispatch(uint32_t proc, MbufChain args, S
       status = co_await DoLookup(xid, dec, body_enc);
       break;
     case kNfsReadlink:
-      status = co_await DoReadlink(xid, dec, body_enc);
+      status = co_await DoReadlink(dec, body_enc);
       break;
     case kNfsRead:
       status = co_await DoRead(xid, dec, body_enc, client.host);
@@ -439,13 +425,13 @@ CoTask<StatusOr<MbufChain>> NfsServer::Dispatch(uint32_t proc, MbufChain args, S
       status = co_await DoReaddir(xid, dec, body_enc);
       break;
     case kNfsStatfs:
-      status = co_await DoStatfs(xid, dec, body_enc);
+      status = co_await DoStatfs(dec, body_enc);
       break;
     case kNfsLease:
-      status = co_await DoLease(xid, dec, body_enc);
+      status = co_await DoLease(dec, body_enc);
       break;
     case kNfsVacate:
-      status = co_await DoVacate(xid, dec, body_enc);
+      status = co_await DoVacate(dec, body_enc);
       break;
     default:
       co_return ProcUnavailError("nfsd: no such procedure");
@@ -462,13 +448,13 @@ CoTask<StatusOr<MbufChain>> NfsServer::Dispatch(uint32_t proc, MbufChain args, S
     reply.Concat(std::move(body));
   }
   if (options_.layered_xdr) {
-    ChargeOp(xid, profile.xdr_layered_per_byte * static_cast<SimTime>(reply.Length()),
-             CostCategory::kXdr);
+    node_->cpu().ChargeBackground(
+        profile.xdr_layered_per_byte * static_cast<SimTime>(reply.Length()), CostCategory::kXdr);
   }
   co_return reply;
 }
 
-CoTask<Status> NfsServer::DoGetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& out) {
+CoTask<Status> NfsServer::DoGetattr(XdrDecoder& dec, XdrEncoder& out) {
   auto fh_or = DecodeFh(dec);
   if (!fh_or.ok()) {
     co_return fh_or.status();
@@ -481,7 +467,7 @@ CoTask<Status> NfsServer::DoGetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& o
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   EncodeFattr(out, attr_or.value());
   co_return Status::Ok();
 }
@@ -496,7 +482,7 @@ CoTask<Status> NfsServer::DoSetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& o
   if (!ino_or.ok()) {
     co_return ino_or.status();
   }
-  const bool lease_ok = co_await GateOnLeases(xid, ino_or.value(), /*write_op=*/true, client);
+  const bool lease_ok = co_await GateOnLeases(ino_or.value(), /*write_op=*/true, client);
   if (!lease_ok) {
     co_return UnavailableError("nfsd: rebooted during lease recall");
   }
@@ -518,7 +504,7 @@ CoTask<Status> NfsServer::DoSetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& o
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   EncodeFattr(out, attr_or.value());
   co_return Status::Ok();
 }
@@ -540,7 +526,7 @@ CoTask<Status> NfsServer::DoLookup(uint32_t xid, XdrDecoder& dec, XdrEncoder& ou
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   DirOpReply reply;
   reply.file = NfsFh::Make(1, ino_or.value());
   reply.attr = attr_or.value();
@@ -548,8 +534,7 @@ CoTask<Status> NfsServer::DoLookup(uint32_t xid, XdrDecoder& dec, XdrEncoder& ou
   co_return Status::Ok();
 }
 
-CoTask<Status> NfsServer::DoReadlink(uint32_t xid, XdrDecoder& dec, XdrEncoder& out) {
-  (void)xid;
+CoTask<Status> NfsServer::DoReadlink(XdrDecoder& dec, XdrEncoder& out) {
   auto fh_or = DecodeFh(dec);
   if (!fh_or.ok()) {
     co_return fh_or.status();
@@ -578,7 +563,7 @@ CoTask<Status> NfsServer::DoRead(uint32_t xid, XdrDecoder& dec, XdrEncoder& out,
   }
   // A READ against a foreign write lease waits for the holder to push and
   // vacate, so the bytes served below include that holder's cached writes.
-  const bool lease_ok = co_await GateOnLeases(xid, ino_or.value(), /*write_op=*/false, client);
+  const bool lease_ok = co_await GateOnLeases(ino_or.value(), /*write_op=*/false, client);
   if (!lease_ok) {
     co_return UnavailableError("nfsd: rebooted during lease recall");
   }
@@ -618,12 +603,12 @@ CoTask<Status> NfsServer::DoRead(uint32_t xid, XdrDecoder& dec, XdrEncoder& out,
       // Re-find: the bring-in loop above awaits the disk per block, and a
       // concurrent request may have evicted an earlier block meanwhile.
       Buf* buf = cache_.Find(CacheKey(ino, false), block);
-      ChargeCacheSearch(xid);
+      ChargeCacheSearch();
       if (buf != nullptr && buf->valid() >= in_off + take) {
         const size_t clusters = buf->ShareInto(&data, in_off, take);
-        ChargeOp(xid,
-                 node_->profile().page_loan_per_cluster * static_cast<SimTime>(clusters),
-                 CostCategory::kNfsProc);
+        node_->cpu().ChargeBackground(
+            node_->profile().page_loan_per_cluster * static_cast<SimTime>(clusters),
+            CostCategory::kNfsProc);
         stats_.loaned_bytes += take;
         loaned_any = true;
       } else {
@@ -633,8 +618,9 @@ CoTask<Status> NfsServer::DoRead(uint32_t xid, XdrDecoder& dec, XdrEncoder& out,
         if (!part_or.ok()) {
           co_return part_or.status();
         }
-        ChargeOp(xid, node_->profile().copy_per_byte * static_cast<SimTime>(part_or->size()),
-                 CostCategory::kCopy);
+        node_->cpu().ChargeBackground(
+            node_->profile().copy_per_byte * static_cast<SimTime>(part_or->size()),
+            CostCategory::kCopy);
         data.Append(part_or->data(), part_or->size());
         if (part_or->size() < take) {
           break;  // concurrent truncation
@@ -655,11 +641,11 @@ CoTask<Status> NfsServer::DoRead(uint32_t xid, XdrDecoder& dec, XdrEncoder& out,
 
     // Copy buffer cache -> mbuf clusters: the remaining per-byte cost the
     // paper's Section 3 could not remove.
-    ChargeOp(xid, node_->profile().copy_per_byte * static_cast<SimTime>(bytes.size()),
-             CostCategory::kCopy);
+    node_->cpu().ChargeBackground(
+        node_->profile().copy_per_byte * static_cast<SimTime>(bytes.size()), CostCategory::kCopy);
     data.Append(bytes.data(), bytes.size());
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   ReadReply reply;
   reply.attr = attr_or.value();
   reply.data = std::move(data);
@@ -677,7 +663,7 @@ CoTask<Status> NfsServer::DoWrite(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
   if (!ino_or.ok()) {
     co_return ino_or.status();
   }
-  const bool lease_ok = co_await GateOnLeases(xid, ino_or.value(), /*write_op=*/true, client);
+  const bool lease_ok = co_await GateOnLeases(ino_or.value(), /*write_op=*/true, client);
   if (!lease_ok) {
     co_return UnavailableError("nfsd: rebooted during lease recall");
   }
@@ -685,8 +671,8 @@ CoTask<Status> NfsServer::DoWrite(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
   const std::vector<uint8_t> bytes = args_or->data.ContiguousCopy();
 
   // Copy mbufs -> buffer cache.
-  ChargeOp(xid, node_->profile().copy_per_byte * static_cast<SimTime>(bytes.size()),
-           CostCategory::kCopy);
+  node_->cpu().ChargeBackground(
+      node_->profile().copy_per_byte * static_cast<SimTime>(bytes.size()), CostCategory::kCopy);
   Status status = fs_->Write(ino, args_or->offset, bytes.data(), bytes.size());
   if (!status.ok()) {
     co_return status;
@@ -701,7 +687,7 @@ CoTask<Status> NfsServer::DoWrite(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
   if (!bytes.empty()) {
     for (uint32_t block = first_block; block <= last_block; ++block) {
       Buf* buf = cache_.Find(CacheKey(ino, false), block);
-      ChargeCacheSearch(xid);
+      ChargeCacheSearch();
       if (buf != nullptr) {
         auto fresh = fs_->Read(ino, static_cast<uint64_t>(block) * kFsBlockSize, kFsBlockSize);
         if (fresh.ok()) {
@@ -722,7 +708,7 @@ CoTask<Status> NfsServer::DoWrite(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   EncodeFattr(out, attr_or.value());
   co_return Status::Ok();
 }
@@ -759,7 +745,7 @@ CoTask<Status> NfsServer::DoCreate(uint32_t xid, XdrDecoder& dec, XdrEncoder& ou
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   DirOpReply reply;
   reply.file = NfsFh::Make(1, ino_or.value());
   reply.attr = attr_or.value();
@@ -782,7 +768,7 @@ CoTask<Status> NfsServer::DoRemove(uint32_t xid, XdrDecoder& dec, XdrEncoder& ou
   if (victim.ok()) {
     // Removing a leased file recalls its holders first, then re-looks the
     // name up: the entry may have been removed or replaced while we waited.
-    const bool lease_ok = co_await GateOnLeases(xid, victim.value(), /*write_op=*/true, client);
+    const bool lease_ok = co_await GateOnLeases(victim.value(), /*write_op=*/true, client);
     if (!lease_ok) {
       co_return UnavailableError("nfsd: rebooted during lease recall");
     }
@@ -892,8 +878,9 @@ CoTask<Status> NfsServer::DoReaddir(uint32_t xid, XdrDecoder& dec, XdrEncoder& o
   for (size_t block = 0; block < blocks; ++block) {
     co_await BlockThroughCache(xid, dir, static_cast<uint32_t>(block), /*is_directory=*/true);
   }
-  ChargeOp(xid, node_->profile().dir_scan_per_entry * static_cast<SimTime>(entries_or->size()),
-           CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(
+      node_->profile().dir_scan_per_entry * static_cast<SimTime>(entries_or->size()),
+      CostCategory::kNfsProc);
 
   ReaddirReply reply;
   for (const DirEntry& entry : entries_or.value()) {
@@ -909,8 +896,7 @@ CoTask<Status> NfsServer::DoReaddir(uint32_t xid, XdrDecoder& dec, XdrEncoder& o
   co_return Status::Ok();
 }
 
-CoTask<Status> NfsServer::DoStatfs(uint32_t xid, XdrDecoder& dec, XdrEncoder& out) {
-  (void)xid;
+CoTask<Status> NfsServer::DoStatfs(XdrDecoder& dec, XdrEncoder& out) {
   auto fh_or = DecodeFh(dec);
   if (!fh_or.ok()) {
     co_return fh_or.status();
@@ -921,16 +907,16 @@ CoTask<Status> NfsServer::DoStatfs(uint32_t xid, XdrDecoder& dec, XdrEncoder& ou
   co_return Status::Ok();
 }
 
-CoTask<bool> NfsServer::GateOnLeases(uint32_t xid, Ino ino, bool write_op, HostId client) {
+CoTask<bool> NfsServer::GateOnLeases(Ino ino, bool write_op, HostId client) {
   if (!options_.leases) {
     co_return true;
   }
   const uint64_t epoch = crash_count_;
-  co_await leases_.ResolveConflict(xid, ino, write_op, client);
+  co_await leases_.ResolveConflict(ino, write_op, client);
   co_return !crashed_ && crash_count_ == epoch;
 }
 
-CoTask<Status> NfsServer::DoLease(uint32_t xid, XdrDecoder& dec, XdrEncoder& out) {
+CoTask<Status> NfsServer::DoLease(XdrDecoder& dec, XdrEncoder& out) {
   auto args_or = DecodeLeaseArgs(dec);
   if (!args_or.ok()) {
     co_return args_or.status();
@@ -949,7 +935,7 @@ CoTask<Status> NfsServer::DoLease(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
     // reclaims and the answer must come back immediately.
     if (!leases_.InGrace()) {
       const bool write_req = args_or->kind == kLeaseWrite;
-      const bool lease_ok = co_await GateOnLeases(xid, ino, write_req,
+      const bool lease_ok = co_await GateOnLeases(ino, write_req,
                                                   static_cast<HostId>(args_or->client_host));
       if (!lease_ok) {
         co_return UnavailableError("nfsd: rebooted during lease recall");
@@ -966,14 +952,13 @@ CoTask<Status> NfsServer::DoLease(uint32_t xid, XdrDecoder& dec, XdrEncoder& out
   if (!attr_or.ok()) {
     co_return attr_or.status();
   }
-  ChargeOp(xid, node_->profile().fattr_fill, CostCategory::kNfsProc);
+  node_->cpu().ChargeBackground(node_->profile().fattr_fill, CostCategory::kNfsProc);
   reply.attr = attr_or.value();
   EncodeLeaseReply(out, reply);
   co_return Status::Ok();
 }
 
-CoTask<Status> NfsServer::DoVacate(uint32_t xid, XdrDecoder& dec, XdrEncoder& out) {
-  (void)xid;
+CoTask<Status> NfsServer::DoVacate(XdrDecoder& dec, XdrEncoder& out) {
   (void)out;
   auto args_or = DecodeVacateArgs(dec);
   if (!args_or.ok()) {

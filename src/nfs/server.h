@@ -155,15 +155,16 @@ class NfsServer {
   CoTask<StatusOr<MbufChain>> Dispatch(uint32_t proc, MbufChain args, SockAddr client);
 
   // Per-procedure handlers append the success body (after nfsstat) to `out`.
-  // `xid` identifies the RPC for trace events (0 when called untracked).
+  // `xid` identifies the RPC for trace events (0 when called untracked);
+  // handlers that record none take no xid.
   // DoSetattr/DoRead/DoWrite/DoRemove additionally take the requesting host
   // so the lease conflict gate can exempt the requester's own leases (TCP
   // dispatch passes host 0 — no exemption, which is safe: TCP mounts cannot
   // hold leases, the callback channel is UDP).
-  CoTask<Status> DoGetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
+  CoTask<Status> DoGetattr(XdrDecoder& dec, XdrEncoder& out);
   CoTask<Status> DoSetattr(uint32_t xid, XdrDecoder& dec, XdrEncoder& out, HostId client);
   CoTask<Status> DoLookup(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
-  CoTask<Status> DoReadlink(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
+  CoTask<Status> DoReadlink(XdrDecoder& dec, XdrEncoder& out);
   CoTask<Status> DoRead(uint32_t xid, XdrDecoder& dec, XdrEncoder& out, HostId client);
   CoTask<Status> DoWrite(uint32_t xid, XdrDecoder& dec, XdrEncoder& out, HostId client);
   CoTask<Status> DoCreate(uint32_t xid, XdrDecoder& dec, XdrEncoder& out, bool mkdir);
@@ -173,14 +174,14 @@ class NfsServer {
   CoTask<Status> DoLink(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
   CoTask<Status> DoSymlink(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
   CoTask<Status> DoReaddir(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
-  CoTask<Status> DoStatfs(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
-  CoTask<Status> DoLease(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
-  CoTask<Status> DoVacate(uint32_t xid, XdrDecoder& dec, XdrEncoder& out);
+  CoTask<Status> DoStatfs(XdrDecoder& dec, XdrEncoder& out);
+  CoTask<Status> DoLease(XdrDecoder& dec, XdrEncoder& out);
+  CoTask<Status> DoVacate(XdrDecoder& dec, XdrEncoder& out);
 
   // Lease conflict gate: recalls and waits out foreign leases before a
   // conflicting operation proceeds. Returns false if the server crashed
   // while waiting (the caller must abandon the dispatch).
-  CoTask<bool> GateOnLeases(uint32_t xid, Ino ino, bool write_op, HostId client);
+  CoTask<bool> GateOnLeases(Ino ino, bool write_op, HostId client);
 
   // Resolves a client file handle to an inode, checking staleness.
   StatusOr<Ino> ResolveFh(const NfsFh& fh) const;
@@ -189,16 +190,8 @@ class NfsServer {
   // cost and a disk read on miss. Returns the cached buffer.
   CoTask<Buf*> BlockThroughCache(uint32_t xid, Ino ino, uint32_t block, bool is_directory);
 
-  // Charges the CPU cost of the last cache search against `xid`.
-  void ChargeCacheSearch(uint32_t xid);
-
-  // ChargeBackground plus a per-op CPU annotation: the span collector (when
-  // one is attached to the tracer) learns how much scaled CPU this op cost
-  // in which CostCategory, alongside the wall-clock partition it computes
-  // from the trace events.
-  void ChargeOp(uint32_t xid, SimTime nominal, CostCategory category);
-  // The annotation alone, for charges that are awaited via cpu().Use().
-  void NoteOpCpu(uint32_t xid, SimTime nominal, CostCategory category);
+  // Charges the CPU cost of the last cache search.
+  void ChargeCacheSearch();
 
   // Commits `disk_ops` metadata/data writes to stable storage (awaited).
   CoTask<void> CommitToDisk(uint32_t xid, size_t disk_ops, size_t bytes_per_op);

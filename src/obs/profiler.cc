@@ -77,18 +77,4 @@ std::string CpuProfile::FlatTable(std::string_view title) const {
   return out;
 }
 
-std::string CpuProfile::ToJson() const {
-  std::string out = "{";
-  char buf[96];
-  for (size_t i = 0; i < kNumCostCategories; ++i) {
-    std::snprintf(buf, sizeof(buf), "\"%s\":%lld,", CostCategoryName(static_cast<CostCategory>(i)),
-                  static_cast<long long>(by_category[i]));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "\"busy_ns\":%lld,\"elapsed_ns\":%lld}",
-                static_cast<long long>(busy), static_cast<long long>(elapsed));
-  out += buf;
-  return out;
-}
-
 }  // namespace renonfs

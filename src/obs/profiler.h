@@ -49,8 +49,6 @@ struct CpuProfile {
   //      ...
   //   busy 299.9 ms of 400.0 ms elapsed (75.0% utilization)
   std::string FlatTable(std::string_view title) const;
-
-  std::string ToJson() const;
 };
 
 }  // namespace renonfs

@@ -11,9 +11,7 @@ namespace {
 
 constexpr size_t Idx(LatencyComponent c) { return static_cast<size_t>(c); }
 
-// splitmix64 finalizer: the seeded xid hash behind head sampling and the
-// open-addressed table. Pure function of (xid, seed) — same decision in
-// every run of the same scenario.
+// splitmix64 finalizer: the xid hash behind the open-addressed table.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -52,7 +50,7 @@ const char* LatencyComponentName(LatencyComponent component) {
   return "?";
 }
 
-SpanCollector::SpanCollector(SpanOptions options) : options_(options) {
+SpanCollector::SpanCollector() {
   pool_.resize(kMaxLiveOps);
   free_.reserve(kMaxLiveOps);
   for (uint32_t i = kMaxLiveOps; i > 0; --i) {
@@ -60,16 +58,6 @@ SpanCollector::SpanCollector(SpanOptions options) : options_(options) {
   }
   table_.assign(kTableSize, 0);
   table_mask_ = kTableSize - 1;
-}
-
-bool SpanCollector::Sampled(uint32_t xid) const {
-  if (options_.sample_period == 0) {
-    return false;
-  }
-  if (options_.sample_period == 1) {
-    return true;
-  }
-  return Mix64(xid ^ options_.seed) % options_.sample_period == 0;
 }
 
 // Table entries pack (xid << 32 | pool slot + 1); 0 = empty, 1 = tombstone.
@@ -191,9 +179,6 @@ void SpanCollector::Advance(OpRecord& rec, const TraceEvent& event) {
   switch (event.kind) {
     case TraceEventKind::kClientSend:
     case TraceEventKind::kClientRetransmit:
-      if (rec.attempt_count < kMaxSpanAttempts) {
-        rec.attempt_at[rec.attempt_count++] = event.at;
-      }
       ++rec.attempts;
       rec.phase = LatencyComponent::kNetwork;
       break;
@@ -241,15 +226,10 @@ void SpanCollector::Retain(const OpRecord& rec, const TraceEvent& complete) {
   const size_t slot = ProcSlot(rec.proc);
   OpBreakdown entry;
   entry.xid = rec.xid;
-  entry.proc = rec.proc;
-  entry.ok = complete.arg == 1;
   entry.attempts = rec.attempts;
-  entry.attempt_count = rec.attempt_count;
   entry.start = rec.start;
   entry.end = complete.at;
   entry.comp = rec.comp;
-  entry.cpu = rec.cpu;
-  entry.attempt_at = rec.attempt_at;
   if (slow_count_[slot] < kMaxSlowOps) {
     slow_[slot][slow_count_[slot]++] = entry;
     return;
@@ -292,40 +272,22 @@ void SpanCollector::Finish(OpRecord& rec, const TraceEvent& event) {
 }
 
 void SpanCollector::OnTraceEvent(const TraceEvent& event) {
-  if (options_.sample_period == 0 || event.xid == 0) {
+  if (event.xid == 0) {
     return;
   }
   ++stats_.events_seen;
   if (event.kind == TraceEventKind::kClientCallStart) {
-    if (!Sampled(event.xid)) {
-      ++stats_.sampled_out;
-      return;
-    }
     Begin(event.xid, event);
     return;
   }
   OpRecord* rec = Find(event.xid);
   if (rec == nullptr) {
-    return;  // unsampled, untracked (lease serials, garbage xids), or dropped
+    return;  // untracked (lease serials, garbage xids) or dropped
   }
   if (event.kind == TraceEventKind::kClientComplete) {
     Finish(*rec, event);
   } else {
     Advance(*rec, event);
-  }
-}
-
-void SpanCollector::OnCpuCharge(uint32_t xid, uint8_t category, SimTime cost) {
-  if (options_.sample_period == 0 || xid == 0) {
-    return;
-  }
-  OpRecord* rec = Find(xid);
-  if (rec == nullptr) {
-    return;
-  }
-  ++stats_.cpu_charges;
-  if (category < kNumCostCategories) {
-    rec->cpu[category] += cost;
   }
 }
 
@@ -396,7 +358,7 @@ std::string SpanCollector::ProcName(uint32_t proc) const {
 
 std::string SpanCollector::BreakdownTable() const {
   std::string out =
-      "latency breakdown (sampled ops; exclusive components, sum == wall clock):\n";
+      "latency breakdown (every op; exclusive components, sum == wall clock):\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf), "  %-10s %8s %10s  %s\n", "proc", "ops",
                 "mean_ms", "components");

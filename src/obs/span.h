@@ -2,12 +2,11 @@
 //
 // The Tracer (trace.h) already records the full causal stream of every RPC:
 // call start, each transmission, server receive, slot waits, disk queue
-// enter/leave, gather joins, reply, completion. A SpanCollector attaches to
-// the tracer as its SpanSink and folds that stream — online, O(1) per event,
-// with zero heap allocation after construction — into a span tree per NFS
-// op: the op is the root span, each RPC attempt a child (retransmit lineage
-// kept as the attempt timestamps), and every wait the op experienced a leaf
-// segment.
+// enter/leave, gather joins, reply, completion. A SpanCollector attached to
+// the tracer folds that stream — online, O(1) per event, with zero heap
+// allocation after construction — into a span tree per NFS op: the op is the
+// root span, each RPC attempt a child (counted, not timestamped), and every
+// wait the op experienced a leaf segment.
 //
 // The critical-path analyzer is the fold itself: the op's wall-clock life
 // [call start, completion] is partitioned into exclusive latency components
@@ -28,14 +27,10 @@
 //   disk_service disk op being serviced
 //   gather_wait  WRITE parked in a gather window / joined batch
 //
-// CPU charges are additionally annotated per CostCategory via OnCpuCharge —
-// the tree records both *where the wall clock went* (the partition) and
-// *what the server CPU did* for the op (the annotation).
-//
-// Sampling is deterministic head sampling: a seeded hash of the xid decides
-// at kClientCallStart whether the op is tracked, so the same seed tracks the
-// same ops in every run. Aggregates are per-proc per-component histograms
-// plus an always-keep-top-K-slowest retention per proc. The collector is
+// Every call the tracer sees is tracked. Aggregates are per-proc nanosecond
+// component sums plus one latency histogram per proc, and an
+// always-keep-the-slowest retention per proc. What the server CPU did is
+// CpuProfile's job (profiler.h), not the collector's. The collector is
 // passive (never schedules, never allocates after construction), so enabling
 // it cannot perturb simulated time.
 #ifndef RENONFS_SRC_OBS_SPAN_H_
@@ -48,7 +43,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/cpu.h"
 #include "src/sim/time.h"
 
 namespace renonfs {
@@ -70,66 +64,43 @@ const char* LatencyComponentName(LatencyComponent component);
 // Proc numbers are folded into this many aggregate slots (NFS v2 uses 0..17;
 // anything larger lands in the last slot).
 inline constexpr size_t kSpanProcSlots = 32;
-// Retransmit lineage kept per op: timestamps of the first kMaxSpanAttempts
-// transmissions (the attempt count itself is exact regardless).
-inline constexpr size_t kMaxSpanAttempts = 8;
 // Slowest completed ops retained per proc.
 inline constexpr size_t kMaxSlowOps = 8;
 
 // A completed, analyzed span tree in compact form: the root span's bounds,
-// the child-attempt lineage, and the leaf segments (wall-clock partition +
-// CPU annotation).
+// its transmission count, and the leaf segments (the wall-clock partition).
 struct OpBreakdown {
   uint32_t xid = 0;
-  uint32_t proc = 0;
-  bool ok = false;
-  uint8_t attempt_count = 0;  // timestamps kept (<= kMaxSpanAttempts)
-  uint32_t attempts = 0;      // total transmissions, exact
+  uint32_t attempts = 0;  // total transmissions
   SimTime start = 0;
   SimTime end = 0;
   std::array<SimTime, kNumLatencyComponents> comp{};
-  std::array<SimTime, kNumCostCategories> cpu{};
-  std::array<SimTime, kMaxSpanAttempts> attempt_at{};
 
   SimTime total() const { return end - start; }
-};
-
-struct SpanOptions {
-  uint64_t seed = 1;
-  // Track xids whose seeded hash lands on 0 mod sample_period: 1 = every op,
-  // N = 1/N head sampling, 0 = collector disabled (nothing tracked).
-  uint32_t sample_period = 1;
 };
 
 struct SpanStats {
   uint64_t events_seen = 0;
   uint64_t ops_started = 0;
   uint64_t ops_completed = 0;
-  uint64_t sampled_out = 0;           // ops skipped by head sampling
   uint64_t pool_exhausted_drops = 0;  // would-be heap spills; must stay 0
-  uint64_t cpu_charges = 0;
   uint64_t live_high_water = 0;
   uint64_t conservation_checks = 0;
   uint64_t conservation_failures = 0;  // CHECK-fatal, but counted for tests
 };
 
-class SpanCollector : public SpanSink {
+class SpanCollector {
  public:
-  explicit SpanCollector(SpanOptions options = {});
+  SpanCollector();
   SpanCollector(const SpanCollector&) = delete;
   SpanCollector& operator=(const SpanCollector&) = delete;
 
-  // SpanSink: fed synchronously from Tracer::Record.
-  void OnTraceEvent(const TraceEvent& event) override;
-  void OnCpuCharge(uint32_t xid, uint8_t category, SimTime cost) override;
-
-  // Deterministic head-sampling decision for an xid (same answer every run
-  // with the same seed).
-  bool Sampled(uint32_t xid) const;
+  // Fed synchronously from Tracer::Record, before ring eviction can lose the
+  // event. Passive: no scheduling, no state the simulation reads back.
+  void OnTraceEvent(const TraceEvent& event);
 
   const SpanStats& stats() const { return stats_; }
   size_t live_ops() const { return live_; }
-  const SpanOptions& options() const { return options_; }
 
   // Aggregate wall-clock partition for one proc slot (all completed ops).
   struct ProcBreakdown {
@@ -167,14 +138,11 @@ class SpanCollector : public SpanSink {
     uint32_t xid = 0;
     uint32_t proc = 0;
     uint32_t attempts = 0;
-    uint8_t attempt_count = 0;
     LatencyComponent phase = LatencyComponent::kSendWait;
     SimTime start = 0;
     SimTime last_at = 0;
     SimTime pending_disk_wait = 0;
     std::array<SimTime, kNumLatencyComponents> comp{};
-    std::array<SimTime, kNumCostCategories> cpu{};
-    std::array<SimTime, kMaxSpanAttempts> attempt_at{};
   };
 
   static size_t ProcSlot(uint32_t proc) {
@@ -195,7 +163,6 @@ class SpanCollector : public SpanSink {
   void TableErase(uint32_t xid);
   void TableRebuild();
 
-  SpanOptions options_;
   SpanStats stats_;
   const char* (*proc_namer_)(uint32_t) = nullptr;
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "src/obs/span.h"
 #include "src/util/logging.h"
 
 namespace renonfs {
@@ -101,8 +102,8 @@ void Tracer::Record(uint16_t track, TraceEventKind kind, uint32_t xid, uint32_t 
     ring_[next_] = event;  // overwrite the oldest
     next_ = (next_ + 1) % capacity_;
   }
-  if (sink_ != nullptr) {
-    sink_->OnTraceEvent(event);
+  if (spans_ != nullptr) {
+    spans_->OnTraceEvent(event);
   }
 }
 
@@ -247,21 +248,6 @@ std::string Tracer::ToChromeJson() const {
     }
   }
   out += "]}";
-  return out;
-}
-
-std::string Tracer::ToJsonl() const {
-  std::string out;
-  char buf[256];
-  for (const TraceEvent& e : Events()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"at_ns\":%lld,\"track\":\"%s\",\"kind\":\"%s\",\"xid\":%u,"
-                  "\"proc\":\"%s\",\"arg\":%llu}\n",
-                  static_cast<long long>(e.at), JsonEscape(tracks_[e.track]).c_str(),
-                  TraceEventKindName(e.kind), e.xid, JsonEscape(ProcName(e.proc)).c_str(),
-                  static_cast<unsigned long long>(e.arg));
-    out += buf;
-  }
   return out;
 }
 

@@ -9,8 +9,8 @@
 //
 // Exports: Chrome-trace JSON (load in chrome://tracing or Perfetto; client
 // call spans and server dispatch spans are synthesized from matching
-// send/complete and receive/reply pairs per xid), JSONL (one event per
-// line), and a human-readable Tail() for failure dumps.
+// send/complete and receive/reply pairs per xid) and a human-readable Tail()
+// for failure dumps.
 #ifndef RENONFS_SRC_OBS_TRACE_H_
 #define RENONFS_SRC_OBS_TRACE_H_
 
@@ -66,18 +66,7 @@ struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kClientSend;
 };
 
-// Observer fed from Tracer::Record before ring eviction can lose the event.
-// This is how the span collector (src/obs/span.h) sees the full causal
-// stream regardless of ring capacity. Implementations must be passive:
-// no scheduling, no state the simulation reads back — observation only.
-class SpanSink {
- public:
-  virtual ~SpanSink() = default;
-  virtual void OnTraceEvent(const TraceEvent& event) = 0;
-  // Per-op CPU annotation: `cost` is the *scaled* cost charged against the
-  // server CPU on behalf of `xid`, bucketed by CostCategory ordinal.
-  virtual void OnCpuCharge(uint32_t xid, uint8_t category, SimTime cost) = 0;
-};
+class SpanCollector;  // src/obs/span.h
 
 class Tracer {
  public:
@@ -94,9 +83,10 @@ class Tracer {
   // Pretty proc numbers in exports (e.g. NfsProcName); optional.
   void set_proc_namer(const char* (*namer)(uint32_t)) { proc_namer_ = namer; }
 
-  // At most one sink; every recorded event is forwarded to it synchronously.
-  void set_sink(SpanSink* sink) { sink_ = sink; }
-  SpanSink* sink() const { return sink_; }
+  // At most one span collector (null detaches it); every recorded event is
+  // forwarded to it synchronously, before ring eviction can lose the event,
+  // so it sees the full causal stream regardless of ring capacity.
+  void set_spans(SpanCollector* spans) { spans_ = spans; }
 
   size_t capacity() const { return capacity_; }
   size_t size() const;
@@ -107,7 +97,6 @@ class Tracer {
   std::vector<TraceEvent> Events() const;
 
   std::string ToChromeJson() const;
-  std::string ToJsonl() const;
   // Last `n` events, one human-readable line each (for failure dumps).
   std::string Tail(size_t n) const;
 
@@ -123,7 +112,7 @@ class Tracer {
   uint64_t recorded_ = 0;
   std::vector<std::string> tracks_;
   const char* (*proc_namer_)(uint32_t) = nullptr;
-  SpanSink* sink_ = nullptr;
+  SpanCollector* spans_ = nullptr;
 };
 
 }  // namespace renonfs

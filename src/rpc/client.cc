@@ -530,7 +530,6 @@ void TcpRpcTransport::Reconnect(SimTime now) {
   // connection; whichever fires first wins and the other becomes a no-op.
   stream_corrupt_ = false;
   reconnect_timer_.Stop();
-  ++reconnects_;
   ++recovery_.reconnects;
   receive_buffer_ = MbufChain();  // a partial record from the old stream is garbage
   if (connection_ != nullptr) {

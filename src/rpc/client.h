@@ -292,7 +292,6 @@ class TcpRpcTransport : public RpcClientTransport {
   Timer reconnect_timer_;
   bool stream_corrupt_ = false;  // discard stream data until the cycle fires
   bool hunting_ = false;         // between a corrupt mark and resync/give-up
-  int reconnects_ = 0;
 };
 
 }  // namespace renonfs

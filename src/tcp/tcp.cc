@@ -12,6 +12,7 @@ namespace {
 constexpr size_t kAdvertisedWindow = 16 * 1024;
 constexpr SimTime kMinRto = Milliseconds(500);
 constexpr SimTime kInitialRto = Seconds(3);
+constexpr SimTime kMaxRto = Seconds(64);
 // BSD delayed acknowledgements: ack every second data segment or after
 // the timer, and piggyback on any outgoing segment. This is what lets an
 // RPC reply carry the ack for the call.
@@ -98,7 +99,6 @@ void TcpConnection::StartPassiveOpen(uint64_t peer_iss) {
 }
 
 void TcpConnection::Send(MbufChain data) {
-  stats_.bytes_sent += data.Length();
   send_buffer_.Concat(std::move(data));
   TrySend();
 }
@@ -116,7 +116,6 @@ size_t TcpConnection::EffectiveWindow() const {
 }
 
 void TcpConnection::OnSegment(Segment segment) {
-  ++stats_.segments_received;
   const bool has_syn = (segment.flags & kFlagSyn) != 0;
   const bool has_ack = (segment.flags & kFlagAck) != 0;
 
@@ -287,7 +286,6 @@ void TcpConnection::AcceptData(Segment segment) {
     it = out_of_order_.erase(it);
   }
 
-  stats_.bytes_delivered += deliverable.Length();
   stack_->node()->cpu().ChargeBackground(stack_->node()->profile().socket_wakeup,
                                          CostCategory::kTcp);
   ++unacked_data_segments_;
@@ -372,9 +370,8 @@ void TcpConnection::ArmRetransmitTimer() {
 }
 
 void TcpConnection::OnRetransmitTimeout() {
-  ++stats_.timeouts;
   const SimTime effective = backed_off_rto_ > 0 ? backed_off_rto_ : rto_;
-  backed_off_rto_ = std::min(effective * 2, config_.max_rto);
+  backed_off_rto_ = std::min(effective * 2, kMaxRto);
 
   switch (state_) {
     case State::kClosed:
@@ -419,7 +416,7 @@ void TcpConnection::UpdateRtt(SimTime sample) {
     const SimTime abs_delta = delta < 0 ? -delta : delta;
     rttvar_ += (abs_delta - rttvar_) / 4;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 // --- TcpStack ---------------------------------------------------------------

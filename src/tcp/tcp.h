@@ -31,19 +31,13 @@
 namespace renonfs {
 
 struct TcpConfig {
-  size_t mss = 1460;                    // caller sets to min path MTU - 40
-  SimTime max_rto = Seconds(64);
+  size_t mss = 1460;  // caller sets to min path MTU - 40
 };
 
 struct TcpStats {
   uint64_t segments_sent = 0;
-  uint64_t segments_received = 0;
-  uint64_t bytes_sent = 0;       // payload bytes, first transmissions
-  uint64_t bytes_delivered = 0;
   uint64_t retransmits = 0;
-  uint64_t timeouts = 0;
   uint64_t fast_retransmits = 0;
-  uint64_t checksum_failures = 0;
 };
 
 // Stack-wide receive-path drop counters. Segments killed here die *before*

@@ -179,7 +179,6 @@ Buf* BufCache::Find(uint64_t file, uint32_t block) {
     }
   }
   last_scan_length_ = examined;
-  stats_.bufs_examined += examined;
 
   // The authoritative lookup (the model above is cost accounting only).
   auto it = index_.find(Key{file, block});

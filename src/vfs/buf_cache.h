@@ -53,7 +53,6 @@ struct BufCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t bufs_examined = 0;  // cumulative scan work
   // Create() passes over clean buffers whose clusters are still loaned to a
   // reply chain in flight; they are pinned exactly like dirty buffers.
   uint64_t loan_pinned_skips = 0;

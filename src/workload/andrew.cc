@@ -37,7 +37,6 @@ void AndrewBenchmark::PreloadSource() {
     auto dir_ino = fs.Mkdir(src_root_ino.value(), "dir" + std::to_string(d), 0755);
     CHECK(dir_ino.ok());
     dir_inos.push_back(dir_ino.value());
-    source_dir_fhs_.push_back(NfsFh::Make(1, dir_ino.value()));
   }
 
   for (size_t f = 0; f < options_.source_files; ++f) {

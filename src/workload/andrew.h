@@ -89,7 +89,6 @@ class AndrewBenchmark {
   AndrewOptions options_;
   std::vector<SourceFile> sources_;
   NfsFh source_root_;
-  std::vector<NfsFh> source_dir_fhs_;
 };
 
 }  // namespace renonfs

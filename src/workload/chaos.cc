@@ -84,6 +84,9 @@ CoTask<Status> CreateDeleteLoop(NfsClient& client, size_t iterations, size_t fil
   co_return Status::Ok();
 }
 
+// Pause between a lease-storm reader's passes over the kept files.
+constexpr SimTime kLeaseReadInterval = Milliseconds(300);
+
 // One lease-storm reader: loop over the server's surviving "chaos_keep"
 // files (ground truth from LocalFs, same shortcut the integrity audit takes)
 // and read each one through this client. Under a lease mount every pass asks
@@ -91,8 +94,7 @@ CoTask<Status> CreateDeleteLoop(NfsClient& client, size_t iterations, size_t fil
 // client 0 is caching behind — the recall storm the soak exists to create.
 // Failures are expected mid-fault (ENOENT races, crash windows) and ignored;
 // the soak's assertions live in the lease counters and the integrity audit.
-CoTask<void> LeaseStormReader(World& world, NfsClient& client, SimTime interval,
-                              const bool* stop) {
+CoTask<void> LeaseStormReader(World& world, NfsClient& client, const bool* stop) {
   Scheduler& sched = world.scheduler();
   uint8_t buf[kNfsMaxData];
   while (!*stop) {
@@ -114,7 +116,7 @@ CoTask<void> LeaseStormReader(World& world, NfsClient& client, SimTime interval,
         (void)co_await client.Close(fh);
       }
     }
-    co_await sched.Delay(interval);
+    co_await sched.Delay(kLeaseReadInterval);
   }
 }
 
@@ -238,8 +240,11 @@ std::string ChaosReport::SummaryLine() const {
   line += " disk_errors=" + counter("fs.injected_errors");
   line += " latched=" + std::to_string(write_errors_latched);
   line += " slot_waits=" + counter("server.rpc.nfsd_slot_waits");
-  if (leases_granted > 0 || metrics.Value("server.lease.recalls_sent") > 0) {
-    line += " leases=" + std::to_string(leases_granted);
+  // Server lease grants, grace reclaims included.
+  const uint64_t grants =
+      metrics.Value("server.lease.granted") + metrics.Value("server.lease.reclaimed");
+  if (grants > 0 || metrics.Value("server.lease.recalls_sent") > 0) {
+    line += " leases=" + std::to_string(grants);
     line += " recalls=" + counter("server.lease.recalls_sent");
     line += " vacated=" + counter("server.lease.vacated");
     line += " lease_evictions=" + counter("server.lease.evictions");
@@ -305,8 +310,7 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   std::vector<CoTask<void>> readers;
   if (options.lease_storm) {
     for (size_t i = 1; i < world.client_count(); ++i) {
-      readers.push_back(LeaseStormReader(world, world.client(i),
-                                         options.lease_read_interval, &stop_readers));
+      readers.push_back(LeaseStormReader(world, world.client(i), &stop_readers));
     }
   }
 
@@ -384,9 +388,6 @@ ChaosReport RunChaos(World& world, const ChaosOptions& options) {
   report.corrupted_records = world.server().rpc_stats().corrupted_records +
                              world.client().transport_stats().corrupted_records;
   report.write_errors_latched = world.client().stats().write_errors_latched;
-
-  const LeaseStats& lease = world.server().lease_stats();
-  report.leases_granted = lease.granted + lease.reclaimed;
 
   for (uint32_t proc = 0; proc < kNfsProcCount; ++proc) {
     const Log2Histogram* hist =

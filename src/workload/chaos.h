@@ -42,7 +42,6 @@ struct ChaosOptions {
   // and with a crash in the schedule, recalls that straddle the reboot and
   // its grace window. Requires WorldOptions::clients > 1.
   bool lease_storm = false;
-  SimTime lease_read_interval = Milliseconds(400);
 
   // The fault schedule, the harness's only fault input (empty = a clean
   // run). Each spec is scheduled in order against WorldFaultTargets(world).
@@ -102,9 +101,6 @@ struct ChaosReport {
   uint64_t frames_corrupted = 0;   // medium-level damage events, whole path
   uint64_t checksum_drops = 0;     // UDP + TCP checksum failures, both ends
   uint64_t corrupted_records = 0;  // TCP record-mark failures, both ends
-
-  // Server lease grants, grace reclaims included.
-  uint64_t leases_granted = 0;
 
   // Per-procedure RPC latency percentiles (microseconds), from the world's
   // client.nfs.lat_us.* histograms; only procedures that were called appear.

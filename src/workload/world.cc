@@ -33,16 +33,11 @@ void World::InitObservability() {
   MetricsRegistry& m = *metrics_;
 
   // --- causal span collector -------------------------------------------------
-  // The tracer's sink: every trace event is folded online into per-op
-  // critical-path breakdowns. Sampling is seeded from the installation seed so
-  // a RENONFS_SEED replay retains the identical op population.
-  {
-    SpanOptions so;
-    so.seed = options_.topology_options.seed;
-    spans_ = std::make_unique<SpanCollector>(so);
-    spans_->set_proc_namer(NfsProcName);
-    tracer_->set_sink(spans_.get());
-  }
+  // Attached to the tracer: every trace event is folded online into per-op
+  // critical-path breakdowns.
+  spans_ = std::make_unique<SpanCollector>();
+  spans_->set_proc_namer(NfsProcName);
+  tracer_->set_spans(spans_.get());
   // Flight recorder over the registry; armed lazily by harnesses that want a
   // timeline (chaos soak, nfsstat --timeline).
   flight_ = std::make_unique<FlightRecorder>(topo_.scheduler(), m, FlightOptions{});
@@ -266,16 +261,16 @@ void World::InitObservability() {
   }
 
   // --- span collector + flight recorder diagnostics -------------------------
-  // Diagnostics, not counters: sampling configuration and recorder cadence are
-  // observer knobs, so they must stay out of the snapshot hash that scenario
-  // replay compares (a replay with tracing off must still hash-match).
+  // Diagnostics, not counters: whether the collector is attached and the
+  // recorder's cadence are observer choices, so they must stay out of the
+  // snapshot hash that scenario replay compares (a replay with tracing off
+  // must still hash-match).
   {
     const SpanCollector* sc = spans_.get();
     m.RegisterDiagnostic("obs.span.events_seen", [sc] { return sc->stats().events_seen; });
     m.RegisterDiagnostic("obs.span.ops_started", [sc] { return sc->stats().ops_started; });
     m.RegisterDiagnostic("obs.span.ops_completed",
                          [sc] { return sc->stats().ops_completed; });
-    m.RegisterDiagnostic("obs.span.sampled_out", [sc] { return sc->stats().sampled_out; });
     m.RegisterDiagnostic("obs.span.live_ops", [sc] { return sc->live_ops(); });
     m.RegisterDiagnostic("obs.span.live_high_water",
                          [sc] { return sc->stats().live_high_water; });

@@ -139,9 +139,8 @@ class World {
   MetricsRegistry& metrics() { return *metrics_; }
   MetricsSnapshot MetricsNow() { return metrics_->Snapshot(topo_.scheduler().now()); }
 
-  // Causal span collector: the tracer's sink, turning the per-RPC event
-  // stream into per-op critical-path breakdowns (src/obs/span.h). Always
-  // attached; sampling defaults to every op.
+  // Causal span collector, attached to the tracer: turns the per-RPC event
+  // stream of every op into critical-path breakdowns (src/obs/span.h).
   SpanCollector& spans() { return *spans_; }
   // Time-series flight recorder over the metrics registry. Constructed but
   // not started — call flight().Start() (chaos/soak harnesses do) to begin

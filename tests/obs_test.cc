@@ -117,7 +117,7 @@ TEST(ObsTest, RegistrySnapshotIsDeterministicAcrossIdenticalRuns) {
     ChaosReport report = RunChaos(world, QuietCreateDelete());
     ASSERT_TRUE(report.workload_status.ok()) << report.workload_status;
     snaps[run] = world.MetricsNow();
-    traces[run] = world.tracer().ToJsonl();
+    traces[run] = world.tracer().ToChromeJson();
   }
   ASSERT_FALSE(snaps[0].counters.empty());
   EXPECT_GT(snaps[0].Value("client.rpc.calls"), 0u);

@@ -1,6 +1,7 @@
 // Span-collector tests: the conservation invariant under a fault-heavy
-// chaos soak, head-sampling determinism, flight-recorder ring eviction,
-// top-K slow-op retention, and timing-neutrality of the passive sink.
+// chaos soak, run-to-run agreement, every call tracked, flight-recorder ring
+// eviction, top-K slow-op retention, and timing-neutrality of the passive
+// collector.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,7 +34,7 @@ ChaosOptions OpMixChaos(uint32_t operations) {
   return chaos;
 }
 
-// The invariant the collector is built around: every sampled op's component
+// The invariant the collector is built around: every op's component
 // breakdown sums to its measured wall-clock latency exactly — under the
 // nastiest schedule we can assemble (loss storm + slow disk + a crash/reboot
 // + a link flap on the 56K serial path), not just on the happy path. The
@@ -80,47 +81,9 @@ TEST(SpanChaosTest, ConservationHoldsUnderFaultHeavySoak) {
   EXPECT_NE(world.flight().ToJsonl().find("at_ms"), std::string::npos);
 }
 
-// Head sampling is a pure function of (seed, xid): two collectors built with
-// the same options agree on every xid, a different seed picks a different
-// subset, and the keep rate tracks 1/period.
-TEST(SpanTest, SamplingIsDeterministicPerSeed) {
-  SpanOptions quarter;
-  quarter.seed = 42;
-  quarter.sample_period = 4;
-  SpanCollector a(quarter);
-  SpanCollector b(quarter);
-
-  SpanOptions other = quarter;
-  other.seed = 43;
-  SpanCollector c(other);
-
-  uint32_t kept = 0;
-  bool differs = false;
-  for (uint32_t xid = 1; xid <= 4096; ++xid) {
-    ASSERT_EQ(a.Sampled(xid), b.Sampled(xid)) << "xid " << xid;
-    kept += a.Sampled(xid) ? 1 : 0;
-    differs = differs || (a.Sampled(xid) != c.Sampled(xid));
-  }
-  EXPECT_TRUE(differs);  // a different seed must select a different subset
-  // 1/4 of 4096 = 1024; allow generous slack for the hash.
-  EXPECT_GT(kept, 700u);
-  EXPECT_LT(kept, 1400u);
-
-  SpanOptions all = quarter;
-  all.sample_period = 1;
-  SpanOptions off = quarter;
-  off.sample_period = 0;
-  SpanCollector every(all);
-  SpanCollector none(off);
-  for (uint32_t xid = 1; xid <= 64; ++xid) {
-    EXPECT_TRUE(every.Sampled(xid));
-    EXPECT_FALSE(none.Sampled(xid));
-  }
-}
-
-// Two same-seed worlds running the same workload sample the same ops and
-// produce identical aggregate attribution.
-TEST(SpanTest, SampledRunsAgreeAcrossWorlds) {
+// Two same-seed worlds running the same workload produce identical aggregate
+// attribution.
+TEST(SpanTest, RunsAgreeAcrossWorlds) {
   auto run = [] {
     World world(QuietWorldOptions());
     ChaosReport report = RunChaos(world, OpMixChaos(80));
@@ -132,6 +95,52 @@ TEST(SpanTest, SampledRunsAgreeAcrossWorlds) {
   auto second = run();
   EXPECT_GT(first.first, 0u);
   EXPECT_EQ(first, second);
+}
+
+// Nothing filters ops: every call a client transport starts is tracked, and
+// once the run has quiesced every tracked op has completed. The UDP run
+// retransmits through a loss storm and a crash; the TCP run re-issues its
+// calls on a new connection after the crash.
+TEST(SpanTest, EveryCallIsTracked) {
+  auto check = [](const WorldOptions& options, const ChaosOptions& chaos) {
+    World world(options);
+    DumpOnFailure dump_on_failure(world);
+    ChaosReport report = RunChaos(world, chaos);
+    ASSERT_TRUE(report.workload_status.ok()) << report.workload_status;
+    const SpanStats& stats = world.spans().stats();
+    EXPECT_GT(stats.ops_started, 0u);
+    EXPECT_EQ(stats.ops_started, report.metrics.Value("client.rpc.calls"));
+    EXPECT_EQ(stats.ops_completed, stats.ops_started);
+    EXPECT_EQ(world.spans().live_ops(), 0u);
+    EXPECT_EQ(stats.pool_exhausted_drops, 0u);
+    EXPECT_GT(report.metrics.Value("client.rpc.retransmits") +
+                  report.metrics.Value("client.recovery.reissued_calls"),
+              0u);
+  };
+
+  ChaosOptions udp = OpMixChaos(120);
+  udp.schedule.push_back(FaultSpecFromString("loss_storm at=2s dur=20s mag=0.2").value());
+  udp.schedule.push_back(FaultSpecFromString("crash at=10s dur=5s").value());
+  check(QuietWorldOptions(), udp);
+
+  WorldOptions tcp_world = QuietWorldOptions();
+  tcp_world.mount = NfsMountOptions::RenoTcp();
+  tcp_world.mount.hard = true;
+  ChaosOptions tcp = OpMixChaos(120);
+  tcp.schedule.push_back(FaultSpecFromString("crash at=2s dur=6s").value());
+  check(tcp_world, tcp);
+
+  WorldOptions lease_world = QuietWorldOptions();
+  lease_world.mount = NfsMountOptions::Leases();
+  lease_world.mount.hard = true;
+  lease_world.clients = 3;
+  lease_world.server.leases = true;
+  ChaosOptions storm;
+  storm.workload = ChaosWorkload::kCreateDelete;
+  storm.iterations = 20;
+  storm.lease_storm = true;
+  storm.schedule.push_back(FaultSpecFromString("crash at=3s dur=6s").value());
+  check(lease_world, storm);
 }
 
 // The flight recorder is a bounded ring: frames past capacity evict the
@@ -313,14 +322,14 @@ TEST(SpanTest, TopKSlowOpRetention) {
   }
 }
 
-// The sink is passive: detaching it must not change a single scheduler tick
-// or any replay-hashed counter. (The span/flight gauges are registered as
-// diagnostics precisely so the hashes stay comparable.)
+// The collector is passive: detaching it must not change a single scheduler
+// tick or any replay-hashed counter. (The span/flight gauges are registered
+// as diagnostics precisely so the hashes stay comparable.)
 TEST(SpanTest, TracingIsTimingNeutral) {
   auto run = [](bool traced) {
     World world(QuietWorldOptions());
     if (!traced) {
-      world.tracer().set_sink(nullptr);
+      world.tracer().set_spans(nullptr);
     }
     ChaosReport report = RunChaos(world, OpMixChaos(80));
     EXPECT_TRUE(report.workload_status.ok()) << report.workload_status;
